@@ -15,8 +15,9 @@ Public API quick tour::
 Subpackages: ``coherence`` (MESI multicore simulator), ``pmu`` (events and
 counters), ``workloads`` (mini-programs), ``suites`` (Phoenix/PARSEC
 models), ``ml`` (C4.5/J48 from scratch), ``core`` (the paper's method),
-``baselines`` (shadow-memory oracle, SHERIFF), ``analysis`` (simulation-free
-static sharing analyzer, lint rules, cross-detector harness),
+``baselines`` (shadow-memory oracle, SHERIFF), ``analysis`` (one
+simulation-free sharing classifier behind trace and plan front-ends, lint
+rules, cross-detector harness),
 ``experiments`` (one entry per paper table/figure).
 """
 

@@ -3,24 +3,25 @@
 The package's pieces form the third and fourth detection modalities next
 to the dynamic shadow-memory oracle and the trained classifier:
 
-* :mod:`repro.analysis.sharing` — classify every cache line a program
-  touches as private / read-shared / true-shared / false-shared, straight
-  from the trace, with no MESI simulation;
+* :mod:`repro.analysis.sharing` — one classifier core that labels every
+  cache line private / read-shared / true-shared / false-shared, gates
+  contention on overlapping position windows and scores significance,
+  fed by two front-ends: :class:`StaticSharingAnalyzer` over a trace and
+  :class:`PredictiveAnalyzer` over a symbolic
+  :class:`~repro.workloads.plan.AccessPlan`, before any trace exists.
+  Both return a :class:`SharingReport`;
 * :mod:`repro.analysis.symbols` — interval-indexed map from address
   ranges to named workload objects (``objects_on_line`` / ``line_owners``);
-* :mod:`repro.analysis.predict` — the same verdict vocabulary computed
-  from a symbolic :class:`~repro.workloads.plan.AccessPlan` alone, before
-  any trace exists;
-* :mod:`repro.analysis.lint` — rule engine (FS001..FS008) turning trace
-  facts and predictions into actionable findings with padding
-  suggestions, each carrying a stable fingerprint;
+* :mod:`repro.analysis.lint` — rule engine (FS001..FS008) turning sharing
+  reports into actionable findings with padding suggestions, each
+  carrying a stable fingerprint;
 * :mod:`repro.analysis.baseline` — committed finding baselines so CI
   fails only on *new* findings;
 * :mod:`repro.analysis.validate` — line-level precision/recall of the
-  predictive pass against the shadow oracle's per-line attribution;
+  plan front-end against the shadow oracle's per-line attribution;
 * :mod:`repro.analysis.crosscheck` — disagreement harness fanning the
-  mini-program grid through predictive analyzer, static analyzer, shadow
-  oracle, and the trained tree, and reporting where they diverge.
+  mini-program grid through both front-ends, the shadow oracle and the
+  trained tree, and reporting where they diverge.
 """
 
 from repro.analysis.baseline import (
@@ -36,19 +37,17 @@ from repro.analysis.crosscheck import (
     default_grid,
 )
 from repro.analysis.lint import Finding, SharingLinter
-from repro.analysis.predict import (
-    PredictedLine,
-    Prediction,
-    PredictiveAnalyzer,
-    predict_plan,
-)
 from repro.analysis.sharing import (
     SIGNIFICANCE_THRESHOLD,
     LineSharing,
+    NearMiss,
+    PredictiveAnalyzer,
     SharingReport,
     StaticSharingAnalyzer,
+    ThreadLineUse,
     ThreadProfile,
     analyze_trace,
+    predict_plan,
 )
 from repro.analysis.symbols import Symbol, SymbolTable
 from repro.analysis.validate import (
@@ -67,16 +66,16 @@ __all__ = [
     "default_grid",
     "Finding",
     "SharingLinter",
-    "PredictedLine",
-    "Prediction",
-    "PredictiveAnalyzer",
-    "predict_plan",
     "SIGNIFICANCE_THRESHOLD",
     "LineSharing",
+    "NearMiss",
+    "PredictiveAnalyzer",
     "SharingReport",
     "StaticSharingAnalyzer",
+    "ThreadLineUse",
     "ThreadProfile",
     "analyze_trace",
+    "predict_plan",
     "Symbol",
     "SymbolTable",
     "PredictionValidator",

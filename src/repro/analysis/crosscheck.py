@@ -29,8 +29,11 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.predict import PredictiveAnalyzer
-from repro.analysis.sharing import SharingReport, StaticSharingAnalyzer
+from repro.analysis.sharing import (
+    PredictiveAnalyzer,
+    SharingReport,
+    StaticSharingAnalyzer,
+)
 from repro.baselines.shadow import (
     FS_RATE_THRESHOLD,
     MAX_THREADS,

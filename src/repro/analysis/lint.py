@@ -17,9 +17,8 @@ structured :class:`Finding`s a developer can act on:
   false-shared line form slot-sized per-thread ranges, the classic
   ``struct { ... } per_thread[NTHREADS]`` layout Figure 1 warns about.
 
-Four further rules are *layout-aware*: they run over a symbolic
-:class:`~repro.analysis.predict.Prediction` (no trace needed) and speak in
-object names:
+Four further rules are *layout-aware*: they run over a report computed
+from a symbolic access plan (no trace needed) and speak in object names:
 
 * **FS005** — incidental adjacency: hot fields of *unrelated* per-thread
   objects collide on one contended line (not one packed slot array — that
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.sharing import (
     NEAR_MISS_MARGIN,
@@ -54,9 +53,7 @@ from repro.core.advisor import ContendedLine, FalseSharingAdvisor
 from repro.memory.layout import LINE_SIZE
 from repro.trace.access import ProgramTrace
 from repro.utils.tables import render_table
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.analysis.predict import Prediction
+from repro.workloads.plan import AccessPlan
 
 #: FS001 escalates from warning to error at this significance.
 ERROR_SIGNIFICANCE = 1e-2
@@ -167,19 +164,22 @@ class SharingLinter:
                     f.objects = sorted(names)
         return _ranked(findings)
 
-    def lint_prediction(self, pred: "Prediction") -> List[Finding]:
-        """Layout-aware rules (FS005-FS008) over a symbolic prediction.
+    def lint_prediction(self, pred: SharingReport) -> List[Finding]:
+        """Layout-aware rules (FS005-FS008) over a plan-backed report.
 
         These never see a trace: everything is derived from the access
         plan's symbol table and the predicted per-line classification, so
         every finding names the objects involved.
         """
+        plan = pred.plan
+        if plan is None:
+            raise ValueError("layout rules need a plan-backed report")
         findings: List[Finding] = []
-        findings += self._fs005(pred)
-        findings += self._fs006(pred)
-        findings += self._fs007(pred)
-        findings += self._fs008(pred)
-        scope = pred.plan.scope()
+        findings += self._fs005(pred, plan)
+        findings += self._fs006(pred, plan)
+        findings += self._fs007(pred, plan)
+        findings += self._fs008(pred, plan)
+        scope = plan.scope()
         for f in findings:
             f.scope = scope
         return _ranked(findings)
@@ -195,7 +195,7 @@ class SharingLinter:
             ContendedLine(
                 line=ls.line,
                 writers=sorted(ls.writers),
-                writes_per_thread={u.tid: u.writes for u in ls.uses
+                writes_per_thread={u.tid: int(u.writes) for u in ls.uses
                                    if u.writes},
                 # Spans are per-thread disjoint, so span word counts add up.
                 distinct_words=sum(
@@ -317,12 +317,12 @@ class SharingLinter:
     # ------------------------------------------------------------- FS005
 
     @staticmethod
-    def _fs005(pred: "Prediction") -> List[Finding]:
+    def _fs005(pred: SharingReport, plan: AccessPlan) -> List[Finding]:
         """Hot per-thread fields of *unrelated* objects colliding on one
         contended line — incidental adjacency, not a packed slot array."""
         out = []
         for pl in pred.false_shared():
-            syms = pred.plan.symbols.line_owners(pl.line)
+            syms = plan.symbols.line_owners(pl.line)
             owned = [s for s in syms if s.tid is not None]
             families = {s.group or s.name for s in owned}
             if len(owned) < 2 or len(families) < 2:
@@ -351,14 +351,13 @@ class SharingLinter:
     # ------------------------------------------------------------- FS006
 
     @staticmethod
-    def _fs006(pred: "Prediction") -> List[Finding]:
+    def _fs006(pred: SharingReport, plan: AccessPlan) -> List[Finding]:
         """A per-thread slot/struct group packed at a sub-line pitch."""
-        plan = pred.plan
         groups: Dict[str, List] = {}
         for s in plan.symbols:
             if s.tid is not None and s.group:
                 groups.setdefault(s.group, []).append(s)
-        by_line = {pl.line: pl for pl in pred.lines}
+        by_line = {pl.line: pl for pl in pred.shared}
         out = []
         for gname, members in sorted(groups.items()):
             tids = sorted({s.tid for s in members if s.tid is not None})
@@ -406,12 +405,11 @@ class SharingLinter:
     # ------------------------------------------------------------- FS007
 
     @staticmethod
-    def _fs007(pred: "Prediction") -> List[Finding]:
+    def _fs007(pred: SharingReport, plan: AccessPlan) -> List[Finding]:
         """A shared written array whose thread partition interleaves
         inside cache lines (element-cyclic ownership)."""
-        plan = pred.plan
         evid: Dict[str, List] = {}
-        for pl in pred.lines:
+        for pl in pred.shared:
             if pl.category != "false-shared":
                 continue
             syms = plan.symbols.line_owners(pl.line)
@@ -455,12 +453,11 @@ class SharingLinter:
     # ------------------------------------------------------------- FS008
 
     @staticmethod
-    def _fs008(pred: "Prediction") -> List[Finding]:
+    def _fs008(pred: SharingReport, plan: AccessPlan) -> List[Finding]:
         """A written object whose base is not line-aligned, straddling
         into a line another object owns."""
-        plan = pred.plan
         written = {u.symbol for u in plan.uses if u.writes}
-        by_line = {pl.line: pl for pl in pred.lines}
+        by_line = {pl.line: pl for pl in pred.shared}
         out = []
         for s in plan.symbols:
             if s.name not in written or s.size == 0:

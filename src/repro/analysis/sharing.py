@@ -1,15 +1,13 @@
-"""Static sharing analysis of a program trace — no simulation required.
+"""Static sharing analysis: one classifier core behind two front-ends.
 
-Our traces are deterministic per-thread access streams, so line ownership,
-byte-offset overlap and worst-case contention are *statically* decidable
-from the :class:`~repro.trace.access.ProgramTrace` alone: nothing the MESI
-machine computes is needed to tell which cache lines are contended, only to
-price the contention.  This module computes, in O(accesses) numpy passes:
+Line ownership, byte-offset overlap and worst-case contention are decided
+without simulation: nothing the MESI machine computes is needed to tell
+which cache lines are contended, only to price the contention.  One
+classifier core works on per-(line, thread) *group arrays* — line, thread,
+reads, writes, position window, touch span and write span — and owns, once
+each:
 
-* per cache line, which threads read and write it, over which byte spans,
-  and *when* (first/last trace position — the proxy for time under the
-  chunked round-robin interleave);
-* a four-way classification of every line:
+* the four-way line classification:
 
   - ``private``      — touched by one thread only;
   - ``read-shared``  — touched by several threads, never written;
@@ -18,29 +16,49 @@ price the contention.  This module computes, in O(accesses) numpy passes:
   - ``false-shared`` — several threads write the line but every word is
     thread-exclusive (distinct threads, disjoint byte ranges);
 
-* for false-shared lines, a *contention* gate and an
-  instructions-implicated significance score.  Two threads that use
-  disjoint words of one line at disjoint times (a hand-off, e.g. block
-  boundaries of a partitioned array) cannot ping-pong, so a line counts as
-  contended only when a writer's position interval overlaps another
-  toucher's.  ``significance`` is the fraction of the program's retired
-  instructions attributable to accesses of contending threads on that line
-  — a worst-case analog of the oracle's false-sharing *rate*, comparable
-  against the same 1e-3 threshold;
-* per-thread access profiles (footprint, line re-fetch rate) that expose
-  cache-hostile strides without simulating a cache.
+* the contention gate and significance of false-shared lines.  Two threads
+  that use disjoint words of one line at disjoint times (a hand-off, e.g.
+  block boundaries of a partitioned array) cannot ping-pong, so a line
+  counts as contended only when a writer's position window overlaps
+  another user's.  Windows are half-open and the overlap is strict, so a
+  shared endpoint is a hand-off.  ``significance`` is the fraction of the
+  program's retired instructions attributable to the contending threads'
+  accesses to that line — a worst-case analog of the oracle's
+  false-sharing *rate*, compared against the same 1e-3 threshold;
+* adjacent-line near misses and the cache-hostility thresholds behind the
+  ``bad-ma`` verdict.
+
+Two front-ends only build the group arrays and the per-thread profiles:
+
+* :class:`StaticSharingAnalyzer` reads a
+  :class:`~repro.trace.access.ProgramTrace`.  Access ``i`` of a thread has
+  the window ``[i, i + 1)`` (the proxy for time under the chunked
+  round-robin interleave), and line re-fetches are *measured* from each
+  thread's revisit gaps;
+* :class:`PredictiveAnalyzer` reads a symbolic
+  :class:`~repro.workloads.plan.AccessPlan` — no trace is generated.  Each
+  region use expands to the lines its element range covers, with exact
+  element counts and byte spans and *modeled* visit windows; re-fetches
+  are modeled from ``bursts_per_line``.  Layout is exact, timing is a
+  model, so borderline hand-off and refetch-rate calls can differ from the
+  trace front-end (:mod:`repro.analysis.validate` measures that gap).
+  Lines and near misses carry the names of the objects on them, looked up
+  in the plan's :class:`~repro.analysis.symbols.SymbolTable` the way
+  mtrace's ``objects_on_cline`` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from itertools import islice
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.memory.layout import LINE_SIZE, line_of
 from repro.trace.access import ProgramTrace
 from repro.utils.tables import render_table
+from repro.workloads.plan import AccessPlan
 
 #: Program-level decision threshold on the summed significance of contended
 #: false-shared lines.  Deliberately the same value as the shadow oracle's
@@ -64,28 +82,37 @@ HOSTILE_MIN_FOOTPRINT = 256
 #: leave less than this much combined slack across the line boundary.
 NEAR_MISS_MARGIN = 16
 
+
+def _overlaps(a: Tuple[float, float], b: Tuple[float, float]) -> bool:
+    """The overlap rule on half-open windows: a shared endpoint is a
+    hand-off, not an overlap."""
+    return a[0] < b[1] and b[0] < a[1]
+
+
 @dataclass(frozen=True)
 class ThreadLineUse:
-    """One thread's use of one cache line."""
+    """One thread's use of one cache line.
+
+    Counts are Python ints from a trace and modeled floats from a plan.
+    """
 
     tid: int
-    reads: int
-    writes: int
-    first_pos: int
-    last_pos: int
+    reads: float
+    writes: float
+    #: Half-open position window ``[lo, hi)`` of the thread's touches.
+    pos: Tuple[float, float]
     #: Byte-offset span (lo, hi inclusive) of every touch on the line.
     touch_span: Tuple[int, int]
     #: Byte-offset span of the writes, or ``None`` for a read-only user.
     write_span: Optional[Tuple[int, int]]
 
     @property
-    def accesses(self) -> int:
+    def accesses(self) -> float:
         return self.reads + self.writes
 
     def overlaps(self, other: "ThreadLineUse") -> bool:
         """Whether the two usage windows can interleave in time."""
-        return (self.first_pos <= other.last_pos
-                and other.first_pos <= self.last_pos)
+        return _overlaps(self.pos, other.pos)
 
 
 @dataclass
@@ -97,7 +124,8 @@ class LineSharing:
     uses: List[ThreadLineUse]
     contended: bool = False
     significance: float = 0.0
-    implicated_instructions: int = 0
+    #: Named objects on the line (plan front-end only).
+    objects: Optional[List[str]] = None
 
     @property
     def address(self) -> int:
@@ -112,11 +140,7 @@ class LineSharing:
         return [u.tid for u in self.uses if u.writes]
 
     @property
-    def total_accesses(self) -> int:
-        return sum(u.accesses for u in self.uses)
-
-    @property
-    def total_writes(self) -> int:
+    def total_writes(self) -> float:
         return sum(u.writes for u in self.uses)
 
     def evidence(self) -> Dict[int, Tuple[int, int]]:
@@ -125,27 +149,28 @@ class LineSharing:
                 if u.write_span is not None}
 
     def to_dict(self) -> Dict[str, object]:
-        return {
+        out: Dict[str, object] = {
             "line": int(self.line),
             "address": f"0x{self.address:x}",
             "category": self.category,
             "contended": self.contended,
             "significance": self.significance,
-            "implicated_instructions": self.implicated_instructions,
-            "threads": [
-                {
-                    "tid": u.tid,
-                    "reads": u.reads,
-                    "writes": u.writes,
-                    "first_pos": u.first_pos,
-                    "last_pos": u.last_pos,
-                    "touch_span": list(u.touch_span),
-                    "write_span": (None if u.write_span is None
-                                   else list(u.write_span)),
-                }
-                for u in self.uses
-            ],
         }
+        if self.objects is not None:
+            out["objects"] = list(self.objects)
+        out["threads"] = [
+            {
+                "tid": u.tid,
+                "reads": round(u.reads, 3),
+                "writes": round(u.writes, 3),
+                "pos": [round(u.pos[0], 4), round(u.pos[1], 4)],
+                "touch_span": list(u.touch_span),
+                "write_span": (None if u.write_span is None
+                               else list(u.write_span)),
+            }
+            for u in self.uses
+        ]
+        return out
 
 
 @dataclass(frozen=True)
@@ -162,11 +187,17 @@ class NearMiss:
     tid_low: int       # sole writer of ``line``
     tid_high: int      # sole writer of ``line + 1``
     slack_bytes: int   # unwritten bytes between the two spans
+    #: Named objects on the two lines (plan front-end only).
+    objects: Optional[Tuple[str, ...]] = None
 
-    def to_dict(self) -> Dict[str, int]:
-        return {"line": int(self.line), "tid_low": int(self.tid_low),
-                "tid_high": int(self.tid_high),
-                "slack_bytes": int(self.slack_bytes)}
+    def to_dict(self) -> Dict[str, object]:
+        out: Dict[str, object] = {
+            "line": int(self.line), "tid_low": int(self.tid_low),
+            "tid_high": int(self.tid_high),
+            "slack_bytes": int(self.slack_bytes)}
+        if self.objects is not None:
+            out["objects"] = list(self.objects)
+        return out
 
 
 @dataclass(frozen=True)
@@ -176,19 +207,8 @@ class ThreadProfile:
     tid: int
     n_accesses: int
     footprint_lines: int
-    line_fetches: int
-
-    @property
-    def extra_fetches(self) -> int:
-        """Line fetches beyond the compulsory one per distinct line."""
-        return self.line_fetches - self.footprint_lines
-
-    @property
-    def refetch_rate(self) -> float:
-        """Fraction of accesses that fetch a line the thread let go cold."""
-        if self.n_accesses == 0:
-            return 0.0
-        return self.extra_fetches / self.n_accesses
+    #: Fraction of accesses that fetch a line the thread let go cold.
+    refetch_rate: float
 
     @property
     def hostile(self) -> bool:
@@ -199,7 +219,7 @@ class ThreadProfile:
 
 @dataclass
 class SharingReport:
-    """Full static-analysis result for one program trace."""
+    """Full static-analysis result for one trace or access plan."""
 
     name: str
     nthreads: int
@@ -209,6 +229,8 @@ class SharingReport:
     shared: List[LineSharing]
     profiles: List[ThreadProfile] = field(default_factory=list)
     near_misses: List[NearMiss] = field(default_factory=list)
+    #: The access plan a predictive report was computed from.
+    plan: Optional[AccessPlan] = None
 
     def category_counts(self) -> Dict[str, int]:
         counts = {"private": self.n_private, "read-shared": 0,
@@ -251,38 +273,63 @@ class SharingReport:
             return "bad-ma"
         return "good"
 
+    def object_sharing(self) -> Dict[str, str]:
+        """Worst sharing category per named object (plan reports only).
+
+        Severity order: private < read-shared < true-shared < false-shared
+        (false sharing last because it is the category the pass exists to
+        flag — true sharing on the sync word is expected).
+        """
+        if self.plan is None:
+            raise ValueError("object_sharing needs a plan-backed report")
+        rank = {"private": 0, "read-shared": 1, "true-shared": 2,
+                "false-shared": 3}
+        out: Dict[str, str] = {s.name: "private"
+                               for s in self.plan.symbols}
+        for ls in self.shared:
+            for name in ls.objects or ():
+                if rank[ls.category] > rank[out.get(name, "private")]:
+                    out[name] = ls.category
+        return out
+
     def to_dict(self) -> Dict[str, object]:
-        return {
+        out: Dict[str, object] = {
             "name": self.name,
             "nthreads": self.nthreads,
-            "total_instructions": self.total_instructions,
-            "n_lines": self.n_lines,
+            "total_instructions": int(self.total_instructions),
+            "n_lines": int(self.n_lines),
             "category_counts": self.category_counts(),
             "fs_significance": self.fs_significance,
             "verdict": self.verdict,
             "hostile_threads": self.hostile_threads,
-            "near_misses": [nm.to_dict() for nm in self.near_misses],
-            "shared_lines": [ls.to_dict() for ls in self.shared],
-            "profiles": [
-                {
-                    "tid": p.tid,
-                    "n_accesses": p.n_accesses,
-                    "footprint_lines": p.footprint_lines,
-                    "refetch_rate": p.refetch_rate,
-                    "hostile": p.hostile,
-                }
-                for p in self.profiles
-            ],
         }
+        if self.plan is not None:
+            out["object_sharing"] = dict(sorted(
+                self.object_sharing().items()))
+        out["near_misses"] = [nm.to_dict() for nm in self.near_misses]
+        out["shared_lines"] = [ls.to_dict() for ls in self.shared]
+        out["profiles"] = [
+            {
+                "tid": p.tid,
+                "n_accesses": int(p.n_accesses),
+                "footprint_lines": int(p.footprint_lines),
+                "refetch_rate": p.refetch_rate,
+                "hostile": p.hostile,
+            }
+            for p in self.profiles
+        ]
+        return out
 
     def render(self, top: int = 12) -> str:
+        pre = "" if self.plan is None else "predicted "
         counts = self.category_counts()
         lines = [
-            f"{self.name}: {self.n_lines} lines touched — "
+            f"{self.name}: {self.n_lines} lines "
+            f"{'touched' if self.plan is None else 'predicted'} — "
             + ", ".join(f"{counts[c]} {c}" for c in
                         ("private", "read-shared", "true-shared",
                          "false-shared")),
-            f"verdict: {self.verdict}   "
+            f"{pre}verdict: {self.verdict}   "
             f"fs significance: {self.fs_significance:.3e} "
             f"(threshold {SIGNIFICANCE_THRESHOLD:.0e})",
         ]
@@ -295,218 +342,285 @@ class SharingReport:
                     for t, (lo, hi) in sorted(ls.evidence().items())
                 )
                 rows.append([
-                    f"0x{ls.address:x}", len(ls.writers), ls.total_writes,
+                    f"0x{ls.address:x}", ", ".join(ls.objects or ()) or "-",
+                    len(ls.writers), round(ls.total_writes),
                     "yes" if ls.contended else "no",
                     f"{ls.significance:.2e}", spans,
                 ])
             lines.append(render_table(
-                ["line addr", "writers", "writes", "contended",
+                ["line addr", "objects", "writers", "writes", "contended",
                  "significance", "written byte spans"],
-                rows, title="False-shared lines (hottest first)",
+                rows,
+                title=f"{pre}false-shared lines (hottest first)".capitalize(),
             ))
         if self.near_misses:
             lines.append(
-                f"{len(self.near_misses)} adjacent-line near miss(es): "
+                f"{len(self.near_misses)} {pre}adjacent-line near miss(es): "
                 + ", ".join(f"0x{nm.line * LINE_SIZE:x}(T{nm.tid_low}|"
                             f"T{nm.tid_high}, {nm.slack_bytes}B slack)"
                             for nm in self.near_misses[:6])
             )
         if self.hostile_threads:
             lines.append(
-                "cache-hostile access patterns in threads "
+                f"{pre}cache-hostile access patterns in threads "
                 + ", ".join(f"T{t}" for t in self.hostile_threads)
             )
         return "\n".join(lines)
 
 
-class StaticSharingAnalyzer:
-    """Computes a :class:`SharingReport` from a trace in O(accesses).
+# ------------------------------------------------------------------ core
 
-    ``refetch_window`` tunes the locality profile only; the sharing
-    classification has no knobs — it is a property of the trace.
+#: Per-record columns a front-end hands the core, in this order.
+_RECORD_COLUMNS = ("line", "tid", "reads", "writes", "pos_lo", "pos_hi",
+                   "off_lo", "off_hi", "written")
+
+
+def _word_conflicts(words: np.ndarray, tids: np.ndarray,
+                    written: np.ndarray, nthreads: int,
+                    lines: np.ndarray) -> Set[int]:
+    """Which of the sorted ``lines`` hold a 4-byte word that one thread
+    writes and another touches — the true-sharing rule, over (word, tid,
+    written) columns."""
+    if lines.size == 0:
+        return set()
+    wline = words // (LINE_SIZE // 4)
+    on = lines[np.minimum(np.searchsorted(lines, wline), lines.size - 1)]
+    keep = on == wline
+    words, tids, written = words[keep], tids[keep], written[keep]
+    per_word = np.unique(words * nthreads + tids) // nthreads
+    uw, n_tids = np.unique(per_word, return_counts=True)
+    hit = np.intersect1d(uw[n_tids >= 2], np.unique(words[written]),
+                         assume_unique=True)
+    return set((hit // (LINE_SIZE // 4)).tolist())
+
+
+def _classify(line: int, uses: List[ThreadLineUse], conflicted: bool,
+              ipa: Sequence[float], total_instr: int) -> LineSharing:
+    writers = [u for u in uses if u.writes]
+    if not writers:
+        return LineSharing(line, "read-shared", uses)
+    if conflicted:
+        return LineSharing(line, "true-shared", uses)
+    # Several threads, writes present, every word thread-exclusive:
+    # false sharing by layout.  Contention needs temporal overlap of a
+    # writer with any other user — a pure hand-off cannot ping-pong.
+    ls = LineSharing(line, "false-shared", uses)
+    implicated = set()
+    for w in writers:
+        for u in uses:
+            if u.tid != w.tid and w.overlaps(u):
+                implicated.add(w.tid)
+                implicated.add(u.tid)
+    if implicated and total_instr > 0:
+        instr = sum(u.accesses * ipa[u.tid]
+                    for u in uses if u.tid in implicated)
+        ls.contended = True
+        ls.significance = instr / total_instr
+    return ls
+
+
+def _near_misses(g_line, g_tid, g_writes, g_plo, g_phi, g_wmin, g_wmax,
+                 line_starts) -> List[NearMiss]:
+    """Sole-writer adjacent-line pairs packed tight against the seam.
+
+    Works on the group arrays, so private lines — where the classic
+    near-miss lives — are covered without materializing per-line objects
+    for them.
     """
+    wrote = g_writes > 0
+    sole = np.add.reduceat(wrote.astype(np.int64), line_starts) == 1
+    if not sole.any():
+        return []
+    first_writer = np.minimum.reduceat(
+        np.where(wrote, np.arange(wrote.size), wrote.size), line_starts)
+    rows = first_writer[sole]
+    wline = g_line[rows]
+    out: List[NearMiss] = []
+    for i in np.flatnonzero(wline[1:] == wline[:-1] + 1).tolist():
+        a, b = rows[i], rows[i + 1]
+        if g_tid[a] == g_tid[b]:
+            continue
+        if not _overlaps((g_plo[a], g_phi[a]), (g_plo[b], g_phi[b])):
+            continue  # temporally disjoint: a hand-off, not a risk
+        slack = int(LINE_SIZE - 1 - g_wmax[a] + g_wmin[b])
+        if slack >= NEAR_MISS_MARGIN:
+            continue
+        out.append(NearMiss(int(wline[i]), int(g_tid[a]), int(g_tid[b]),
+                            slack))
+    return out
 
-    def __init__(self, refetch_window: int = REFETCH_WINDOW) -> None:
-        if refetch_window < 1:
-            raise ValueError("refetch_window must be >= 1")
-        self.refetch_window = refetch_window
 
-    # ------------------------------------------------------------- analysis
+def _build_report(name: str, nthreads: int, ipa: Sequence[float],
+                  total_instr: int, profiles: List[ThreadProfile],
+                  records: Sequence[np.ndarray],
+                  words: Sequence[np.ndarray],
+                  plan: Optional[AccessPlan] = None) -> SharingReport:
+    """The classifier core: group ``records`` (columns as in
+    ``_RECORD_COLUMNS``) per (line, thread), classify every shared line and
+    find near misses.  ``words`` are (word, tid, written) columns."""
+    line, tid, reads, writes, pos_lo, pos_hi, off_lo, off_hi, written = (
+        records)
+    if line.size == 0:
+        return SharingReport(name, nthreads, total_instr, 0, 0, [],
+                             profiles, [], plan)
+
+    # ---- per-(line, thread) group arrays via one stable sort -------------
+    key = line * nthreads + tid
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
+    g_line = skey[starts] // nthreads
+
+    def red(ufunc, col):
+        return ufunc.reduceat(col[order], starts)
+
+    # Write spans: sentinel offsets outside [0, 63] where not written.
+    w = written[order]
+    groups = (
+        skey[starts] % nthreads, red(np.add, reads), red(np.add, writes),
+        red(np.minimum, pos_lo), red(np.maximum, pos_hi),
+        red(np.minimum, off_lo), red(np.maximum, off_hi),
+        np.minimum.reduceat(np.where(w, off_lo[order], LINE_SIZE), starts),
+        np.maximum.reduceat(np.where(w, off_hi[order], -1), starts),
+    )
+
+    # ---- group the (line, thread) groups by line -------------------------
+    line_starts = np.flatnonzero(np.r_[True, g_line[1:] != g_line[:-1]])
+    sizes = np.diff(np.r_[line_starts, g_line.size])
+    multi = sizes > 1
+    shared_lines = g_line[line_starts[multi]]
+    word, word_tid, word_written = words
+    conflicts = _word_conflicts(word, word_tid, word_written, nthreads,
+                                shared_lines)
+
+    # .tolist() keeps trace counts Python ints, so significance sums are
+    # exact; the stable sort fixes the summation order of plan floats.
+    rows = zip(*(g[np.repeat(multi, sizes)].tolist() for g in groups))
+    shared: List[LineSharing] = []
+    for ln, n in zip(shared_lines.tolist(), sizes[multi].tolist()):
+        uses = [ThreadLineUse(t, r, wr, (p0, p1), (t0, t1),
+                              (w0, w1) if wr else None)
+                for t, r, wr, p0, p1, t0, t1, w0, w1 in islice(rows, n)]
+        shared.append(_classify(ln, uses, ln in conflicts, ipa,
+                                total_instr))
+    g_tid, _, g_writes, g_plo, g_phi, _, _, g_wmin, g_wmax = groups
+    near = _near_misses(g_line, g_tid, g_writes, g_plo, g_phi, g_wmin,
+                        g_wmax, line_starts)
+    if plan is not None:  # name the objects on every reported line
+        table = plan.symbols
+
+        def names(ln: int) -> List[str]:
+            return [s.name for s in table.line_owners(ln)]
+
+        for ls in shared:
+            ls.objects = names(ls.line)
+        near = [replace(nm, objects=tuple(sorted(
+                    {*names(nm.line), *names(nm.line + 1)})))
+                for nm in near]
+    return SharingReport(name, nthreads, total_instr, int(line_starts.size),
+                         int(np.count_nonzero(~multi)), shared, profiles,
+                         near, plan)
+
+
+# ------------------------------------------------------------ front-ends
+
+def _trace_profile(tid: int, lines: np.ndarray) -> ThreadProfile:
+    n = int(lines.size)
+    if n == 0:
+        return ThreadProfile(tid, 0, 0, 0.0)
+    order = np.argsort(lines, kind="stable")
+    sl = lines[order]
+    first = np.r_[True, sl[1:] != sl[:-1]]
+    # Within a line's group the original indices ascend (stable sort),
+    # so consecutive differences are the thread-local revisit gaps.
+    gaps = np.diff(order.astype(np.int64), prepend=np.int64(0))
+    refetch = int(np.count_nonzero((~first) & (gaps > REFETCH_WINDOW)))
+    return ThreadProfile(tid, n, int(np.count_nonzero(first)), refetch / n)
+
+
+class StaticSharingAnalyzer:
+    """Trace front-end: a :class:`SharingReport` in O(accesses).
+
+    The classification has no knobs — it is a property of the trace.
+    """
 
     def analyze(self, program: ProgramTrace) -> SharingReport:
         nt = program.nthreads
-        total_instr = program.total_instructions
-        sizes = [t.n_accesses for t in program.threads]
-        total = sum(sizes)
-        profiles = [
-            self._profile(tid, line_of(t.addrs))
-            for tid, t in enumerate(program.threads)
-        ]
-        if total == 0:
-            return SharingReport(program.name, nt, total_instr, 0, 0, [],
-                                 profiles, [])
+        threads = program.threads
+        sizes = [t.n_accesses for t in threads]
+        profiles = [_trace_profile(tid, line_of(t.addrs))
+                    for tid, t in enumerate(threads)]
+        tid = np.repeat(np.arange(nt, dtype=np.int64), sizes)
+        addr = np.concatenate([t.addrs for t in threads])
+        written = np.concatenate([t.is_write for t in threads])
+        writes = written.astype(np.int64)
+        pos = np.concatenate([np.arange(n, dtype=np.int64) for n in sizes])
+        offs = addr & (LINE_SIZE - 1)
+        records = (line_of(addr), tid, 1 - writes, writes, pos, pos + 1,
+                   offs, offs, written)
+        return _build_report(
+            program.name, nt, [t.instr_per_access for t in threads],
+            program.total_instructions, profiles, records,
+            (addr >> 2, tid, written))
 
-        tid_col = np.repeat(np.arange(nt, dtype=np.int64), sizes)
-        addr_col = np.concatenate([t.addrs for t in program.threads])
-        write_col = np.concatenate([t.is_write for t in program.threads])
-        pos_col = np.concatenate(
-            [np.arange(n, dtype=np.int64) for n in sizes]
-        )
-        lines = addr_col >> 6
-        offs = addr_col & (LINE_SIZE - 1)
 
-        # ---- per-(line, thread) aggregation via one stable sort ----------
-        key = lines * nt + tid_col
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        starts = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
-        g_line = skey[starts] // nt
-        g_tid = (skey[starts] % nt).astype(np.int64)
-        g_count = np.diff(np.r_[starts, skey.size])
-        g_writes = np.add.reduceat(
-            write_col[order].astype(np.int64), starts
-        )
-        # Stable sort keeps each thread's accesses in program order, so the
-        # group's first/last element carry its position interval.
-        spos = pos_col[order]
-        g_pmin = spos[starts]
-        g_pmax = spos[np.r_[starts[1:], skey.size] - 1]
-        soff = offs[order]
-        g_tmin = np.minimum.reduceat(soff, starts)
-        g_tmax = np.maximum.reduceat(soff, starts)
-        # Write spans: sentinel offsets outside [0, 63] where not a write.
-        sw = write_col[order]
-        g_wmin = np.minimum.reduceat(np.where(sw, soff, LINE_SIZE), starts)
-        g_wmax = np.maximum.reduceat(np.where(sw, soff, -1), starts)
+class PredictiveAnalyzer:
+    """Plan front-end: a :class:`SharingReport` from an access plan alone."""
 
-        # ---- word-conflict detection (true sharing) ----------------------
-        words = addr_col >> 2
-        pair_words = np.unique(words * nt + tid_col) // nt
-        uw, w_tids = np.unique(pair_words, return_counts=True)
-        written_words = np.unique(words[write_col])
-        conflicted = np.intersect1d(uw[w_tids >= 2], written_words,
-                                    assume_unique=True)
-        conflict_lines = set(
-            np.unique(conflicted >> (6 - 2)).tolist()
-        )
-
-        # ---- group the (line, thread) groups by line ---------------------
-        line_starts = np.flatnonzero(np.r_[True, g_line[1:] != g_line[:-1]])
-        line_ends = np.r_[line_starts[1:], g_line.size]
-        n_lines = line_starts.size
-        multi = (line_ends - line_starts) > 1
-        n_private = int(n_lines - np.count_nonzero(multi))
-
-        ipa = [t.instr_per_access for t in program.threads]
-        shared: List[LineSharing] = []
-        for s, e in zip(line_starts[multi], line_ends[multi]):
-            line = int(g_line[s])
-            uses = []
-            for g in range(s, e):
-                writes = int(g_writes[g])
-                uses.append(ThreadLineUse(
-                    tid=int(g_tid[g]),
-                    reads=int(g_count[g]) - writes,
-                    writes=writes,
-                    first_pos=int(g_pmin[g]),
-                    last_pos=int(g_pmax[g]),
-                    touch_span=(int(g_tmin[g]), int(g_tmax[g])),
-                    write_span=((int(g_wmin[g]), int(g_wmax[g]))
-                                if writes else None),
-                ))
-            shared.append(self._classify(line, uses,
-                                         line in conflict_lines,
-                                         ipa, total_instr))
-        near = self._near_misses(g_line, g_tid, g_writes, g_pmin, g_pmax,
-                                 g_wmin, g_wmax, line_starts)
-        return SharingReport(program.name, nt, total_instr,
-                             int(n_lines), n_private, shared, profiles,
-                             near)
-
-    # ------------------------------------------------------------- helpers
-
-    @staticmethod
-    def _near_misses(g_line, g_tid, g_writes, g_pmin, g_pmax,
-                     g_wmin, g_wmax, line_starts) -> List[NearMiss]:
-        """Sole-writer adjacent-line pairs packed tight against the seam.
-
-        Works on the (line, thread)-group arrays, so private lines — where
-        the classic near-miss lives — are covered without materializing
-        per-line objects for them.
-        """
-        # Lines written by exactly one thread, with that writer's facts.
-        w_per_line = np.add.reduceat((g_writes > 0).astype(np.int64),
-                                     line_starts)
-        sole_mask = w_per_line == 1
-        if not sole_mask.any():
-            return []
-        first_writer = np.minimum.reduceat(
-            np.where(g_writes > 0, np.arange(g_writes.size), g_writes.size),
-            line_starts,
-        )
-        rows = first_writer[sole_mask]
-        wline = g_line[rows]
-        adj = np.flatnonzero(wline[1:] == wline[:-1] + 1)
-        out: List[NearMiss] = []
-        for i in adj.tolist():
-            a, b = rows[i], rows[i + 1]
-            if g_tid[a] == g_tid[b]:
-                continue
-            if g_pmin[a] > g_pmax[b] or g_pmin[b] > g_pmax[a]:
-                continue  # temporally disjoint: a hand-off, not a risk
-            slack = int(LINE_SIZE - 1 - g_wmax[a] + g_wmin[b])
-            if slack >= NEAR_MISS_MARGIN:
-                continue
-            out.append(NearMiss(line=int(wline[i]), tid_low=int(g_tid[a]),
-                                tid_high=int(g_tid[b]), slack_bytes=slack))
-        return out
-
-    @staticmethod
-    def _classify(line: int, uses: List[ThreadLineUse], conflicted: bool,
-                  ipa: List[float], total_instr: int) -> LineSharing:
-        writers = [u for u in uses if u.writes]
-        if not writers:
-            return LineSharing(line, "read-shared", uses)
-        if conflicted:
-            return LineSharing(line, "true-shared", uses)
-        # Several threads, writes present, every word thread-exclusive:
-        # false sharing by layout.  Contention needs temporal overlap of a
-        # writer with any other user — a pure hand-off cannot ping-pong.
-        ls = LineSharing(line, "false-shared", uses)
-        implicated = set()
-        for w in writers:
-            for u in uses:
-                if u.tid != w.tid and w.overlaps(u):
-                    implicated.add(w.tid)
-                    implicated.add(u.tid)
-        if implicated and total_instr > 0:
-            instr = sum(u.accesses * ipa[u.tid]
-                        for u in uses if u.tid in implicated)
-            ls.contended = True
-            ls.implicated_instructions = int(round(instr))
-            ls.significance = instr / total_instr
-        return ls
-
-    def _profile(self, tid: int, lines_t: np.ndarray) -> ThreadProfile:
-        n = int(lines_t.size)
-        if n == 0:
-            return ThreadProfile(tid, 0, 0, 0)
-        order = np.argsort(lines_t, kind="stable")
-        sl = lines_t[order]
-        first = np.r_[True, sl[1:] != sl[:-1]]
-        # Within a line's group the original indices ascend (stable sort),
-        # so consecutive differences are the thread-local revisit gaps.
-        gaps = np.diff(order.astype(np.int64), prepend=np.int64(0))
-        refetch = (~first) & (gaps > self.refetch_window)
-        distinct = int(np.count_nonzero(first))
-        return ThreadProfile(
-            tid=tid,
-            n_accesses=n,
-            footprint_lines=distinct,
-            line_fetches=distinct + int(np.count_nonzero(refetch)),
-        )
+    def analyze(self, plan: AccessPlan) -> SharingReport:
+        nt = plan.nthreads
+        per_use: List[tuple] = []   # per-(use, line) record columns
+        per_elem: List[tuple] = []  # per-element word columns
+        refetch = [0.0] * nt
+        for use in plan.uses:
+            sym = plan.symbols[use.symbol]
+            idx = np.arange(use.start, use.stop, use.step, dtype=np.int64)
+            addrs = sym.base + idx * sym.effective_stride
+            lines = line_of(addrs)
+            offs = addrs & (LINE_SIZE - 1)
+            n = idx.size
+            bounds = np.flatnonzero(np.r_[True, lines[1:] != lines[:-1]])
+            ends = np.r_[bounds[1:], n]
+            k = bounds.size
+            frac = (ends - bounds) / float(n)
+            if use.order == "linear":
+                pos_lo = use.phase + bounds / float(n)
+                pos_hi = use.phase + ends / float(n)
+            else:
+                pos_lo = np.full(k, float(use.phase))
+                pos_hi = pos_lo + 1.0
+            per_use.append((
+                lines[bounds], np.full(k, use.tid, dtype=np.int64),
+                use.reads * frac, use.writes * frac, pos_lo, pos_hi,
+                offs[bounds], offs[ends - 1], np.full(k, bool(use.writes)),
+            ))
+            per_elem.append((addrs >> 2, np.full(n, use.tid, dtype=np.int64),
+                          np.full(n, bool(use.writes))))
+            # Each extra burst re-fetches each of the use's lines once, but
+            # never more often than the line is touched.
+            refetch[use.tid] += k * min(use.bursts_per_line - 1.0,
+                                        max(use.accesses / k - 1.0, 0.0))
+        empty = [np.zeros(0, dtype=np.int64)] * len(_RECORD_COLUMNS)
+        records = [np.concatenate(c) for c in zip(*per_use)] or empty
+        words = [np.concatenate(c) for c in zip(*per_elem)] or empty[:3]
+        footprint = np.bincount(np.unique(records[0] * nt + records[1]) % nt,
+                                minlength=nt)
+        profiles = []
+        for t in range(nt):
+            n_acc = plan.thread_accesses(t)
+            profiles.append(ThreadProfile(
+                t, n_acc, int(footprint[t]),
+                refetch[t] / n_acc if n_acc else 0.0))
+        return _build_report(plan.name, nt, plan.ipa,
+                             plan.total_instructions, profiles, records,
+                             words, plan)
 
 
 def analyze_trace(program: ProgramTrace) -> SharingReport:
     """One-shot convenience: static sharing report of a trace."""
     return StaticSharingAnalyzer().analyze(program)
+
+
+def predict_plan(plan: AccessPlan) -> SharingReport:
+    """One-shot convenience: predictive report of an access plan."""
+    return PredictiveAnalyzer().analyze(plan)

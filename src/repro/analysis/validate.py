@@ -27,9 +27,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.predict import Prediction, PredictiveAnalyzer
 from repro.analysis.sharing import (
     SIGNIFICANCE_THRESHOLD,
+    PredictiveAnalyzer,
     SharingReport,
     StaticSharingAnalyzer,
 )
@@ -265,9 +265,9 @@ class PredictionValidator:
         self._explain(cv, pred, per_line)
         return cv
 
-    def _explain(self, cv: CaseValidation, pred: Prediction,
+    def _explain(self, cv: CaseValidation, pred: SharingReport,
                  per_line: Dict[int, tuple]) -> None:
-        by_line = {pl.line: pl for pl in pred.lines}
+        by_line = {pl.line: pl for pl in pred.shared}
         for line in cv.predicted_only:
             fs = per_line.get(line, (0, 0))[0]
             pl = by_line[line]

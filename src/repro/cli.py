@@ -398,7 +398,7 @@ def predict_main(argv: Optional[Sequence[str]] = None) -> int:
             save_baseline,
         )
         from repro.analysis.lint import SharingLinter, render_findings
-        from repro.analysis.predict import predict_plan
+        from repro.analysis.sharing import predict_plan
 
         linter = SharingLinter()
         if args.all:
@@ -406,13 +406,14 @@ def predict_main(argv: Optional[Sequence[str]] = None) -> int:
 
             grid = registry_grid(threads=args.grid_threads,
                                  pattern=args.pattern)
-            preds = [predict_plan(w.plan(cfg)) for w, cfg in grid]
+            plans = [w.plan(cfg) for w, cfg in grid]
         else:
             if not args.workload:
                 parser.error("a workload name is required unless --all")
             target, kind = _resolve_target(args.workload)
             cfg = _build_config(target, kind, args)
-            preds = [predict_plan(target.plan(cfg))]
+            plans = [target.plan(cfg)]
+        preds = [predict_plan(plan) for plan in plans]
         findings = [f for pred in preds
                     for f in linter.lint_prediction(pred)]
         payload = {
@@ -436,11 +437,11 @@ def predict_main(argv: Optional[Sequence[str]] = None) -> int:
             print(_json.dumps(payload, indent=2, sort_keys=True))
         else:
             if args.all:
-                rows = [[pred.plan.scope(), pred.verdict,
+                rows = [[plan.scope(), pred.verdict,
                          f"{pred.fs_significance:.2e}",
                          sum(1 for f in findings
-                             if f.scope == pred.plan.scope())]
-                        for pred in preds]
+                             if f.scope == plan.scope())]
+                        for plan, pred in zip(plans, preds)]
                 print(render_table(
                     ["case", "verdict", "fs significance", "findings"],
                     rows, title="Predictive sweep"))

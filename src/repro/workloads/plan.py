@@ -9,7 +9,8 @@ its exact generated address, plus a set of :class:`RegionUse` records —
 "thread 2 performs 40k reads and 40k writes over elements [0, 8) of
 ``acc[t2]``, linearly, during the steady-state loop".
 
-The predictive analyzer (:mod:`repro.analysis.predict`) walks plans instead
+The predictive analyzer
+(:class:`~repro.analysis.sharing.PredictiveAnalyzer`) walks plans instead
 of traces: per-line thread overlap and write intent fall out of the region
 algebra, so a workload can be classified for false sharing without
 generating a single access.  Plans mirror their generator's allocation

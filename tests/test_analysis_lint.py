@@ -10,7 +10,7 @@ from repro.analysis.lint import (
     findings_table,
     render_findings,
 )
-from repro.analysis.predict import predict_plan
+from repro.analysis.sharing import predict_plan
 from repro.analysis.symbols import Symbol
 from repro.trace.access import ProgramTrace, make_thread
 from repro.workloads.base import RunConfig

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.analysis.predict import PredictiveAnalyzer, predict_plan
-from repro.analysis.sharing import StaticSharingAnalyzer
+from repro.analysis.sharing import (
+    PredictiveAnalyzer,
+    StaticSharingAnalyzer,
+    predict_plan,
+)
+from repro.analysis.validate import registry_grid
 from repro.workloads.base import RunConfig
+from repro.workloads.plan import PlanBuilder
 from repro.workloads.registry import all_workloads, get_workload
 
 
@@ -107,3 +112,47 @@ class TestPredictionSurface:
     def test_significance_drives_verdict(self, pred):
         assert pred.fs_significance > 0
         assert pred.has_false_sharing
+
+
+def reference_true_shared_lines(plan):
+    """Per-element loop over the true-sharing rule: lines holding a word
+    that one thread writes and another touches."""
+    touched, written = {}, {}
+    for use in plan.uses:
+        sym = plan.symbols[use.symbol]
+        for i in range(use.start, use.stop, use.step):
+            word = (sym.base + i * sym.effective_stride) >> 2
+            touched.setdefault(word, set()).add(use.tid)
+            if use.writes:
+                written.setdefault(word, set()).add(use.tid)
+    return {word >> 4 for word, tids in written.items()
+            if touched[word] - tids or len(tids) > 1}
+
+
+def mixed_plan():
+    """T0 writes the even elements of a 3-line array; T1 reads element 0
+    (a word conflict on line 0) and writes odd elements of lines 1-2."""
+    b = PlanBuilder("mixed", 2)
+    a = b.array("a", 8, 24)
+    b.use(a, 0, writes=12, start=0, stop=24, step=2)
+    b.use(a, 1, reads=4, start=0, stop=1, order="scattered")
+    b.use(a, 1, writes=8, start=9, stop=24, step=2)
+    return b.finish(ipa=3.0)
+
+
+class TestWordConflictReference:
+    """The vectorised word-conflict test against the per-element loop."""
+
+    def test_matches_loop(self):
+        plans = [w.plan(cfg) for w, cfg in registry_grid()] + [mixed_plan()]
+        for plan in plans:
+            pred = predict_plan(plan)
+            got = {ls.line for ls in pred.shared
+                   if ls.category == "true-shared"}
+            assert got == reference_true_shared_lines(plan), plan.scope()
+
+    def test_mixed_line_categories(self):
+        pred = predict_plan(mixed_plan())
+        base = pred.plan.symbols["a"].base // 64
+        assert {ls.line - base: ls.category for ls in pred.shared} == {
+            0: "true-shared", 1: "false-shared", 2: "false-shared"}

@@ -10,9 +10,11 @@ from repro.analysis.sharing import (
     StaticSharingAnalyzer,
     ThreadLineUse,
     analyze_trace,
+    predict_plan,
 )
 from repro.trace.access import ProgramTrace, empty_thread, make_thread
 from repro.workloads.base import RunConfig
+from repro.workloads.plan import PlanBuilder
 from repro.workloads.registry import get_workload
 
 
@@ -22,6 +24,17 @@ def rmw_thread(addr, n, ipa=3.0):
     writes = np.zeros(2 * n, bool)
     writes[1::2] = True
     return make_thread(addrs, writes, instr_per_access=ipa)
+
+
+def seam_plan(high_phase):
+    """T0 writes the last word of one line in phase 0 (window [0, 1)); T1
+    writes the first word of the next line in ``high_phase``."""
+    b = PlanBuilder("seam", 2)
+    low, high = b.line_region("low"), b.line_region("high")
+    b.use(low, 0, writes=10, start=7, stop=8, order="scattered")
+    b.use(high, 1, writes=10, start=0, stop=1, order="scattered",
+          phase=high_phase)
+    return b.finish(ipa=3.0)
 
 
 @pytest.fixture(scope="module")
@@ -170,20 +183,28 @@ class TestProfiles:
         rep = analyzer.analyze(ProgramTrace([make_thread(np.tile(once, 50))]))
         assert not rep.profiles[0].hostile
 
-    def test_refetch_window_validation(self):
-        with pytest.raises(ValueError):
-            StaticSharingAnalyzer(refetch_window=0)
-
 
 class TestThreadLineUse:
     def test_overlap_rule(self):
-        def use(first, last):
-            return ThreadLineUse(0, 1, 1, first, last, (0, 0), (0, 0))
+        def use(lo, hi):
+            return ThreadLineUse(0, 1, 1, (lo, hi), (0, 0), (0, 0))
 
-        assert use(0, 10).overlaps(use(5, 20))
-        assert use(5, 20).overlaps(use(0, 10))
-        assert use(0, 10).overlaps(use(10, 20))  # touching counts
-        assert not use(0, 9).overlaps(use(10, 20))
+        def trace_use(first, last):
+            # trace positions first..last inclusive, as a half-open window
+            return use(first, last + 1)
+
+        assert trace_use(0, 10).overlaps(trace_use(5, 20))
+        assert trace_use(5, 20).overlaps(trace_use(0, 10))
+        assert trace_use(0, 10).overlaps(trace_use(10, 20))  # touching counts
+        assert not trace_use(0, 9).overlaps(trace_use(10, 20))
+        # plan-style float windows: a shared endpoint is a hand-off...
+        assert not use(0.0, 1.0).overlaps(use(1.0, 2.0))
+        assert use(0.0, 1.0).overlaps(use(0.5, 1.5))
+        # ...and the near-miss gate applies the same rule
+        assert predict_plan(seam_plan(high_phase=1)).near_misses == []
+        (nm,) = predict_plan(seam_plan(high_phase=0)).near_misses
+        # write spans hold element start offsets: byte 56 and byte 0
+        assert (nm.tid_low, nm.tid_high, nm.slack_bytes) == (0, 1, 7)
 
 
 class TestReport:

@@ -94,6 +94,38 @@ class TestRegistryValidation:
             d["unambiguous_agreement"]["total"]
 
 
+class TestFullSweeps:
+    """The whole registry and the 19-program suite, pinned to their
+    summary figures: a change to either front-end or the shared core that
+    moves a single line-level call shows up here."""
+
+    @staticmethod
+    def summary(report):
+        d = report.to_dict()
+        del d["cases"]
+        return d
+
+    def test_registry_summary(self, validator):
+        assert self.summary(validator.validate_registry()) == {
+            "n_cases": 29,
+            "line_precision": 1.0,
+            "line_recall": 1.0,
+            "verdict_agreement": 1.0,
+            "unambiguous_agreement": {"agree": 29, "total": 29},
+            "all_disagreements_explained": True,
+        }
+
+    def test_suite_summary(self, validator):
+        assert self.summary(validator.validate_suite()) == {
+            "n_cases": 19,
+            "line_precision": 0.7894736842105263,
+            "line_recall": 1.0,
+            "verdict_agreement": 1.0,
+            "unambiguous_agreement": {"agree": 18, "total": 18},
+            "all_disagreements_explained": True,
+        }
+
+
 class TestExplanations:
     def test_oracle_floor_is_positive(self):
         assert MIN_ORACLE_MISSES >= 1

@@ -143,6 +143,10 @@ class TestPredictCLI:
         doc = json.loads(out_path.read_text())
         assert doc["baseline_diff"]["clean"]
         assert doc["baseline_diff"]["counts"]["new"] == 0
+        # clean only means no new findings: a change that silently drops
+        # a committed FS005-FS008 finding must fail here too
+        assert doc["baseline_diff"]["counts"]["fixed"] == 0
+        assert doc["baseline_diff"]["counts"]["known"] == 8
 
     def test_fail_on_new_without_baseline_entry(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"
