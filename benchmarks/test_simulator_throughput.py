@@ -4,15 +4,16 @@ Measures (a) raw ``MulticoreMachine`` drive throughput in accesses/second
 for every drive strategy — reference loop, run-compression, the
 line-partitioned kernel, and the shipping ``auto`` default — on the pinned
 ``repro-bench`` trace grid (:func:`repro.telemetry.bench.drive_traces`, the
-same cases the CI perf-regression gate replays), with hard ``speedup_floor``
+same cases the CI ``bench`` job replays), with hard ``speedup_floor``
 checks on the contended traces, (b) the overhead of the telemetry hooks
 in both their disabled (default) and enabled states, and (c) end-to-end
 ``classify_all`` + ``verify_all`` wall time for the pre-optimization
 configuration (serial, reference drive loop, unfiltered oracle) against
 the current one (parallel engine, fast drive path, filtered oracle).
 Results land in ``BENCH_simulator.json`` at the repo root so future PRs
-can compare against the trajectory — and so ``repro-bench --baseline
-BENCH_simulator.json`` can gate them in CI.
+can compare against the trajectory — CI ingests it with a fresh
+``repro-bench`` result into a two-run ``repro-results`` store and gates
+that.
 
 Both configurations produce bit-identical labels and counts (asserted
 here), so the timings compare two implementations of the same function.

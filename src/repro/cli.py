@@ -10,9 +10,9 @@
   analysis and lint (also ``--crosscheck`` for the three-detector
   disagreement harness);
 * ``repro-experiment ID...`` — regenerate paper tables/figures;
-* ``repro-bench`` — replay the pinned simulator benchmark grid, write a
-  BENCH-compatible result + run manifest, and gate against a committed
-  baseline (the CI perf-regression job);
+* ``repro-bench`` — replay the pinned simulator benchmark grid and write
+  a BENCH-compatible result + run manifest (optionally ingested into a
+  ``repro-results`` store, which gates it);
 * ``repro-serve`` — online detection service: JSON-lines TCP server with
   batched compiled-tree inference, plus its client, load generator and
   latency benchmark (``BENCH_serve.json``);
@@ -523,7 +523,7 @@ def symbols_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def bench_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Pinned benchmark replay + perf-regression gate (``repro-bench``)."""
+    """Pinned simulator benchmark replay (``repro-bench``)."""
     from repro.telemetry.bench import bench_main as _bench_main
 
     return _bench_main(argv)

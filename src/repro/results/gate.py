@@ -10,9 +10,11 @@ kind against its own history, per metric, with three escalating modes:
   is noisy) nor masks a real regression later (one outlier barely moves
   a median, where it would wholly define a pairwise baseline);
 * ``pairwise`` — with a short history (one or two prior points) the gate
-  falls back to exactly the old ``compare_payloads`` rule: worse than
-  the previous run by more than ``max_regression`` fails.  No median or
-  MAD is computed, so small histories can never divide by zero;
+  falls back to the classic one-vs-one rule: worse than the previous run
+  by more than ``max_regression`` fails.  No median or MAD is computed,
+  so small histories can never divide by zero.  Ingesting a committed
+  baseline and a fresh payload into an empty store and gating it is the
+  baseline comparison CI runs;
 * ``bound`` — hard backstops are enforced **unconditionally** in every
   mode, even for a history of one: contended-trace ``speedup_floor``\\ s,
   the routing-coverage floor, the serve zero-shed/zero-error ceilings,
@@ -23,16 +25,20 @@ kind against its own history, per metric, with three escalating modes:
 
 A metric that appeared anywhere in the history window but is absent from
 the latest run fails the gate as ``missing`` — a silently shrunken grid
-must not pass, mirroring the pairwise gate's missing-case rule.
-Improvements always pass: only the regression side of the band is gated.
+must not pass.  The exception is a metric only some run modes record
+(:data:`~repro.results.schema.OPTIONAL_METRICS`, e.g. the e2e wall time
+of a ``--full`` bench): it is gated when the latest run carries it and
+never missing when it does not.  Improvements always pass: only the
+regression side of the band is gated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ResultsError
+from repro.results.schema import OPTIONAL_METRICS
 from repro.results.store import ResultsStore
 from repro.results.trend import (
     DEFAULT_MAD_K,
@@ -44,8 +50,7 @@ from repro.results.trend import (
 __all__ = ["GateRow", "GateReport", "gate_store", "render_gate_markdown",
            "DEFAULT_MAX_REGRESSION"]
 
-#: Tolerated fractional loss in pairwise fallback mode — the same default
-#: the ``repro-bench`` gate has always used.
+#: Tolerated fractional loss in pairwise fallback mode.
 DEFAULT_MAX_REGRESSION = 0.30
 
 
@@ -170,12 +175,14 @@ def gate_store(
         if latest is None:
             continue
         latest_metrics = {m.name: m for m in store.metrics_for(latest.run_id)}
+        optional = OPTIONAL_METRICS.get(k_, frozenset())
         # A metric any windowed predecessor carried must still be there.
         for prev in store.runs(kind=k_)[-(window + 1):]:
             if prev.run_id == latest.run_id:
                 continue
             for m in store.metrics_for(prev.run_id):
-                if m.direction != "info" and m.name not in latest_metrics:
+                if (m.direction != "info" and m.name not in latest_metrics
+                        and m.name not in optional):
                     tag = f"{k_}:{m.name}"
                     if tag not in report.missing:
                         report.missing.append(tag)

@@ -11,7 +11,10 @@ already emits — the store ingests them as-is, no new wire format):
 
 * ``bench`` — ``repro-bench`` / ``BENCH_simulator.json``: per-trace drive
   throughput + speedups (with their hard ``speedup_floor``), routing
-  coverage (with the routing floor), optional e2e wall time;
+  coverage (with the routing floor), optional e2e wall time.  The payload
+  shape is checked at ingest (:data:`KNOWN_SECTIONS`, a non-empty
+  ``drive`` table whose rows all carry a positive throughput), so a
+  drifted document never enters any history;
 * ``serve`` — ``repro-serve bench`` / ``BENCH_serve.json``: loadgen
   throughput, latency percentiles, shed/error counts (hard ceiling 0),
   offline batch-inference throughput; when the document embeds a
@@ -45,10 +48,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ResultsError
+from repro.telemetry.bench import ROUTING_FLOOR
 
 __all__ = [
     "STORE_SCHEMA",
     "PAYLOAD_KINDS",
+    "KNOWN_SECTIONS",
+    "OPTIONAL_METRICS",
     "Metric",
     "classify_payload",
     "extract_metrics",
@@ -66,6 +72,20 @@ PAYLOAD_KINDS = ("bench", "serve", "serve-scale", "manifest", "crosscheck",
 
 #: Latency percentiles trended from serve payloads.
 _SERVE_PERCENTILES = ("p50", "p95", "p99")
+
+#: Top-level sections a ``bench`` payload may carry.  Anything else is a
+#: hard error at ingest: a section no extractor reads would ride into the
+#: history ungated, which is exactly the drift that once let a shrunken
+#: baseline pass.
+KNOWN_SECTIONS = frozenset({
+    "bench", "mode", "cpus", "jobs", "repeats",
+    "drive", "routing", "store_workers", "telemetry", "e2e",
+})
+
+#: Per kind, the metrics only some run modes record (``e2e`` is measured
+#: by ``repro-bench --full`` alone).  The gate judges them when the latest
+#: run carries them and never reports them missing when it does not.
+OPTIONAL_METRICS = {"bench": frozenset({"e2e.parallel_fast_s"})}
 
 
 @dataclass(frozen=True)
@@ -132,14 +152,31 @@ def _num(v: Any) -> Optional[float]:
 
 
 def _bench_metrics(doc: Dict[str, Any]) -> List[Metric]:
+    unknown = sorted(set(doc) - KNOWN_SECTIONS)
+    if unknown:
+        raise ResultsError(
+            f"bench payload carries unknown section(s) {unknown}: no "
+            "extractor reads them, so they would ride ungated — teach "
+            "repro.results.schema about the new section (and add it to "
+            "KNOWN_SECTIONS)")
+    drive = doc.get("drive")
+    if not isinstance(drive, dict) or not drive:
+        raise ResultsError(
+            "bench payload has no 'drive' section (or an empty one): "
+            "refusing to ingest a run with nothing to gate — regenerate "
+            "the payload with repro-bench")
     out: List[Metric] = []
-    for label, row in sorted((doc.get("drive") or {}).items()):
+    for label, row in sorted(drive.items()):
         if not isinstance(row, dict):
             raise ResultsError(f"bench drive row {label!r} is not an object")
         fast = _num(row.get("fast_accesses_per_s"))
-        if fast is not None:
-            out.append(Metric(f"drive.{label}.fast_accesses_per_s", fast,
-                              "acc/s", "higher"))
+        if fast is None or fast <= 0:
+            raise ResultsError(
+                f"bench drive row {label!r} has no positive "
+                "fast_accesses_per_s — the gate keys on it; regenerate "
+                "the payload")
+        out.append(Metric(f"drive.{label}.fast_accesses_per_s", fast,
+                          "acc/s", "higher"))
         speed = _num(row.get("speedup"))
         if speed is not None:
             out.append(Metric(f"drive.{label}.speedup", speed, "x",
@@ -147,8 +184,10 @@ def _bench_metrics(doc: Dict[str, Any]) -> List[Metric]:
     routing = doc.get("routing") or {}
     cov = _num(routing.get("coverage"))
     if cov is not None:
+        # A routing section that records no floor still gates at the
+        # shipping one.
         out.append(Metric("routing.coverage", cov, "frac", "higher",
-                          bound=_num(routing.get("floor"))))
+                          bound=_num(routing.get("floor")) or ROUTING_FLOOR))
     e2e = _num((doc.get("e2e") or {}).get("parallel_fast_s"))
     if e2e is not None:
         out.append(Metric("e2e.parallel_fast_s", e2e, "s", "lower"))

@@ -7,10 +7,12 @@
   end-to-end online workflow);
 * ``repro-serve bench`` — start an in-process server, replay the
   deterministic load-generator stream, and write ``BENCH_serve.json``
-  (throughput, p50/p95/p99 latency, shed count); non-zero exit when shed
-  exceeds ``--max-shed`` or throughput falls below ``--min-rps``; with
-  ``--scale`` the same run also boots a sharded fleet (router + worker
-  processes) and records a batched multi-connection ``scale`` section;
+  (throughput, p50/p95/p99 latency, shed count); exit 1 on any shed
+  request or failed request; with ``--scale`` the same run also boots a
+  sharded fleet (router + worker processes) and records a batched
+  multi-connection ``scale`` section, failing on any scale error, any
+  shed vector or inexact accounting.  Performance is judged by
+  ``repro-results gate`` on the ingested payload, not here;
 * ``repro-serve fleet`` — run the sharded tier in the foreground: a
   consistent-hash router with token-bucket admission control in front of
   N worker processes, verdict aggregation on the same endpoint;
@@ -160,12 +162,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
                             "(default: %(default)s)")
     bench.add_argument("--output", default="BENCH_serve.json",
                        help="result document path (default: %(default)s)")
-    bench.add_argument("--max-shed", type=int, default=0,
-                       help="fail (exit 1) when more requests are shed "
-                            "(default: %(default)s)")
-    bench.add_argument("--min-rps", type=float, default=0.0,
-                       help="fail (exit 1) below this throughput "
-                            "(default: no floor)")
     bench.add_argument("--results-store", default="",
                        help="also ingest the result document into this "
                             "repro-results store")
@@ -185,13 +181,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     bench.add_argument("--scale-vectors", type=int, default=0,
                        help="vector count for --scale (default: 10x the "
                             "single-server request count)")
-    bench.add_argument("--min-scale-vps", type=float, default=0.0,
-                       help="fail (exit 1) when the scale section falls "
-                            "below this classifications/s floor")
-    bench.add_argument("--min-speedup", type=float, default=0.0,
-                       help="fail (exit 1) when scale throughput is below "
-                            "this multiple of the same-run single-server "
-                            "throughput")
 
     fleet = sub.add_parser(
         "fleet",
@@ -299,6 +288,7 @@ def _cmd_classify(args) -> int:
 def _cmd_bench(args) -> int:
     from repro.serve.inference import as_compiled
     from repro.serve.loadgen import (
+        SHED_CEILING,
         bench_payload,
         generate_stream,
         measure_predict_batch,
@@ -361,7 +351,7 @@ def _cmd_bench(args) -> int:
 
     payload = bench_payload(result, vps,
                             mode="smoke" if args.smoke else "full",
-                            scale=scale, scale_shed_ceiling=args.max_shed)
+                            scale=scale)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -392,13 +382,9 @@ def _cmd_bench(args) -> int:
     if result.errors:
         print(f"error: {result.errors} request(s) failed", file=sys.stderr)
         return 1
-    if result.shed > args.max_shed:
+    if result.shed > SHED_CEILING:
         print(f"serve bench: FAIL (shed {result.shed} > "
-              f"--max-shed {args.max_shed})", file=sys.stderr)
-        return 1
-    if args.min_rps and result.throughput_rps < args.min_rps:
-        print(f"serve bench: FAIL (throughput {result.throughput_rps:,.0f} "
-              f"< --min-rps {args.min_rps:,.0f})", file=sys.stderr)
+              f"ceiling {SHED_CEILING})", file=sys.stderr)
         return 1
     if scale is not None:
         if scale.errors:
@@ -410,20 +396,9 @@ def _cmd_bench(args) -> int:
                   f"{scale.completed} + shed {scale.shed} != "
                   f"{scale.vectors} vectors)", file=sys.stderr)
             return 1
-        if scale.shed > args.max_shed:
+        if scale.shed > SHED_CEILING:
             print(f"serve bench: FAIL (scale shed {scale.shed} > "
-                  f"--max-shed {args.max_shed})", file=sys.stderr)
-            return 1
-        if args.min_scale_vps and scale.throughput_vps < args.min_scale_vps:
-            print(f"serve bench: FAIL (scale throughput "
-                  f"{scale.throughput_vps:,.0f} < --min-scale-vps "
-                  f"{args.min_scale_vps:,.0f})", file=sys.stderr)
-            return 1
-        speedup = (scale.throughput_vps / result.throughput_rps
-                   if result.throughput_rps > 0 else 0.0)
-        if args.min_speedup and speedup < args.min_speedup:
-            print(f"serve bench: FAIL (scale speedup {speedup:.2f}x < "
-                  f"--min-speedup {args.min_speedup}x)", file=sys.stderr)
+                  f"ceiling {SHED_CEILING})", file=sys.stderr)
             return 1
     print("serve bench: PASS")
     return 0

@@ -29,13 +29,13 @@ import asyncio
 import json
 import multiprocessing as mp
 import signal
-import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ServeError
 from repro.serve.admission import AdmissionController
 from repro.serve.aggregate import VerdictAggregator
+from repro.serve.loopthread import LoopThread
 from repro.serve.router import DetectionRouter
 
 __all__ = ["FleetSupervisor", "DetectionFleet", "FleetThread",
@@ -302,7 +302,7 @@ class DetectionFleet:
                 "router": self.router.stats()}
 
 
-class FleetThread:
+class FleetThread(LoopThread):
     """A :class:`DetectionFleet` on a private event loop in a thread.
 
     Synchronous embedding for the CLI, load generator and tests::
@@ -312,60 +312,19 @@ class FleetThread:
             ...
     """
 
+    label = "fleet"
+    thread_name = "repro-serve-fleet"
+    call_timeout = 60.0
+    stop_timeout = 120.0
+    join_timeout = 30.0
+
     def __init__(self, model, **kwargs) -> None:
-        import threading
-
         self.fleet = DetectionFleet(model, **kwargs)
-        self._threading = threading
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[Any] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self.address: Optional[Tuple[str, int]] = None
+        super().__init__(self.fleet)
 
-    def start(self) -> Tuple[str, int]:
-        if self._thread is not None:
-            raise ServeError("fleet thread already started")
-        self._loop = asyncio.new_event_loop()
-        self._thread = self._threading.Thread(
-            target=self._run, name="repro-serve-fleet", daemon=True
-        )
-        self._thread.start()
+    def start_timeout(self) -> float:
         # Spawning N interpreter processes is slow; be generous.
-        deadline = time.monotonic() + self.fleet.supervisor.start_timeout_s
-        while not self._started.wait(timeout=0.5):
-            if time.monotonic() > deadline:
-                raise ServeError("fleet thread failed to start")
-        if self._startup_error is not None:
-            raise ServeError(
-                f"fleet failed to start: {self._startup_error}"
-            ) from self._startup_error
-        assert self.address is not None
-        return self.address
-
-    def _run(self) -> None:
-        assert self._loop is not None
-        asyncio.set_event_loop(self._loop)
-        try:
-            self.address = self._loop.run_until_complete(self.fleet.start())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            self._loop.close()
-            return
-        self._started.set()
-        self._loop.run_forever()
-        self._loop.run_until_complete(asyncio.sleep(0))
-        self._loop.close()
-
-    def call(self, coro_fn, *args, timeout: float = 60.0, **kwargs):
-        """Run ``await coro_fn(*args)`` on the fleet's loop, synchronously."""
-        if self._loop is None:
-            raise ServeError("fleet thread is not running")
-        fut = asyncio.run_coroutine_threadsafe(
-            coro_fn(*args, **kwargs), self._loop
-        )
-        return fut.result(timeout=timeout)
+        return self.fleet.supervisor.start_timeout_s
 
     def restart_worker(self, name: str) -> Tuple[str, int]:
         """Thread-safe hot restart of one shard."""
@@ -373,18 +332,3 @@ class FleetThread:
 
     def stats(self) -> Dict[str, Any]:
         return self.fleet.stats()
-
-    def stop(self) -> None:
-        if self._loop is None or self._thread is None:
-            return
-        self.call(self.fleet.stop, timeout=120.0)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30.0)
-        self._thread = None
-        self._loop = None
-
-    def __enter__(self) -> Tuple[str, int]:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -31,7 +31,13 @@ from repro.errors import ServeError
 from repro.utils.stats import tally
 
 __all__ = ["LoadGenResult", "ScaleResult", "generate_stream", "run_loadgen",
-           "run_scale_loadgen", "measure_predict_batch", "bench_payload"]
+           "run_scale_loadgen", "measure_predict_batch", "bench_payload",
+           "SHED_CEILING"]
+
+#: Shed requests (or scale vectors) ``repro-serve bench`` tolerates: the
+#: bench load must never trip backpressure.  Recorded as the scale
+#: section's ``shed_ceiling``, which ``repro-results`` gates as a bound.
+SHED_CEILING = 0
 
 #: The replayed mix: (workload-ish, config factory, expected flavour).
 #: Mini-programs cover the three classes cheaply; the two suite cases are
@@ -408,7 +414,6 @@ def bench_payload(
     predict_batch_vps: float,
     mode: str = "smoke",
     scale: Optional[ScaleResult] = None,
-    scale_shed_ceiling: int = 0,
 ) -> Dict[str, Any]:
     """The ``BENCH_serve.json`` document for one load-generation run.
 
@@ -438,9 +443,9 @@ def bench_payload(
             **scale.to_dict(),
             "workers": len(router.get("workers", [])) or None,
             "router_config": router.get("config", {}),
-            # Declared acceptable shed for this run — the results store
-            # carries it as the hard gate bound on scale.shed.
-            "shed_ceiling": int(scale_shed_ceiling),
+            # Declared acceptable shed — the results store carries it as
+            # the hard gate bound on scale.shed.
+            "shed_ceiling": SHED_CEILING,
             # Same-run comparison: batched fleet path vs the line-at-a-time
             # single-server path measured moments earlier on this host.
             "speedup_vs_single": round(

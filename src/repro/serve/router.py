@@ -56,6 +56,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.errors import ServeError
 from repro.serve.admission import AdmissionController
 from repro.serve.aggregate import VerdictAggregator
+from repro.serve.loopthread import LoopThread
 from repro.serve.server import STREAM_LIMIT
 from repro.telemetry.core import TELEMETRY
 
@@ -690,7 +691,7 @@ class DetectionRouter:
         }
 
 
-class RouterThread:
+class RouterThread(LoopThread):
     """A :class:`DetectionRouter` on a private event loop in a thread.
 
     The synchronous twin of :class:`~repro.serve.server.ServerThread`,
@@ -703,69 +704,9 @@ class RouterThread:
         rt.call(rt.router.add_worker, "w0", whost, wport)
     """
 
+    label = "router"
+    thread_name = "repro-serve-router"
+
     def __init__(self, **kwargs) -> None:
-        import threading
-
         self.router = DetectionRouter(**kwargs)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[Any] = None
-        self._threading = threading
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self.address: Optional[Tuple[str, int]] = None
-
-    def start(self) -> Tuple[str, int]:
-        if self._thread is not None:
-            raise ServeError("router thread already started")
-        self._loop = asyncio.new_event_loop()
-        self._thread = self._threading.Thread(
-            target=self._run, name="repro-serve-router", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise ServeError("router thread failed to start")
-        if self._startup_error is not None:
-            raise ServeError(
-                f"router failed to start: {self._startup_error}"
-            ) from self._startup_error
-        assert self.address is not None
-        return self.address
-
-    def _run(self) -> None:
-        assert self._loop is not None
-        asyncio.set_event_loop(self._loop)
-        try:
-            self.address = self._loop.run_until_complete(self.router.start())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            self._loop.close()
-            return
-        self._started.set()
-        self._loop.run_forever()
-        self._loop.run_until_complete(asyncio.sleep(0))
-        self._loop.close()
-
-    def call(self, coro_fn, *args, timeout: float = 30.0, **kwargs):
-        """Run ``await coro_fn(*args)`` on the router's loop, synchronously."""
-        if self._loop is None:
-            raise ServeError("router thread is not running")
-        fut = asyncio.run_coroutine_threadsafe(
-            coro_fn(*args, **kwargs), self._loop
-        )
-        return fut.result(timeout=timeout)
-
-    def stop(self) -> None:
-        if self._loop is None or self._thread is None:
-            return
-        self.call(self.router.stop)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        self._thread = None
-        self._loop = None
-
-    def __enter__(self) -> Tuple[str, int]:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        super().__init__(self.router)

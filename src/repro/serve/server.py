@@ -47,7 +47,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -55,6 +54,7 @@ import numpy as np
 from repro.errors import PMUError, ReproError, ServeError
 from repro.pmu.counters import EventVector
 from repro.serve.inference import CompiledTree, as_compiled
+from repro.serve.loopthread import LoopThread
 from repro.telemetry.core import TELEMETRY
 
 __all__ = ["DetectionServer", "ServerThread", "STREAM_LIMIT"]
@@ -509,7 +509,7 @@ class DetectionServer:
         raise ServeError("classify requires 'features' or 'counts'")
 
 
-class ServerThread:
+class ServerThread(LoopThread):
     """A :class:`DetectionServer` on a private event loop in a thread.
 
     Synchronous code (the CLI, the load generator, tests, experiments)
@@ -522,75 +522,15 @@ class ServerThread:
 
     def __init__(self, model, **kwargs) -> None:
         self.server = DetectionServer(model, **kwargs)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self.address: Optional[Tuple[str, int]] = None
-
-    def start(self) -> Tuple[str, int]:
-        if self._thread is not None:
-            raise ServeError("server thread already started")
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise ServeError("server thread failed to start")
-        if self._startup_error is not None:
-            raise ServeError(
-                f"server failed to start: {self._startup_error}"
-            ) from self._startup_error
-        assert self.address is not None
-        return self.address
-
-    def _run(self) -> None:
-        assert self._loop is not None
-        asyncio.set_event_loop(self._loop)
-        try:
-            self.address = self._loop.run_until_complete(self.server.start())
-        except BaseException as exc:  # surface bind errors to start()
-            self._startup_error = exc
-            self._started.set()
-            self._loop.close()
-            return
-        self._started.set()
-        self._loop.run_forever()
-        # Drain callbacks scheduled during stop() before closing the loop.
-        self._loop.run_until_complete(asyncio.sleep(0))
-        self._loop.close()
+        super().__init__(self.server)
 
     def pause_batching(self) -> None:
         """Thread-safe :meth:`DetectionServer.pause_batching`."""
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.server.pause_batching)
+        self._call_soon(self.server.pause_batching)
 
     def resume_batching(self) -> None:
         """Thread-safe :meth:`DetectionServer.resume_batching`."""
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.server.resume_batching)
-
-    def call(self, coro_fn, *args, **kwargs):
-        """Run ``await coro_fn(*args)`` on the server's loop, synchronously."""
-        if self._loop is None:
-            raise ServeError("server thread is not running")
-        fut = asyncio.run_coroutine_threadsafe(
-            coro_fn(*args, **kwargs), self._loop
-        )
-        return fut.result(timeout=30.0)
+        self._call_soon(self.server.resume_batching)
 
     def stop(self, drain: bool = True) -> None:
-        if self._loop is None or self._thread is None:
-            return
-        self.call(self.server.stop, drain=drain)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        self._thread = None
-        self._loop = None
-
-    def __enter__(self) -> Tuple[str, int]:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        self._shutdown(drain=drain)

@@ -3,8 +3,9 @@
 Off by default.  Spans (context-manager + decorator), counters and gauges
 live in :mod:`repro.telemetry.core`; per-run provenance in
 :mod:`repro.telemetry.manifest`; JSON / Chrome-trace serialization in
-:mod:`repro.telemetry.export`; the ``repro-bench`` replay + regression gate
-in :mod:`repro.telemetry.bench`.
+:mod:`repro.telemetry.export`; the ``repro-bench`` replay in
+:mod:`repro.telemetry.bench` (it only measures — ``repro-results gate``
+judges its payloads).
 
 Quickstart::
 

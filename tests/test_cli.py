@@ -275,7 +275,7 @@ class TestServeCLI:
         out = tmp_path / "BENCH_serve.json"
         rc = serve_main([
             "bench", "--model", str(model_path), "--requests", "48",
-            "--window", "16", "--output", str(out), "--max-shed", "0",
+            "--window", "16", "--output", str(out),
         ])
         assert rc == 0
         assert "serve bench: PASS" in capsys.readouterr().out
@@ -284,6 +284,19 @@ class TestServeCLI:
         assert doc["loadgen"]["requests"] == 48
         assert doc["loadgen"]["shed"] == 0
         assert doc["predict_batch_vectors_per_s"] > 0
+
+    def test_bench_has_no_floor_knobs(self, capsys):
+        # Performance verdicts come from repro-results gate; the bench
+        # keeps only its correctness checks (zero shed, zero errors).
+        from repro.serve.cli import serve_main
+
+        with pytest.raises(SystemExit) as exc:
+            serve_main(["bench", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for flag in ("--min-rps", "--min-scale-vps", "--min-speedup",
+                     "--max-shed"):
+            assert flag not in text
 
     def test_classify_against_running_server(self, model_path, capsys):
         from repro.serve.cli import serve_main

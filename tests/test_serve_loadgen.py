@@ -206,7 +206,7 @@ class TestRunScaleLoadgen:
             shed=0, errors=0, labels={"good": 10}, server={},
         )
         doc = bench_payload(single, predict_batch_vps=1e6, mode="smoke",
-                            scale=scale, scale_shed_ceiling=0)
+                            scale=scale)
         assert doc["cpus"] == os.cpu_count()
         assert doc["affinity_cpus"] >= 1
         section = doc["scale"]

@@ -1,17 +1,24 @@
-"""``repro-bench``: baseline comparison logic and the CLI gate."""
+"""``repro-bench`` and the gating of its payloads by ``repro-results``."""
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
 import pytest
 
-from repro.errors import TelemetryError
+from repro.errors import ResultsError
+from repro.results.cli import results_main
+from repro.results.gate import gate_store
+from repro.results.schema import KNOWN_SECTIONS
+from repro.results.store import ResultsStore
 from repro.telemetry import bench as bench_mod
-from repro.telemetry.bench import bench_main, compare_payloads
+from repro.telemetry.bench import bench_main
 from repro.telemetry.core import TELEMETRY
 from repro.trace.access import ProgramTrace, ThreadTrace
+
+from tests.test_results_gate import two_run_gate
 
 
 @pytest.fixture(autouse=True)
@@ -41,75 +48,101 @@ def _payload(fast=1_000_000, e2e=None):
     return doc
 
 
-# -------------------------------------------------------- compare_payloads
+# ------------------------------------- gating: baseline + current run
+#
+# repro-bench only measures; a baseline comparison is a two-run
+# repro-results store (baseline ingested first, then the current run)
+# gated by repro.results.gate — the shape CI runs.
+
+FAST = "drive.psums/good/t4.fast_accesses_per_s"
+SPEEDUP = "drive.psums/good/t4.speedup"
 
 
-def test_compare_within_tolerance_passes():
-    cmp = compare_payloads(_payload(fast=800_000), _payload(fast=1_000_000),
-                           max_regression=0.30)
-    assert cmp.ok
-    assert len(cmp.rows) == 1
-    row = cmp.rows[0]
-    assert row.metric == "fast_accesses_per_s"
-    assert row.ratio == pytest.approx(0.8)
+def _row(report, name):
+    return next(r for r in report.rows if r.name == name)
+
+
+def _regressed(report):
+    return [(r.name, r.mode) for r in report.regressions]
+
+
+def test_compare_within_tolerance_passes(tmp_path):
+    report = two_run_gate(tmp_path, _payload(fast=1_000_000),
+                          _payload(fast=800_000))
+    assert report.ok
+    row = _row(report, FAST)
+    assert row.mode == "pairwise"
+    assert row.current / row.reference == pytest.approx(0.8)
     assert not row.regressed
-    assert "ok" in cmp.render()
+    assert "ok" in report.render()
 
 
-def test_compare_flags_throughput_regression():
-    cmp = compare_payloads(_payload(fast=600_000), _payload(fast=1_000_000),
-                           max_regression=0.30)
-    assert not cmp.ok
-    assert [r.label for r in cmp.regressions] == ["psums/good/t4"]
-    assert "REGRESSED" in cmp.render()
-    d = cmp.to_dict()
-    assert d["ok"] is False and d["rows"][0]["regressed"] is True
+def test_compare_flags_throughput_regression(tmp_path):
+    report = two_run_gate(tmp_path, _payload(fast=1_000_000),
+                          _payload(fast=600_000))
+    assert not report.ok
+    assert _regressed(report) == [(FAST, "pairwise")]
+    assert "REGRESSED" in report.render()
+    d = report.to_dict()
+    assert d["ok"] is False
+    assert any(r["name"] == FAST and r["regressed"] for r in d["rows"])
 
 
-def test_compare_improvement_always_passes():
-    cmp = compare_payloads(_payload(fast=5_000_000), _payload(fast=1_000_000))
-    assert cmp.ok and cmp.rows[0].ratio == pytest.approx(5.0)
+def test_compare_improvement_always_passes(tmp_path):
+    report = two_run_gate(tmp_path, _payload(fast=1_000_000),
+                          _payload(fast=5_000_000))
+    row = _row(report, FAST)
+    assert report.ok and row.current / row.reference == pytest.approx(5.0)
 
 
-def test_compare_missing_baseline_case_fails_gate():
+def test_compare_missing_baseline_case_fails_gate(tmp_path):
     current = _payload()
     del current["drive"]["psums/good/t4"]
     current["drive"]["something/else"] = {"fast_accesses_per_s": 1}
-    cmp = compare_payloads(current, _payload())
-    assert cmp.missing == ["psums/good/t4"]
-    assert not cmp.ok
-    assert "missing from current run" in cmp.render()
+    report = two_run_gate(tmp_path, _payload(), current)
+    assert report.missing == [f"bench:{FAST}", f"bench:{SPEEDUP}"]
+    assert not report.ok
+    assert "missing from latest run" in report.render()
 
 
-def test_compare_new_case_without_baseline_is_ignored():
+def test_compare_new_case_without_baseline_is_ignored(tmp_path):
     current = _payload()
     current["drive"]["brand/new"] = {"fast_accesses_per_s": 1}
-    assert compare_payloads(current, _payload()).ok
+    report = two_run_gate(tmp_path, _payload(), current)
+    assert report.ok
+    assert _row(report, "drive.brand/new.fast_accesses_per_s").mode == "new"
 
 
-def test_compare_e2e_is_lower_is_better():
+def test_compare_e2e_is_lower_is_better(tmp_path):
     # 10s -> 12s is a 17% slowdown: fine at 30%, fatal at 10%.
-    ok = compare_payloads(_payload(e2e=12.0), _payload(e2e=10.0),
-                          max_regression=0.30)
+    ok = two_run_gate(tmp_path, _payload(e2e=10.0), _payload(e2e=12.0),
+               max_regression=0.30)
     assert ok.ok
-    bad = compare_payloads(_payload(e2e=12.0), _payload(e2e=10.0),
-                           max_regression=0.10)
-    assert [r.label for r in bad.regressions] == ["e2e"]
-    assert bad.rows[-1].ratio == pytest.approx(10.0 / 12.0, abs=1e-3)
+    bad = two_run_gate(tmp_path, _payload(e2e=10.0), _payload(e2e=12.0),
+                max_regression=0.10)
+    assert _regressed(bad) == [("e2e.parallel_fast_s", "pairwise")]
+    row = _row(bad, "e2e.parallel_fast_s")
+    assert row.reference / row.current == pytest.approx(10.0 / 12.0)
 
 
-def test_compare_rejects_bad_threshold():
-    with pytest.raises(TelemetryError):
-        compare_payloads(_payload(), _payload(), max_regression=1.5)
-    with pytest.raises(TelemetryError):
-        compare_payloads(_payload(), _payload(), max_regression=-0.1)
+def test_compare_rejects_bad_threshold(tmp_path, capsys):
+    db = str(tmp_path / "g.db")
+    base = _write(tmp_path / "base.json", _payload())
+    cur = _write(tmp_path / "cur.json", _payload(fast=900_000))
+    assert results_main(["ingest", db, base, cur]) == 0
+    for bad in ("1.5", "-0.1"):
+        assert results_main(["gate", db, f"--max-regression={bad}"]) == 2
+        assert "max_regression" in capsys.readouterr().err
+    with ResultsStore(db) as store:
+        with pytest.raises(ResultsError):
+            gate_store(store, max_regression=1.5)
 
 
-def test_compare_accepts_historical_baseline_shape():
+def test_compare_accepts_historical_baseline_shape(tmp_path):
     # The committed BENCH_simulator.json predates the "mode"/"repeats"
-    # keys; the gate must accept it as-is so the first CI run can use it.
+    # keys; the store must accept it as-is so the first CI run can use it.
     legacy = {"drive": {"psums/good/t4": {"fast_accesses_per_s": 1_000_000}}}
-    assert compare_payloads(_payload(fast=900_000), legacy).ok
+    assert two_run_gate(tmp_path, legacy, _payload(fast=900_000)).ok
 
 
 # --------------------------------------------------------- CLI: --input
@@ -121,26 +154,31 @@ def _write(path, doc):
 
 
 def test_cli_input_mode_pass_exit_0(tmp_path, capsys):
+    db = str(tmp_path / "pair.db")
     cur = _write(tmp_path / "cur.json", _payload(fast=900_000))
     base = _write(tmp_path / "base.json", _payload(fast=1_000_000))
-    assert bench_main(["--input", cur, "--baseline", base]) == 0
-    assert "bench gate: PASS" in capsys.readouterr().out
+    assert results_main(["ingest", db, base]) == 0
+    assert bench_main(["--input", cur, "--results-store", db]) == 0
+    assert results_main(["gate", db, "--kind", "bench"]) == 0
+    assert "results gate: PASS" in capsys.readouterr().out
 
 
 def test_cli_input_mode_regression_exit_1(tmp_path, capsys):
+    db = str(tmp_path / "pair.db")
     cur = _write(tmp_path / "cur.json", _payload(fast=500_000))
     base = _write(tmp_path / "base.json", _payload(fast=1_000_000))
-    assert bench_main(["--input", cur, "--baseline", base]) == 1
+    assert results_main(["ingest", db, base]) == 0
+    assert bench_main(["--input", cur, "--results-store", db]) == 0
+    assert results_main(["gate", db, "--kind", "bench"]) == 1
     err = capsys.readouterr().err
-    assert "bench gate: FAIL" in err and "1 regression" in err
+    assert "results gate: FAIL" in err and "1 regression" in err
 
 
 def test_cli_missing_baseline_exit_2(tmp_path, capsys):
-    cur = _write(tmp_path / "cur.json", _payload())
-    rc = bench_main(["--input", cur, "--baseline",
-                     str(tmp_path / "nope.json")])
+    rc = results_main(["ingest", str(tmp_path / "pair.db"),
+                       str(tmp_path / "nope.json")])
     assert rc == 2
-    assert "baseline not found" in capsys.readouterr().err
+    assert "cannot read payload" in capsys.readouterr().err
 
 
 def test_cli_missing_input_exit_2(tmp_path, capsys):
@@ -150,16 +188,28 @@ def test_cli_missing_input_exit_2(tmp_path, capsys):
 
 
 def test_cli_corrupt_baseline_exit_2(tmp_path, capsys):
-    cur = _write(tmp_path / "cur.json", _payload())
     base = tmp_path / "base.json"
     base.write_text("{not json")
-    assert bench_main(["--input", cur, "--baseline", str(base)]) == 2
+    assert results_main(["ingest", str(tmp_path / "pair.db"),
+                         str(base)]) == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_cli_input_without_baseline_exit_0(tmp_path):
     cur = _write(tmp_path / "cur.json", _payload())
     assert bench_main(["--input", cur]) == 0
+
+
+def test_cli_has_no_gate_options(capsys):
+    # repro-bench only measures; verdicts come from repro-results gate.
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "--baseline" not in text and "--max-regression" not in text
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["--baseline", "BENCH_simulator.json"])
+    assert exc.value.code == 2
 
 
 # ------------------------------------------------------- CLI: run mode
@@ -195,6 +245,31 @@ def tiny_bench(monkeypatch):
                         _tiny_store_workers)
 
 
+@pytest.mark.parametrize("gc_on", [True, False])
+def test_best_of_times_round_robin_with_gc_off(gc_on):
+    calls = []
+
+    def timed(name):
+        def fn():
+            calls.append((name, gc.isenabled()))
+        return fn
+
+    was = gc.isenabled()
+    (gc.enable if gc_on else gc.disable)()
+    try:
+        best = bench_mod._best_of({"a": timed("a"), "b": timed("b")},
+                                  repeats=3)
+        assert gc.isenabled() is gc_on  # prior state restored
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert set(best) == {"a", "b"} and all(t > 0 for t in best.values())
+    # Rounds interleave the functions; no call ran with the GC on.
+    assert [name for name, _ in calls] == ["a", "b"] * (len(calls) // 2)
+    assert not any(enabled for _, enabled in calls)
+    # Near-instant calls repeat past ``repeats`` to fill MIN_TIMED_S.
+    assert len(calls) > 2 * 3
+
+
 def test_cli_run_mode_writes_result_and_manifest(tmp_path, tiny_bench, capsys):
     out = tmp_path / "bench" / "result.json"
     trace = tmp_path / "trace.json"
@@ -227,43 +302,52 @@ def test_cli_run_mode_gates_against_fresh_baseline(tmp_path, tiny_bench):
     # Second run gated against the first: same machine, same tiny trace —
     # must pass at the default 30% tolerance.
     out2 = tmp_path / "two.json"
-    assert bench_main(["--smoke", "--output", str(out2),
-                       "--baseline", str(out1)]) == 0
+    assert bench_main(["--smoke", "--output", str(out2)]) == 0
+    db = str(tmp_path / "pair.db")
+    assert results_main(["ingest", db, str(out1), str(out2)]) == 0
+    assert results_main(["gate", db, "--kind", "bench"]) == 0
     # Inflate the baseline 10x: the second run must now fail the gate.
     doc = json.loads(out1.read_text())
     for row in doc["drive"].values():
         row["fast_accesses_per_s"] *= 10
     out1.write_text(json.dumps(doc))
-    assert bench_main(["--smoke", "--output", str(out2),
-                       "--baseline", str(out1)]) == 1
+    db = str(tmp_path / "inflated.db")
+    assert results_main(["ingest", db, str(out1), str(out2)]) == 0
+    assert results_main(["gate", db, "--kind", "bench"]) == 1
 
 
 # ------------------------------------------------- speedup floors / table
 
 
-def test_compare_enforces_speedup_floor_from_baseline():
+def test_compare_enforces_speedup_floor_from_baseline(tmp_path):
     base = _payload()
     base["drive"]["psums/good/t4"]["speedup_floor"] = 1.3
-    ok = compare_payloads(_payload(), base)
-    assert ok.ok  # current speedup 2.0 clears the 1.3 floor
+    # current speedup 2.0 clears the 1.3 floor
+    assert two_run_gate(tmp_path, base, _payload()).ok
     cur = _payload()
     cur["drive"]["psums/good/t4"]["speedup"] = 1.1
-    bad = compare_payloads(cur, base)
+    bad = two_run_gate(tmp_path, base, cur)
     assert not bad.ok
-    assert [r.metric for r in bad.regressions] == ["speedup"]
+    # The floor breach, plus the 2.0 -> 1.1 pairwise drop: speedup is
+    # judged pairwise like every other higher-is-better metric.
+    assert _regressed(bad) == [(SPEEDUP, "bound"), (SPEEDUP, "pairwise")]
     # The floor is hard: a huge tolerance must not soften it.
-    still_bad = compare_payloads(cur, base, max_regression=0.9)
-    assert [r.metric for r in still_bad.regressions] == ["speedup"]
+    still_bad = two_run_gate(tmp_path, base, cur, max_regression=0.9)
+    assert _regressed(still_bad) == [(SPEEDUP, "bound")]
     assert "REGRESSED" in bad.render()
 
 
-def test_compare_floor_carried_by_current_payload_also_gates():
+def test_compare_floor_carried_by_current_payload_also_gates(tmp_path):
     # A fresh run records its own floor; gating against a pre-floor
     # baseline must still enforce it.
     cur = _payload()
     cur["drive"]["psums/good/t4"].update(speedup=1.0, speedup_floor=1.3)
-    bad = compare_payloads(cur, _payload())
-    assert [r.metric for r in bad.regressions] == ["speedup"]
+    bad = two_run_gate(tmp_path, _payload(), cur)
+    assert {name for name, _ in _regressed(bad)} == {SPEEDUP}
+    assert _row(bad, SPEEDUP).mode == "bound"
+    assert _row(bad, SPEEDUP).reference == 1.3
+    still_bad = two_run_gate(tmp_path, _payload(), cur, max_regression=0.9)
+    assert _regressed(still_bad) == [(SPEEDUP, "bound")]
 
 
 def test_render_speedup_table_lists_every_strategy():
@@ -298,28 +382,44 @@ def test_cli_run_mode_writes_speedup_table(tmp_path, tiny_bench):
 # ------------------------------------------------------- routing coverage
 
 
-def test_compare_enforces_routing_floor():
+def test_compare_enforces_routing_floor(tmp_path):
     cur = _payload()
     cur["routing"] = _tiny_routing()
-    assert compare_payloads(cur, _payload()).ok  # 97% clears 95%
+    assert two_run_gate(tmp_path, _payload(), cur).ok  # 97% clears 95%
     cur["routing"]["coverage"] = 0.91
-    bad = compare_payloads(cur, _payload())
-    assert [r.label for r in bad.regressions] == ["routing"]
+    bad = two_run_gate(tmp_path, _payload(), cur)
+    assert _regressed(bad) == [("routing.coverage", "bound")]
     # Hard floor: tolerance must not soften it.
-    still_bad = compare_payloads(cur, _payload(), max_regression=0.9)
-    assert [r.label for r in still_bad.regressions] == ["routing"]
+    still_bad = two_run_gate(tmp_path, _payload(), cur, max_regression=0.9)
+    assert _regressed(still_bad) == [("routing.coverage", "bound")]
 
 
-def test_compare_routing_floor_from_baseline_demands_current_data():
+def test_compare_routing_floor_without_recorded_floor_uses_default(tmp_path):
+    # A routing section that records no floor still gates at ROUTING_FLOOR.
+    cur = _payload()
+    cur["routing"] = {k: v for k, v in _tiny_routing().items()
+                      if k != "floor"}
+    cur["routing"]["coverage"] = 0.91
+    bad = two_run_gate(tmp_path, _payload(), cur)
+    assert _regressed(bad) == [("routing.coverage", "bound")]
+    assert _row(bad, "routing.coverage").reference == bench_mod.ROUTING_FLOOR
+
+
+def test_compare_routing_floor_from_baseline_demands_current_data(tmp_path):
     base = _payload()
     base["routing"] = _tiny_routing()
-    bad = compare_payloads(_payload(), base)
-    assert bad.missing == ["routing"]
+    bad = two_run_gate(tmp_path, base, _payload())
+    assert bad.missing == ["bench:routing.coverage"]
     assert not bad.ok
 
 
-def test_compare_without_routing_anywhere_ignores_it():
-    assert compare_payloads(_payload(), _payload()).ok
+def test_compare_without_routing_anywhere_ignores_it(tmp_path):
+    # Identical payloads dedup into one run: bounds and "new" rows only.
+    report = two_run_gate(tmp_path, _payload(), _payload())
+    assert report.ok
+    assert not any(r.name.startswith("routing") for r in report.rows)
+    with ResultsStore(next(tmp_path.glob("pair-*.db"))) as store:
+        assert len(store.runs()) == 1
 
 
 def test_render_routing_report_histogram_and_verdict():
@@ -355,40 +455,52 @@ def test_measure_routing_shape_on_real_grid_is_gated_in_ci():
     assert bench_mod.ROUTING_FLOOR == 0.95
 
 
-# ------------------------------------------- silent-drift section guard
+# ------------------------------------------- silent-drift shape guard
+#
+# The payload shape is checked at ingest (repro.results.schema), so a
+# drifted document is a hard error (exit 2) and never enters a history.
 
 
-def test_compare_rejects_baseline_without_drive_section():
+def _refused(tmp_path, doc):
+    """Ingest ``doc`` and return the error; the store must stay empty."""
+    with ResultsStore(tmp_path / "refuse.db") as store:
+        with pytest.raises(ResultsError) as err:
+            store.ingest(doc)
+        assert store.runs() == []
+    return str(err.value)
+
+
+def test_compare_rejects_baseline_without_drive_section(tmp_path):
     # The silent-drift hazard: a baseline missing the section the gate
     # keys on used to produce zero comparison rows and exit 0.
     for broken in ({}, {"drive": {}}, {"e2e": {"parallel_fast_s": 1.0}}):
-        with pytest.raises(TelemetryError) as err:
-            compare_payloads(_payload(), broken)
-        assert "drive" in str(err.value)
+        _refused(tmp_path, broken)
+    assert "drive" in _refused(tmp_path, {"drive": {}})
 
 
-def test_compare_rejects_current_without_drive_section():
-    with pytest.raises(TelemetryError):
-        compare_payloads({"bench": "simulator-throughput"}, _payload())
+def test_compare_rejects_current_without_drive_section(tmp_path):
+    assert "drive" in _refused(tmp_path, {"bench": "simulator-throughput"})
 
 
-def test_compare_rejects_unknown_sections():
+def test_compare_rejects_unknown_sections(tmp_path):
     mystery = _payload()
     mystery["shiny_new_numbers"] = {"x": 1}
-    with pytest.raises(TelemetryError) as err:
-        compare_payloads(_payload(), mystery)
-    assert "shiny_new_numbers" in str(err.value)
-    assert "KNOWN_SECTIONS" in str(err.value)
-    with pytest.raises(TelemetryError):
-        compare_payloads(mystery, _payload())
+    msg = _refused(tmp_path, mystery)
+    assert "shiny_new_numbers" in msg and "KNOWN_SECTIONS" in msg
 
 
-def test_compare_rejects_baseline_row_without_throughput():
+def test_compare_rejects_baseline_row_without_throughput(tmp_path):
     base = _payload()
     base["drive"]["psums/good/t4"] = {"speedup": 2.0}  # key dropped
-    with pytest.raises(TelemetryError) as err:
-        compare_payloads(_payload(), base)
-    assert "fast_accesses_per_s" in str(err.value)
+    assert "fast_accesses_per_s" in _refused(tmp_path, base)
+    base["drive"]["psums/good/t4"] = {"fast_accesses_per_s": 0}
+    assert "fast_accesses_per_s" in _refused(tmp_path, base)
+
+
+def test_compare_rejects_non_object_row(tmp_path):
+    base = _payload()
+    base["drive"]["psums/good/t4"] = 5
+    assert "not an object" in _refused(tmp_path, base)
 
 
 def test_cli_missing_section_is_exit_2_not_silent_pass(tmp_path, capsys):
@@ -396,15 +508,21 @@ def test_cli_missing_section_is_exit_2_not_silent_pass(tmp_path, capsys):
     truncated = dict(_payload())
     del truncated["drive"]
     base = _write(tmp_path / "base.json", truncated)
-    assert bench_main(["--input", cur, "--baseline", base]) == 2
+    db = str(tmp_path / "pair.db")
+    assert results_main(["ingest", db, base, cur]) == 2
+    assert "drive" in capsys.readouterr().err
+    # repro-bench --results-store refuses it the same way.
+    assert bench_main(["--input", base, "--results-store", db]) == 2
     assert "drive" in capsys.readouterr().err
 
 
-def test_committed_baseline_sections_are_all_known():
-    # BENCH_simulator.json must always load cleanly through the section
-    # guard — otherwise the CI gate would fail on its own baseline.
+def test_committed_baseline_sections_are_all_known(tmp_path):
+    # BENCH_simulator.json must always pass the shape guard — otherwise
+    # the CI gate would fail on its own baseline.
     from pathlib import Path
 
     repo = Path(__file__).parent.parent
     doc = json.loads((repo / "BENCH_simulator.json").read_text())
-    assert set(doc) <= bench_mod.KNOWN_SECTIONS
+    assert set(doc) <= KNOWN_SECTIONS
+    with ResultsStore(tmp_path / "h.db") as store:
+        assert store.ingest(doc).kind == "bench"
