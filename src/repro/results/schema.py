@@ -15,15 +15,12 @@ already emits — the store ingests them as-is, no new wire format):
   shape is checked at ingest (:data:`KNOWN_SECTIONS`, a non-empty
   ``drive`` table whose rows all carry a positive throughput), so a
   drifted document never enters any history;
-* ``serve`` — ``repro-serve bench`` / ``BENCH_serve.json``: loadgen
-  throughput, latency percentiles, shed/error counts (hard ceiling 0),
-  offline batch-inference throughput; when the document embeds a
-  ``scale`` section (the sharded fleet run) its throughput, per-line
-  latency percentiles, shed/error ceilings and host provenance
-  (cpus/workers) are trended too;
-* ``serve-scale`` — a standalone sharded-fleet scale payload (a
-  ``scale`` section without the single-server ``loadgen`` run): the
-  same scale metrics, with the shed ceiling carried as a hard bound;
+* ``serve`` — ``repro-serve bench`` / ``BENCH_serve.json``: for each
+  rung of the serving ladder its throughput, per-line latency
+  percentiles and shed/error counts (hard ceilings), plus offline
+  batch-inference throughput and host/topology provenance.  The payload
+  shape is checked at ingest (:data:`SERVE_SECTIONS`, a non-empty
+  ``rungs`` object whose rows all carry a numeric ``throughput_vps``);
 * ``manifest`` — :class:`~repro.telemetry.manifest.RunManifest`:
   provenance plus telemetry counters/gauges (informational — trended,
   never gated);
@@ -48,12 +45,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ResultsError
+from repro.serve.loadgen import SHED_CEILING
 from repro.telemetry.bench import ROUTING_FLOOR
 
 __all__ = [
     "STORE_SCHEMA",
     "PAYLOAD_KINDS",
     "KNOWN_SECTIONS",
+    "SERVE_SECTIONS",
     "OPTIONAL_METRICS",
     "Metric",
     "classify_payload",
@@ -67,8 +66,7 @@ __all__ = [
 STORE_SCHEMA = "repro-results/1"
 
 #: Every payload kind the store accepts.
-PAYLOAD_KINDS = ("bench", "serve", "serve-scale", "manifest", "crosscheck",
-                 "validate")
+PAYLOAD_KINDS = ("bench", "serve", "manifest", "crosscheck", "validate")
 
 #: Latency percentiles trended from serve payloads.
 _SERVE_PERCENTILES = ("p50", "p95", "p99")
@@ -80,6 +78,13 @@ _SERVE_PERCENTILES = ("p50", "p95", "p99")
 KNOWN_SECTIONS = frozenset({
     "bench", "mode", "cpus", "jobs", "repeats",
     "drive", "routing", "store_workers", "telemetry", "e2e",
+})
+
+#: Top-level sections a ``serve`` payload may carry (the same contract as
+#: :data:`KNOWN_SECTIONS`).
+SERVE_SECTIONS = frozenset({
+    "bench", "mode", "cpus", "affinity_cpus",
+    "predict_batch_vectors_per_s", "rungs",
 })
 
 #: Per kind, the metrics only some run modes record (``e2e`` is measured
@@ -128,10 +133,8 @@ def classify_payload(doc: Any) -> str:
     bench = doc.get("bench")
     if bench == "simulator-throughput" or (bench is None and "drive" in doc):
         return "bench"
-    if bench == "serve-throughput" or "loadgen" in doc:
+    if bench == "serve-throughput":
         return "serve"
-    if bench == "serve-scale" or "scale" in doc:
-        return "serve-scale"
     if str(doc.get("schema", "")).startswith("repro-manifest/"):
         return "manifest"
     if "pairwise_fs_agreement" in doc:
@@ -195,63 +198,52 @@ def _bench_metrics(doc: Dict[str, Any]) -> List[Metric]:
 
 
 def _serve_metrics(doc: Dict[str, Any]) -> List[Metric]:
+    unknown = sorted(set(doc) - SERVE_SECTIONS)
+    if unknown:
+        raise ResultsError(
+            f"serve payload carries unknown section(s) {unknown}: no "
+            "extractor reads them, so they would ride ungated — regenerate "
+            "the payload with repro-serve bench (or teach "
+            "repro.results.schema about the section via SERVE_SECTIONS)")
+    rungs = doc.get("rungs")
+    if not isinstance(rungs, dict) or not rungs:
+        raise ResultsError(
+            "serve payload has no 'rungs' object (or an empty one): "
+            "refusing to ingest a run with nothing to gate — regenerate "
+            "the payload with repro-serve bench")
     out: List[Metric] = []
-    lg = doc.get("loadgen") or {}
-    rps = _num(lg.get("throughput_rps"))
-    if rps is not None:
-        out.append(Metric("loadgen.throughput_rps", rps, "req/s", "higher"))
-    lat = lg.get("latency_ms") or {}
-    for pct in _SERVE_PERCENTILES:
-        v = _num(lat.get(pct))
-        if v is not None:
-            out.append(Metric(f"loadgen.latency_ms.{pct}", v, "ms", "lower"))
-    for counter in ("shed", "errors"):
-        v = _num(lg.get(counter))
-        if v is not None:
-            # Zero shed/errors is the serve job's hard requirement.
-            out.append(Metric(f"loadgen.{counter}", v, "req", "lower",
-                              bound=0.0))
+    for name, rung in sorted(rungs.items()):
+        if not isinstance(rung, dict):
+            raise ResultsError(f"serve rung {name!r} is not an object")
+        vps = _num(rung.get("throughput_vps"))
+        if vps is None:
+            raise ResultsError(
+                f"serve rung {name!r} has no numeric throughput_vps — the "
+                "gate keys on it; regenerate the payload")
+        out.append(Metric(f"{name}.throughput_vps", vps, "vec/s", "higher"))
+        lat = rung.get("latency_ms") or {}
+        for pct in _SERVE_PERCENTILES:
+            v = _num(lat.get(pct))
+            if v is not None:
+                out.append(Metric(f"{name}.latency_ms.{pct}", v, "ms",
+                                  "lower"))
+        # Shed and errors are hard bounds: a rung that shed more than the
+        # bench tolerates, or lost any vector, can never pass the gate.
+        for counter, bound in (("shed", SHED_CEILING), ("errors", 0)):
+            v = _num(rung.get(counter))
+            if v is not None:
+                out.append(Metric(f"{name}.{counter}", v, "vec", "lower",
+                                  bound=float(bound)))
+        # Topology rides along (trended, never gated) so a number is
+        # never read without the load shape that produced it.
+        for key in ("workers", "connections", "batch", "window"):
+            v = _num(rung.get(key))
+            if v is not None:
+                out.append(Metric(f"{name}.{key}", v, "", "info"))
     vps = _num(doc.get("predict_batch_vectors_per_s"))
     if vps is not None:
         out.append(Metric("predict_batch_vectors_per_s", vps, "vec/s",
                           "higher"))
-    out.extend(_scale_section_metrics(doc))
-    return out
-
-
-def _scale_section_metrics(doc: Dict[str, Any]) -> List[Metric]:
-    """Metrics of a sharded-fleet ``scale`` section (possibly embedded)."""
-    scale = doc.get("scale") or {}
-    if not isinstance(scale, dict):
-        raise ResultsError("'scale' section must be an object")
-    out: List[Metric] = []
-    vps = _num(scale.get("throughput_vps"))
-    if vps is not None:
-        out.append(Metric("scale.throughput_vps", vps, "vec/s", "higher"))
-    lat = scale.get("latency_ms") or {}
-    for pct in _SERVE_PERCENTILES:
-        v = _num(lat.get(pct))
-        if v is not None:
-            out.append(Metric(f"scale.latency_ms.{pct}", v, "ms", "lower"))
-    shed = _num(scale.get("shed"))
-    if shed is not None:
-        # The explicit shed ceiling is a hard bound: a scale run that
-        # shed more than it declared acceptable can never pass the gate.
-        ceiling = _num(scale.get("shed_ceiling"))
-        out.append(Metric("scale.shed", shed, "vec", "lower",
-                          bound=ceiling if ceiling is not None else 0.0))
-    errors = _num(scale.get("errors"))
-    if errors is not None:
-        out.append(Metric("scale.errors", errors, "vec", "lower", bound=0.0))
-    speedup = _num(scale.get("speedup_vs_single"))
-    if speedup is not None:
-        out.append(Metric("scale.speedup_vs_single", speedup, "x", "higher"))
-    # Host/topology provenance rides along so cross-host trajectories
-    # are comparable (a 1-cpu laptop number never gates a 4-cpu CI one).
-    for key in ("workers", "connections", "batch"):
-        v = _num(scale.get(key))
-        if v is not None:
-            out.append(Metric(f"scale.{key}", v, "", "info"))
     for key in ("cpus", "affinity_cpus"):
         v = _num(doc.get(key))
         if v is not None:
@@ -304,7 +296,6 @@ def _validation_metrics(doc: Dict[str, Any],
 _EXTRACTORS = {
     "bench": _bench_metrics,
     "serve": _serve_metrics,
-    "serve-scale": _scale_section_metrics,
     "manifest": _manifest_metrics,
     "crosscheck": _crosscheck_metrics,
     "validate": _validation_metrics,

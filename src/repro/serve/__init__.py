@@ -15,11 +15,12 @@ into that monitor:
 * :mod:`repro.serve.server` — an asyncio JSON-lines TCP server with
   micro-batching, bounded queues, explicit backpressure (typed
   ``overloaded`` shed responses), graceful drain and hot model reload;
-* :mod:`repro.serve.client` — a small synchronous client library with a
-  pipelined bulk mode;
+* :mod:`repro.serve.client` — a small synchronous request/response
+  client library;
 * :mod:`repro.serve.loadgen` — a deterministic load generator replaying
-  suite-derived event streams, reporting p50/p95/p99 latency, throughput
-  and shed counts (``BENCH_serve.json``);
+  suite-derived event streams over one or more id-matched connections,
+  reporting p50/p95/p99 latency, throughput and shed counts for each rung
+  of the serving ladder (``BENCH_serve.json``);
 * :mod:`repro.serve.router` — a consistent-hash router sharding classify
   traffic by ``source`` onto a pool of workers, forwarding raw bytes for
   bit-identical verdicts;
@@ -36,8 +37,7 @@ from repro.serve.aggregate import SourceVerdicts, VerdictAggregator
 from repro.serve.client import ServeClient
 from repro.serve.fleet import DetectionFleet, FleetSupervisor, FleetThread
 from repro.serve.inference import CompiledTree, as_compiled
-from repro.serve.loadgen import (LoadGenResult, ScaleResult, generate_stream,
-                                 run_loadgen, run_scale_loadgen)
+from repro.serve.loadgen import LoadResult, generate_stream, run_loadgen
 from repro.serve.router import DetectionRouter, HashRing, RouterThread
 from repro.serve.server import DetectionServer, ServerThread
 from repro.serve.stream import StreamWindow, WindowAggregator
@@ -50,11 +50,9 @@ __all__ = [
     "ServeClient",
     "StreamWindow",
     "WindowAggregator",
-    "LoadGenResult",
-    "ScaleResult",
+    "LoadResult",
     "generate_stream",
     "run_loadgen",
-    "run_scale_loadgen",
     "AdmissionController",
     "TokenBucket",
     "SourceVerdicts",

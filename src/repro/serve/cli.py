@@ -5,14 +5,14 @@
 * ``repro-serve classify WORKLOAD [options]`` — measure one run on the
   simulated testbed and classify it through a running server (the
   end-to-end online workflow);
-* ``repro-serve bench`` — start an in-process server, replay the
-  deterministic load-generator stream, and write ``BENCH_serve.json``
-  (throughput, p50/p95/p99 latency, shed count); exit 1 on any shed
-  request or failed request; with ``--scale`` the same run also boots a
-  sharded fleet (router + worker processes) and records a batched
-  multi-connection ``scale`` section, failing on any scale error, any
-  shed vector or inexact accounting.  Performance is judged by
-  ``repro-results gate`` on the ingested payload, not here;
+* ``repro-serve bench`` — climb the same-run serving ladder
+  (:data:`repro.serve.loadgen.RUNGS`: one server with line requests, one
+  server with batch lines, router + worker processes with batch lines)
+  over the deterministic load-generator stream, and write
+  ``BENCH_serve.json`` (throughput, p50/p95/p99 latency, shed and error
+  counts per rung); exit 1 on any rung's error, any shed vector or
+  inexact accounting.  Performance is judged by ``repro-results gate``
+  on the ingested payload, not here;
 * ``repro-serve fleet`` — run the sharded tier in the foreground: a
   consistent-hash router with token-bucket admission control in front of
   N worker processes, verdict aggregation on the same endpoint;
@@ -115,6 +115,14 @@ def _build_fleet(args, model, port: int):
     )
 
 
+def _count(text: str) -> int:
+    """An argparse type for counts: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
@@ -154,33 +162,15 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     _add_server_options(bench)
     bench.add_argument("--smoke", action="store_true",
                        help="small request count for CI (default: full)")
-    bench.add_argument("--requests", type=int, default=0,
-                       help="request count (default: 2000 smoke / "
-                            "20000 full)")
-    bench.add_argument("--window", type=int, default=512,
-                       help="pipelined requests in flight "
-                            "(default: %(default)s)")
+    bench.add_argument("--requests", type=_count, default=0,
+                       help="vectors on the line rung; the batch rungs "
+                            "send 10x (default: 2000 smoke / 20000 full)")
     bench.add_argument("--output", default="BENCH_serve.json",
                        help="result document path (default: %(default)s)")
     bench.add_argument("--results-store", default="",
                        help="also ingest the result document into this "
                             "repro-results store")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--scale", action="store_true",
-                       help="also boot the sharded fleet and record a "
-                            "batched multi-connection 'scale' section")
-    bench.add_argument("--workers", type=int, default=2,
-                       help="fleet worker processes for --scale "
-                            "(default: %(default)s)")
-    bench.add_argument("--connections", type=int, default=4,
-                       help="concurrent loadgen connections for --scale "
-                            "(default: %(default)s)")
-    bench.add_argument("--scale-batch", type=int, default=256,
-                       help="vectors per batch-framed line for --scale "
-                            "(default: %(default)s)")
-    bench.add_argument("--scale-vectors", type=int, default=0,
-                       help="vector count for --scale (default: 10x the "
-                            "single-server request count)")
 
     fleet = sub.add_parser(
         "fleet",
@@ -286,15 +276,19 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import numpy as np
+
+    from repro.serve.fleet import FleetThread, load_model_doc
     from repro.serve.inference import as_compiled
     from repro.serve.loadgen import (
+        RUNGS,
         SHED_CEILING,
         bench_payload,
         generate_stream,
         measure_predict_batch,
         run_loadgen,
-        run_scale_loadgen,
     )
+    from repro.serve.loopthread import LoopThread
     from repro.serve.server import ServerThread
 
     n = args.requests or (2_000 if args.smoke else 20_000)
@@ -304,54 +298,32 @@ def _cmd_bench(args) -> int:
           f"{args.seed})...")
     X, tags = generate_stream(n, seed=args.seed)
     vps = measure_predict_batch(compiled, X)
-    thread = ServerThread(
-        compiled,
-        host=args.host,
-        port=0,  # ephemeral: the bench must not collide with a real server
-        max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3,
-        backlog=args.backlog,
-    )
-    host, port = thread.start()
-    try:
-        result = run_loadgen(host, port, X, window=args.window)
-    finally:
-        thread.stop()
-
-    scale = None
-    if args.scale:
-        import numpy as np
-
-        from repro.serve.fleet import FleetThread, load_model_doc
-
-        n_scale = args.scale_vectors or 10 * n
-        reps = -(-n_scale // X.shape[0])
-        X_scale = np.tile(X, (reps, 1))[:n_scale]
-        tags_scale = (tags * reps)[:n_scale]
-        print(f"scale: {args.workers} workers, {args.connections} "
-              f"connections, {n_scale} vectors in batches of "
-              f"{args.scale_batch}...")
-        fleet_thread = FleetThread(
-            load_model_doc(model),
-            workers=args.workers,
-            host=args.host,
-            port=0,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1e3,
-            backlog=args.backlog,
-        )
-        fhost, fport = fleet_thread.start()
+    # Every rung boots on an ephemeral port: the bench must not collide
+    # with a real server.
+    tier = dict(host=args.host, port=0, max_batch=args.max_batch,
+                max_wait_s=args.max_wait_ms / 1e3, backlog=args.backlog)
+    rows = {}
+    for rung in RUNGS:
+        thread: LoopThread
+        if rung.workers:
+            thread = FleetThread(load_model_doc(model),
+                                 workers=rung.workers, **tier)
+        else:
+            thread = ServerThread(compiled, **tier)
+        host, port = thread.start()
         try:
-            scale = run_scale_loadgen(
-                fhost, fport, X_scale, tags_scale,
-                connections=args.connections, batch=args.scale_batch,
-            )
+            result = run_loadgen(
+                host, port, np.tile(X, (rung.scale, 1)), tags * rung.scale,
+                connections=rung.connections, batch=rung.batch,
+                window=rung.window)
         finally:
-            fleet_thread.stop()
+            thread.stop()
+        rows[rung.name] = {**result.to_dict(),
+                           "tier": "fleet" if rung.workers else "server",
+                           "workers": rung.workers}
 
-    payload = bench_payload(result, vps,
-                            mode="smoke" if args.smoke else "full",
-                            scale=scale)
+    payload = bench_payload(rows, vps,
+                            mode="smoke" if args.smoke else "full")
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -363,43 +335,30 @@ def _cmd_bench(args) -> int:
         print(f"results: run #{outcome.run_id} [{outcome.kind}] -> "
               f"{args.results_store}"
               + ("" if outcome.fresh else " (deduped)"))
-    lat = result.latency_ms
     print(f"result: {out}")
-    print(f"  throughput      {result.throughput_rps:12,.0f} req/s "
-          f"({result.requests} requests, window {result.window})")
-    print(f"  latency ms      p50 {lat['p50']:.3f}  p95 {lat['p95']:.3f}  "
-          f"p99 {lat['p99']:.3f}")
-    print(f"  shed            {result.shed}")
     print(f"  predict_batch   {vps:12,.0f} vectors/s (offline)")
-    if scale is not None:
-        slat = scale.latency_ms
-        print(f"  scale           {scale.throughput_vps:12,.0f} vectors/s "
-              f"({scale.vectors} vectors, {scale.connections} connections, "
-              f"batch {scale.batch})")
-        print(f"  scale latency   p50 {slat['p50']:.3f}  "
-              f"p95 {slat['p95']:.3f}  p99 {slat['p99']:.3f} (ms/line)")
-        print(f"  scale shed      {scale.shed}  errors {scale.errors}")
-    if result.errors:
-        print(f"error: {result.errors} request(s) failed", file=sys.stderr)
+    failures = []
+    for name, row in rows.items():
+        lat = row["latency_ms"]
+        print(f"  {name:<14s}  {row['throughput_vps']:12,.0f} vectors/s "
+              f"({row['vectors']} vectors, {row['connections']} conn, "
+              f"batch {row['batch']}, window {row['window']})")
+        print(f"  {'':<14s}  latency ms/line p50 {lat['p50']:.3f}  "
+              f"p95 {lat['p95']:.3f}  p99 {lat['p99']:.3f}  "
+              f"shed {row['shed']}  errors {row['errors']}")
+        if row["errors"]:
+            failures.append(f"{name}: errors {row['errors']}")
+        if row["completed"] + row["shed"] != row["vectors"]:
+            failures.append(f"{name}: accounting: completed "
+                            f"{row['completed']} + shed {row['shed']} != "
+                            f"{row['vectors']} vectors")
+        if row["shed"] > SHED_CEILING:
+            failures.append(f"{name}: shed {row['shed']} > ceiling "
+                            f"{SHED_CEILING}")
+    for failure in failures:
+        print(f"serve bench: FAIL ({failure})", file=sys.stderr)
+    if failures:
         return 1
-    if result.shed > SHED_CEILING:
-        print(f"serve bench: FAIL (shed {result.shed} > "
-              f"ceiling {SHED_CEILING})", file=sys.stderr)
-        return 1
-    if scale is not None:
-        if scale.errors:
-            print(f"serve bench: FAIL (scale errors {scale.errors})",
-                  file=sys.stderr)
-            return 1
-        if scale.completed + scale.shed != scale.vectors:
-            print(f"serve bench: FAIL (accounting: completed "
-                  f"{scale.completed} + shed {scale.shed} != "
-                  f"{scale.vectors} vectors)", file=sys.stderr)
-            return 1
-        if scale.shed > SHED_CEILING:
-            print(f"serve bench: FAIL (scale shed {scale.shed} > "
-                  f"ceiling {SHED_CEILING})", file=sys.stderr)
-            return 1
     print("serve bench: PASS")
     return 0
 

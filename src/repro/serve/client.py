@@ -1,17 +1,10 @@
 """Synchronous client for the ``repro-serve`` JSON-lines protocol.
 
-Two modes:
-
-* request/response — :meth:`ServeClient.classify`, :meth:`ping`,
-  :meth:`stats`, :meth:`reload`: one line out, one line back;
-* pipelined bulk — :meth:`classify_many` keeps up to ``window`` requests
-  in flight on one connection, which is what lets a single client drive
-  the server's micro-batcher to full batches (and what the load generator
-  uses to measure throughput honestly: per-request latency is measured
-  from the moment each line is sent).
-
-The server guarantees per-connection response ordering, so the pipelined
-reader matches responses to requests by ``id`` but never has to reorder.
+Request/response only — :meth:`ServeClient.classify`,
+:meth:`~ServeClient.classify_batch`, :meth:`~ServeClient.ping`,
+:meth:`~ServeClient.stats`, :meth:`~ServeClient.reload`: one line out,
+one line back.  Pipelined load (many lines in flight, possibly over
+several connections) is :func:`repro.serve.loadgen.run_loadgen`.
 
 Transport failures never escape as raw socket exceptions: connect
 refusals, read timeouts, resets and mid-stream disconnects all surface as
@@ -32,40 +25,7 @@ import numpy as np
 
 from repro.errors import ServeError
 
-__all__ = ["ServeClient", "BulkResult"]
-
-
-class BulkResult:
-    """Outcome of one pipelined :meth:`ServeClient.classify_many` call."""
-
-    def __init__(self, n: int) -> None:
-        self.labels: List[Optional[str]] = [None] * n
-        #: per-request seconds from send to response (NaN where errored)
-        self.latency_s = np.full(n, np.nan)
-        self.shed = 0
-        self.errors = 0
-        self.seconds = 0.0
-
-    @property
-    def ok(self) -> int:
-        return sum(1 for lab in self.labels if lab is not None)
-
-    @property
-    def throughput_rps(self) -> float:
-        return (self.ok + self.shed) / self.seconds if self.seconds > 0 else 0.0
-
-    def latency_percentiles_ms(self) -> Dict[str, float]:
-        lat = self.latency_s[~np.isnan(self.latency_s)]
-        if lat.size == 0:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0,
-                    "mean": 0.0, "max": 0.0}
-        return {
-            "p50": float(np.percentile(lat, 50) * 1e3),
-            "p95": float(np.percentile(lat, 95) * 1e3),
-            "p99": float(np.percentile(lat, 99) * 1e3),
-            "mean": float(lat.mean() * 1e3),
-            "max": float(lat.max() * 1e3),
-        }
+__all__ = ["ServeClient"]
 
 
 class ServeClient:
@@ -162,7 +122,7 @@ class ServeClient:
 
         Raises :class:`ServeError` on shed (``overloaded``) or protocol
         errors — single-shot callers should treat shed as failure and back
-        off; bulk callers use :meth:`classify_many`, which counts sheds.
+        off; :func:`repro.serve.loadgen.run_loadgen` counts sheds.
         """
         resp = self.request({
             "op": "classify", "id": rid,
@@ -232,56 +192,6 @@ class ServeClient:
                 f"reload failed: {resp.get('detail', resp.get('error'))}"
             )
         return resp
-
-    # ------------------------------------------------------------ pipelined
-
-    def classify_many(
-        self, X: np.ndarray, window: int = 512
-    ) -> BulkResult:
-        """Classify every row of ``X``, keeping ``window`` requests in flight.
-
-        Returns a :class:`BulkResult` with per-request labels and
-        latencies; ``overloaded`` responses are tallied as ``shed`` (their
-        label stays ``None``), other error responses as ``errors``.
-        """
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if window < 1:
-            raise ServeError("window must be >= 1")
-        n = X.shape[0]
-        result = BulkResult(n)
-        t_sent = np.zeros(n)
-        payloads = [
-            json.dumps({"op": "classify", "id": i,
-                        "features": [float(v) for v in row]}).encode() + b"\n"
-            for i, row in enumerate(X)
-        ]
-        sent = received = 0
-        t0 = time.perf_counter()
-        while received < n:
-            burst = bytearray()
-            while sent < n and sent - received < window:
-                t_sent[sent] = time.perf_counter()
-                burst += payloads[sent]
-                sent += 1
-            if burst:
-                self._sock.sendall(burst)
-            resp = self._recv()
-            t_recv = time.perf_counter()
-            rid = resp.get("id")
-            if not isinstance(rid, int) or not 0 <= rid < n:
-                raise ServeError(f"response with unknown id: {resp!r}")
-            received += 1
-            result.latency_s[rid] = t_recv - t_sent[rid]
-            if "label" in resp:
-                result.labels[rid] = str(resp["label"])
-            elif resp.get("error") == "overloaded":
-                result.shed += 1
-            else:
-                result.errors += 1
-        result.seconds = time.perf_counter() - t0
-        return result
 
     # ------------------------------------------------------------ lifecycle
 

@@ -1,18 +1,19 @@
 """Deterministic load generator for the detection service.
 
-Replays suite-derived event streams against a running server and reports
-what a capacity plan needs: sustained throughput, p50/p95/p99 latency and
-the shed count.  The stream is generated from the same simulated testbed
-as everything else in this repo — a fixed mix of mini-program and
-Phoenix/PARSEC runs (good, bad-fs and bad-ma cases), re-measured with
-fresh PMU noise per request — so the vectors are exactly the distribution
-the detector sees in production, and two runs with the same seed produce
-bit-identical request streams.
+Replays suite-derived event streams against a running server or router
+and reports what a capacity plan needs: sustained throughput, p50/p95/p99
+latency and the shed count.  The stream is generated from the same
+simulated testbed as everything else in this repo — a fixed mix of
+mini-program and Phoenix/PARSEC runs (good, bad-fs and bad-ma cases),
+re-measured with fresh PMU noise per request — so the vectors are exactly
+the distribution the detector sees in production, and two runs with the
+same seed produce bit-identical request streams.
 
-``BENCH_serve.json`` at the repo root is this module's output (via
-``repro-serve bench``); CI replays a smoke-sized run and fails on any
-shed, so the serving path's capacity is tracked per PR like the
-simulator's throughput is.
+One driver, :func:`run_loadgen`, produces every serving number.
+``BENCH_serve.json`` at the repo root is the output of ``repro-serve
+bench``, which climbs the :data:`RUNGS` ladder with it; CI replays a
+smoke-sized run and fails on any shed, so the serving path's capacity is
+tracked per change like the simulator's throughput is.
 """
 
 from __future__ import annotations
@@ -21,22 +22,22 @@ import json
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.lab import Lab
 from repro.errors import ServeError
-from repro.utils.stats import tally
 
-__all__ = ["LoadGenResult", "ScaleResult", "generate_stream", "run_loadgen",
-           "run_scale_loadgen", "measure_predict_batch", "bench_payload",
-           "SHED_CEILING"]
+__all__ = ["LoadResult", "Rung", "RUNGS", "generate_stream", "run_loadgen",
+           "measure_predict_batch", "bench_payload", "SHED_CEILING",
+           "SHED_ERRORS"]
 
-#: Shed requests (or scale vectors) ``repro-serve bench`` tolerates: the
-#: bench load must never trip backpressure.  Recorded as the scale
-#: section's ``shed_ceiling``, which ``repro-results`` gates as a bound.
+#: Shed vectors ``repro-serve bench`` tolerates on any rung: the bench
+#: load must never trip backpressure.  ``repro-results`` gates each
+#: rung's ``shed`` with it as a hard bound.
 SHED_CEILING = 0
 
 #: The replayed mix: (workload-ish, config factory, expected flavour).
@@ -109,100 +110,64 @@ def generate_stream(
     return X, tags
 
 
+#: Error codes that mean "shed: back off and retry" rather than "failed".
+#: The server's full queue and the router's admission and backlog limits
+#: answer ``overloaded``, a missing or restarting shard ``unavailable``;
+#: ``backlog`` and ``admission`` are the router's names for its reasons.
+SHED_ERRORS = frozenset({"overloaded", "unavailable", "backlog", "admission"})
+
+
+@dataclass(frozen=True)
+class Rung:
+    """One step of the ``repro-serve bench`` ladder."""
+
+    name: str
+    workers: int      # 0: one in-process server; N: router + N processes
+    connections: int
+    batch: int        # vectors per request line (1 = line mode)
+    window: int       # lines in flight per connection
+    scale: int        # vectors, as a multiple of the bench's request count
+
+
+#: The same-run serving ladder.  Neighbouring rungs differ in one
+#: variable: first the framing (one vector per line on one connection ->
+#: 256-vector lines on four), then the tier (one server -> router + two
+#: worker processes).
+RUNGS = (
+    Rung("server-line", workers=0, connections=1, batch=1, window=512,
+         scale=1),
+    Rung("server-batch", workers=0, connections=4, batch=256, window=8,
+         scale=10),
+    Rung("fleet-batch", workers=2, connections=4, batch=256, window=8,
+         scale=10),
+)
+
+
 @dataclass
-class LoadGenResult:
+class LoadResult:
     """One load-generation run, ready to serialize into BENCH_serve.json."""
 
-    requests: int
-    window: int
-    seconds: float
-    throughput_rps: float
-    latency_ms: Dict[str, float]
-    shed: int
-    errors: int
-    labels: Dict[str, int] = field(default_factory=dict)
-    server: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "window": self.window,
-            "seconds": round(self.seconds, 4),
-            "throughput_rps": round(self.throughput_rps, 1),
-            "latency_ms": {k: round(v, 4)
-                           for k, v in self.latency_ms.items()},
-            "shed": self.shed,
-            "errors": self.errors,
-            "labels": dict(self.labels),
-            "server": self.server,
-        }
-
-
-def run_loadgen(
-    host: str,
-    port: int,
-    X: np.ndarray,
-    window: int = 512,
-) -> LoadGenResult:
-    """Replay ``X`` against a running server over one pipelined connection."""
-    from repro.serve.client import ServeClient
-
-    with ServeClient(host, port) as client:
-        bulk = client.classify_many(X, window=window)
-        server_stats = client.stats()
-    return LoadGenResult(
-        requests=X.shape[0] if X.ndim == 2 else 1,
-        window=window,
-        seconds=bulk.seconds,
-        throughput_rps=bulk.throughput_rps,
-        latency_ms=bulk.latency_percentiles_ms(),
-        shed=bulk.shed,
-        errors=bulk.errors,
-        labels=tally(lab for lab in bulk.labels if lab is not None),
-        server={
-            "batches": server_stats.get("batches"),
-            "max_batch_seen": server_stats.get("max_batch_seen"),
-            "shed": server_stats.get("shed"),
-            "config": server_stats.get("config", {}),
-        },
-    )
-
-
-@dataclass
-class ScaleResult:
-    """One multi-connection batched run against the fleet router."""
-
     vectors: int
-    requests: int          # batch-framed JSON lines sent
+    requests: int          # JSON lines sent
     connections: int
     batch: int
+    window: int
     seconds: float
     throughput_vps: float  # completed vectors / wall seconds
-    latency_ms: Dict[str, float]   # per batch line, send -> response
+    latency_ms: Dict[str, float]   # per line, send -> response
     completed: int
-    shed: int              # vectors, all reasons
-    errors: int            # vectors lost to non-shed errors
+    shed: int              # vectors, all shed reasons
+    errors: int            # vectors lost to any other error
     labels: Dict[str, int] = field(default_factory=dict)
-    router: Dict[str, Any] = field(default_factory=dict)
-    fleet: Dict[str, Any] = field(default_factory=dict)
+    server: Dict[str, Any] = field(default_factory=dict)  # stats op, after
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "vectors": self.vectors,
-            "requests": self.requests,
-            "connections": self.connections,
-            "batch": self.batch,
-            "seconds": round(self.seconds, 4),
-            "throughput_vps": round(self.throughput_vps, 1),
-            "latency_ms": {k: round(v, 4)
-                           for k, v in self.latency_ms.items()},
-            "completed": self.completed,
-            "shed": self.shed,
-            "errors": self.errors,
-            "labels": dict(self.labels),
-            "router": self.router,
-            "fleet": self.fleet,
-        }
+        doc = asdict(self)
+        doc["seconds"] = round(self.seconds, 4)
+        doc["throughput_vps"] = round(self.throughput_vps, 1)
+        doc["latency_ms"] = {k: round(v, 4)
+                             for k, v in self.latency_ms.items()}
+        return doc
 
 
 class _ConnStats:
@@ -210,14 +175,13 @@ class _ConnStats:
 
     def __init__(self) -> None:
         self.latency_s: List[float] = []
-        self.labels: Dict[str, int] = {}
-        self.completed = 0
+        self.labels: Counter = Counter()
         self.shed = 0
         self.errors = 0
-        self.failure: Optional[BaseException] = None
+        self.failure: Optional[Exception] = None
 
 
-def _drive_scale_connection(
+def _drive_connection(
     host: str,
     port: int,
     jobs: List[Tuple[bytes, int]],
@@ -225,111 +189,120 @@ def _drive_scale_connection(
     barrier: threading.Barrier,
     out: _ConnStats,
 ) -> None:
-    """Send batch-framed lines with ``window`` in flight; match by id.
+    """Send pre-encoded lines with ``window`` in flight; match by id.
 
-    Unlike the single-server pipelined path, router responses for one
-    client connection are *not* FIFO — different sources live on
-    different shards — so responses are matched to requests by ``id``.
+    Router responses for one client connection are *not* FIFO — different
+    sources live on different shards — so responses are matched to
+    requests by ``id``, which is unique within the connection.
     """
     try:
-        sock = socket.create_connection((host, port), timeout=60.0)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        rfile = sock.makefile("rb")
-        rows_of = {i: rows for i, (_, rows) in enumerate(jobs)}
-        t_sent: Dict[int, float] = {}
-        barrier.wait()
-        sent = received = 0
-        n = len(jobs)
-        while received < n:
-            burst = bytearray()
-            while sent < n and sent - received < window:
-                t_sent[sent] = time.perf_counter()
-                burst += jobs[sent][0]
-                sent += 1
-            if burst:
-                sock.sendall(burst)
-            line = rfile.readline()
-            if not line:
-                raise ServeError("connection closed mid-stream")
-            t_recv = time.perf_counter()
-            resp = json.loads(line)
-            rid = resp.get("id")
-            if not isinstance(rid, int) or rid not in t_sent:
-                raise ServeError(f"response with unknown id: {resp!r}")
-            received += 1
-            out.latency_s.append(t_recv - t_sent.pop(rid))
-            rows = rows_of[rid]
-            if "labels" in resp:
-                out.completed += len(resp["labels"])
-                for lab in resp["labels"]:
-                    out.labels[lab] = out.labels.get(lab, 0) + 1
-            elif resp.get("error") in ("overloaded", "unavailable",
-                                       "backlog", "admission"):
-                out.shed += rows
-            else:
-                out.errors += rows
-        rfile.close()
-        sock.close()
-    except BaseException as exc:  # surfaced by the caller
+        with socket.create_connection((host, port), timeout=60.0) as sock, \
+                sock.makefile("rb") as rfile:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            t_sent: Dict[int, float] = {}
+            barrier.wait()
+            sent = received = 0
+            n = len(jobs)
+            while received < n:
+                burst = bytearray()
+                while sent < n and sent - received < window:
+                    t_sent[sent] = time.perf_counter()
+                    burst += jobs[sent][0]
+                    sent += 1
+                if burst:
+                    sock.sendall(burst)
+                line = rfile.readline()
+                if not line:
+                    raise ServeError("connection closed mid-stream")
+                t_recv = time.perf_counter()
+                resp = json.loads(line)
+                rid = resp.get("id")
+                if not isinstance(rid, int) or rid not in t_sent:
+                    raise ServeError(f"response with unknown id: {resp!r}")
+                received += 1
+                out.latency_s.append(t_recv - t_sent.pop(rid))
+                if "labels" in resp:
+                    out.labels.update(resp["labels"])
+                elif "label" in resp:
+                    out.labels[resp["label"]] += 1
+                elif resp.get("error") in SHED_ERRORS:
+                    out.shed += jobs[rid][1]
+                else:
+                    out.errors += jobs[rid][1]
+    except Exception as exc:  # re-raised by run_loadgen
         out.failure = exc
-        try:
-            barrier.abort()
-        except Exception:
-            pass
+        barrier.abort()
 
 
-def run_scale_loadgen(
+def _encode(rid: int, source: str, rows: np.ndarray, batch: int) -> bytes:
+    """One classify line: ``features`` in line mode, else batch-framed."""
+    req: Dict[str, Any] = {"op": "classify", "id": rid, "source": source}
+    if batch == 1:
+        req["features"] = [float(v) for v in rows[0]]
+    else:
+        req["n"] = len(rows)
+        req["batch"] = [[float(v) for v in row] for row in rows]
+    return json.dumps(req).encode() + b"\n"
+
+
+def _percentiles_ms(latency_s: np.ndarray) -> Dict[str, float]:
+    if latency_s.size == 0:
+        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}
+    return {
+        "p50": float(np.percentile(latency_s, 50) * 1e3),
+        "p95": float(np.percentile(latency_s, 95) * 1e3),
+        "p99": float(np.percentile(latency_s, 99) * 1e3),
+        "mean": float(latency_s.mean() * 1e3),
+        "max": float(latency_s.max() * 1e3),
+    }
+
+
+def run_loadgen(
     host: str,
     port: int,
     X: np.ndarray,
     tags: List[str],
-    connections: int = 4,
-    batch: int = 256,
-    window: int = 8,
-) -> ScaleResult:
-    """Replay ``X`` as batch-framed lines over concurrent connections.
+    connections: int = 1,
+    batch: int = 1,
+    window: int = 512,
+) -> LoadResult:
+    """Replay ``X`` against a server or router and account for every vector.
 
     Rows are grouped by source tag (order preserved within a source, so
-    verdict streams stay coherent), chunked into ``batch``-row lines, and
-    the sources are dealt round-robin onto ``connections`` sockets driven
-    by one thread each with ``window`` lines in flight.  Request payloads
-    are pre-encoded so the measured interval is the serving path, not
-    client-side JSON formatting.
+    verdict streams stay coherent) and chunked into ``batch``-row lines;
+    ``batch == 1`` sends one ``features`` vector per line, larger batches
+    use the ``batch``/``n`` framing.  The sources are dealt round-robin
+    onto ``connections`` sockets, each driven by one thread with
+    ``window`` lines in flight.  Request payloads are pre-encoded so the
+    measured interval is the serving path, not client-side JSON
+    formatting.  Shed responses (:data:`SHED_ERRORS`) count as ``shed``,
+    any other error as ``errors``, both in vectors.
     """
     from repro.serve.client import ServeClient
 
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != len(tags):
         raise ServeError("X must be 2-D with one tag per row")
-    connections = max(1, int(connections))
-    batch = max(1, int(batch))
+    if min(connections, batch, window) < 1:
+        raise ServeError("connections, batch and window must be >= 1")
 
     by_source: Dict[str, List[int]] = {}
     for i, tag in enumerate(tags):
         by_source.setdefault(str(tag), []).append(i)
-
-    # Request ids are per-connection (the driver matches responses to
-    # requests by id within its own socket, where they are unique).
     conn_jobs: List[List[Tuple[bytes, int]]] = [[] for _ in range(connections)]
-    total_lines = 0
     for k, (source, idxs) in enumerate(sorted(by_source.items())):
         target = conn_jobs[k % connections]
         for lo in range(0, len(idxs), batch):
             chunk = idxs[lo:lo + batch]
-            payload = json.dumps({
-                "op": "classify", "id": len(target), "source": source,
-                "n": len(chunk),
-                "batch": [[float(v) for v in X[i]] for i in chunk],
-            }).encode() + b"\n"
-            target.append((payload, len(chunk)))
-            total_lines += 1
+            target.append((_encode(len(target), source, X[chunk], batch),
+                           len(chunk)))
 
     active = [jobs for jobs in conn_jobs if jobs]
     stats = [_ConnStats() for _ in active]
     barrier = threading.Barrier(len(active) + 1)
     threads = [
         threading.Thread(
-            target=_drive_scale_connection,
+            target=_drive_connection,
             args=(host, port, jobs, window, barrier, out),
             daemon=True,
         )
@@ -337,7 +310,10 @@ def run_scale_loadgen(
     ]
     for t in threads:
         t.start()
-    barrier.wait()
+    try:
+        barrier.wait()
+    except threading.BrokenBarrierError:
+        pass  # a connection failed before the start; reported below
     t0 = time.perf_counter()
     for t in threads:
         t.join()
@@ -345,55 +321,28 @@ def run_scale_loadgen(
     for out in stats:
         if out.failure is not None:
             raise ServeError(
-                f"scale loadgen connection failed: {out.failure}"
+                f"loadgen connection failed: {out.failure}"
             ) from out.failure
 
-    latencies = np.array(
-        [v for out in stats for v in out.latency_s], dtype=float
-    )
-    if latencies.size:
-        latency_ms = {
-            "p50": float(np.percentile(latencies, 50) * 1e3),
-            "p95": float(np.percentile(latencies, 95) * 1e3),
-            "p99": float(np.percentile(latencies, 99) * 1e3),
-            "mean": float(latencies.mean() * 1e3),
-            "max": float(latencies.max() * 1e3),
-        }
-    else:
-        latency_ms = {"p50": 0.0, "p95": 0.0, "p99": 0.0,
-                      "mean": 0.0, "max": 0.0}
-    labels: Dict[str, int] = {}
-    for out in stats:
-        for lab, cnt in out.labels.items():
-            labels[lab] = labels.get(lab, 0) + cnt
-    completed = sum(out.completed for out in stats)
-    shed = sum(out.shed for out in stats)
-    errors = sum(out.errors for out in stats)
-
-    router_stats: Dict[str, Any] = {}
-    fleet_summary: Dict[str, Any] = {}
-    try:
-        with ServeClient(host, port, timeout=10.0) as control:
-            router_stats = control.stats()
-            resp = control.request({"op": "fleet"})
-            fleet_summary = resp.get("fleet", {})
-    except ServeError:
-        pass  # plain DetectionServer: no fleet endpoint, stats optional
-
-    return ScaleResult(
+    labels: Counter = sum((out.labels for out in stats), Counter())
+    completed = sum(labels.values())
+    with ServeClient(host, port, timeout=10.0) as control:
+        server_stats = control.stats()
+    return LoadResult(
         vectors=int(X.shape[0]),
-        requests=total_lines,
+        requests=sum(len(jobs) for jobs in active),
         connections=len(active),
         batch=batch,
+        window=window,
         seconds=seconds,
         throughput_vps=completed / seconds if seconds > 0 else 0.0,
-        latency_ms=latency_ms,
+        latency_ms=_percentiles_ms(np.array(
+            [v for out in stats for v in out.latency_s], dtype=float)),
         completed=completed,
-        shed=shed,
-        errors=errors,
-        labels=labels,
-        router=router_stats,
-        fleet=fleet_summary,
+        shed=sum(out.shed for out in stats),
+        errors=sum(out.errors for out in stats),
+        labels=dict(labels),
+        server=server_stats,
     )
 
 
@@ -410,18 +359,16 @@ def measure_predict_batch(
 
 
 def bench_payload(
-    result: LoadGenResult,
+    rungs: Dict[str, Dict[str, Any]],
     predict_batch_vps: float,
     mode: str = "smoke",
-    scale: Optional[ScaleResult] = None,
 ) -> Dict[str, Any]:
-    """The ``BENCH_serve.json`` document for one load-generation run.
+    """The ``BENCH_serve.json`` document for one run of the ladder.
 
-    The host provenance (``cpus``, ``affinity_cpus``) is read from the
-    machine the bench actually ran on; the ``scale`` section — when a
-    fleet run is included — carries the worker count and router config
-    straight out of the router's own stats so the recorded throughput
-    can never be quoted without its topology.
+    ``rungs`` maps each rung name to its :meth:`LoadResult.to_dict` plus
+    topology.  The host provenance (``cpus``, ``affinity_cpus``) is read
+    from the machine the bench actually ran on, so a recorded throughput
+    is never quoted without the host it came from.
     """
     import os
 
@@ -429,27 +376,11 @@ def bench_payload(
         affinity = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         affinity = os.cpu_count()
-    doc: Dict[str, Any] = {
+    return {
         "bench": "serve-throughput",
         "mode": mode,
         "cpus": os.cpu_count(),
         "affinity_cpus": affinity,
-        "loadgen": result.to_dict(),
         "predict_batch_vectors_per_s": round(predict_batch_vps),
+        "rungs": rungs,
     }
-    if scale is not None:
-        router = scale.router
-        doc["scale"] = {
-            **scale.to_dict(),
-            "workers": len(router.get("workers", [])) or None,
-            "router_config": router.get("config", {}),
-            # Declared acceptable shed — the results store carries it as
-            # the hard gate bound on scale.shed.
-            "shed_ceiling": SHED_CEILING,
-            # Same-run comparison: batched fleet path vs the line-at-a-time
-            # single-server path measured moments earlier on this host.
-            "speedup_vs_single": round(
-                scale.throughput_vps / result.throughput_rps, 2
-            ) if result.throughput_rps > 0 else None,
-        }
-    return doc

@@ -271,19 +271,34 @@ class TestServeCLI:
 
     def test_bench_smoke_writes_result(self, model_path, tmp_path, capsys):
         from repro.serve.cli import serve_main
+        from repro.serve.loadgen import RUNGS
 
         out = tmp_path / "BENCH_serve.json"
         rc = serve_main([
             "bench", "--model", str(model_path), "--requests", "48",
-            "--window", "16", "--output", str(out),
+            "--output", str(out),
         ])
         assert rc == 0
         assert "serve bench: PASS" in capsys.readouterr().out
         doc = json.loads(out.read_text())
         assert doc["bench"] == "serve-throughput"
-        assert doc["loadgen"]["requests"] == 48
-        assert doc["loadgen"]["shed"] == 0
+        assert list(doc["rungs"]) == [r.name for r in RUNGS]
+        for rung in RUNGS:
+            row = doc["rungs"][rung.name]
+            assert row["vectors"] == 48 * rung.scale
+            assert row["completed"] == row["vectors"]
+            assert row["shed"] == 0 and row["errors"] == 0
+            assert row["batch"] == rung.batch
+            assert row["workers"] == rung.workers
         assert doc["predict_batch_vectors_per_s"] > 0
+
+    def test_bench_rejects_negative_requests(self, capsys):
+        from repro.serve.cli import serve_main
+
+        with pytest.raises(SystemExit) as exc:
+            serve_main(["bench", "--requests", "-5"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
 
     def test_bench_has_no_floor_knobs(self, capsys):
         # Performance verdicts come from repro-results gate; the bench
@@ -295,7 +310,7 @@ class TestServeCLI:
         assert exc.value.code == 0
         text = capsys.readouterr().out
         for flag in ("--min-rps", "--min-scale-vps", "--min-speedup",
-                     "--max-shed"):
+                     "--max-shed", "--scale", "--window", "--connections"):
             assert flag not in text
 
     def test_classify_against_running_server(self, model_path, capsys):

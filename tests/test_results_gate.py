@@ -218,14 +218,14 @@ def test_gate_zero_history_values_never_divide(tmp_path):
     # shed 0 -> 0 passes; shed 0 -> 3 fails, with no ZeroDivisionError.
     with ResultsStore(tmp_path / "g.db") as store:
         store.ingest(serve_payload(shed=0))
-        store.ingest(serve_payload(rps=23_001.0, shed=0))
+        store.ingest(serve_payload(vps=37_001.0, shed=0))
         assert gate_store(store, kind="serve").ok
     with ResultsStore(tmp_path / "g2.db") as store:
         store.ingest(serve_payload(shed=0))
-        store.ingest(serve_payload(rps=23_001.0, shed=3))
+        store.ingest(serve_payload(vps=37_001.0, shed=3))
         report = gate_store(store, kind="serve")
     assert not report.ok
-    assert any(r.name == "loadgen.shed" and r.regressed
+    assert any(r.name == "server-line.shed" and r.regressed
                for r in report.rows)
 
 

@@ -15,6 +15,7 @@ from repro.results.schema import (
     payload_digest,
 )
 from repro.results.store import EXPORT_FORMAT, ResultsStore
+from repro.serve.loadgen import SHED_CEILING
 
 REPO = Path(__file__).parent.parent
 
@@ -31,35 +32,27 @@ def bench_payload(fast=1_000_000, speedup=2.0, floor=None, coverage=0.97):
     }
 
 
-def serve_payload(rps=23_000.0, shed=0):
+def serve_payload(vps=37_000.0, shed=0):
+    """A ``repro-serve bench`` document: a line rung and a fleet rung."""
+    def rung(rate, workers, batch, window):
+        return {
+            "vectors": 1000, "connections": 4 if workers else 1,
+            "batch": batch, "window": window,
+            "throughput_vps": rate,
+            "latency_ms": {"p50": 20.0, "p95": 30.0, "p99": 34.0},
+            "completed": 1000 - shed, "shed": shed, "errors": 0,
+            "tier": "fleet" if workers else "server", "workers": workers,
+        }
+
     return {
         "bench": "serve-throughput",
-        "loadgen": {
-            "throughput_rps": rps,
-            "latency_ms": {"p50": 20.0, "p95": 30.0, "p99": 34.0},
-            "shed": shed,
-            "errors": 0,
-        },
-        "predict_batch_vectors_per_s": 16_000_000,
-    }
-
-
-def scale_payload(vps=150_000.0, shed=0, ceiling=0, workers=2):
-    return {
-        "bench": "serve-scale",
+        "mode": "smoke",
         "cpus": 4,
         "affinity_cpus": 4,
-        "scale": {
-            "throughput_vps": vps,
-            "latency_ms": {"p50": 10.0, "p95": 40.0, "p99": 80.0},
-            "completed": 100_000 - shed,
-            "shed": shed,
-            "shed_ceiling": ceiling,
-            "errors": 0,
-            "workers": workers,
-            "connections": 4,
-            "batch": 256,
-            "speedup_vs_single": 6.5,
+        "predict_batch_vectors_per_s": 16_000_000,
+        "rungs": {
+            "server-line": rung(vps, 0, 1, 512),
+            "fleet-batch": rung(4 * vps, 2, 256, 8),
         },
     }
 
@@ -103,53 +96,92 @@ def test_extract_bench_metrics_carry_floors():
 def test_extract_serve_metrics_shed_has_zero_ceiling():
     metrics = {m.name: m for m in
                extract_metrics("serve", serve_payload())}
-    assert metrics["loadgen.shed"].direction == "lower"
-    assert metrics["loadgen.shed"].bound == 0.0
-    assert metrics["loadgen.latency_ms.p99"].direction == "lower"
+    assert metrics["server-line.shed"].direction == "lower"
+    assert metrics["server-line.shed"].bound == 0.0
+    assert metrics["server-line.latency_ms.p99"].direction == "lower"
 
 
 def test_classify_serve_scale_payload():
-    assert classify_payload(scale_payload()) == "serve-scale"
-    # An embedded scale section on a full serve doc stays kind "serve".
-    merged = {**serve_payload(), **{"scale": scale_payload()["scale"]}}
-    assert classify_payload(merged) == "serve"
+    # The standalone fleet-scale kind is retired: a bare `scale` document
+    # is no longer recognized, with or without a foreign bench tag.
+    scale = {"throughput_vps": 150_000.0, "shed": 0}
+    with pytest.raises(ResultsError):
+        classify_payload({"scale": scale})
+    with pytest.raises(ResultsError):
+        classify_payload({"bench": "fleet-scale", "scale": scale})
 
 
 def test_extract_scale_metrics_carry_shed_ceiling():
-    metrics = {m.name: m for m in
-               extract_metrics("serve-scale", scale_payload(ceiling=100))}
-    assert metrics["scale.throughput_vps"].direction == "higher"
-    assert metrics["scale.shed"].bound == 100.0
-    assert metrics["scale.errors"].bound == 0.0
-    assert metrics["scale.latency_ms.p99"].direction == "lower"
-    assert metrics["scale.speedup_vs_single"].direction == "higher"
+    # The router-tier (scale) rung is gated like every other rung.
+    metrics = {m.name: m for m in extract_metrics("serve", serve_payload())}
+    assert metrics["fleet-batch.throughput_vps"].direction == "higher"
+    assert metrics["fleet-batch.shed"].bound == 0.0
+    assert metrics["fleet-batch.errors"].bound == 0.0
+    assert metrics["server-line.errors"].bound == 0.0
+    assert metrics["fleet-batch.latency_ms.p99"].direction == "lower"
     # Host/topology provenance is trended (info) for cross-host sanity.
-    assert metrics["scale.workers"].direction == "info"
+    assert metrics["fleet-batch.workers"].direction == "info"
+    assert metrics["fleet-batch.batch"].value == 256.0
     assert metrics["host.cpus"].direction == "info"
+    assert not any("speedup" in name for name in metrics)
 
 
 def test_extract_scale_shed_ceiling_defaults_to_zero():
-    doc = scale_payload()
-    del doc["scale"]["shed_ceiling"]
-    metrics = {m.name: m for m in extract_metrics("serve-scale", doc)}
-    assert metrics["scale.shed"].bound == 0.0
+    # A rung cannot declare its own, looser ceiling: the bound is the
+    # bench's SHED_CEILING whatever the payload says.
+    doc = serve_payload()
+    doc["rungs"]["fleet-batch"]["shed_ceiling"] = 100
+    metrics = {m.name: m for m in extract_metrics("serve", doc)}
+    assert SHED_CEILING == 0
+    assert metrics["fleet-batch.shed"].bound == 0.0
+    assert metrics["server-line.shed"].bound == 0.0
 
 
 def test_extract_serve_with_embedded_scale_section():
-    merged = {**serve_payload(), "scale": scale_payload()["scale"],
-              "cpus": 4}
-    metrics = {m.name: m for m in extract_metrics("serve", merged)}
-    assert "loadgen.throughput_rps" in metrics
-    assert "scale.throughput_vps" in metrics
+    # The scale numbers are no separate section: the fleet rung sits in
+    # the same serve document as the line rung, with one host record.
+    metrics = {m.name: m for m in extract_metrics("serve", serve_payload())}
+    assert "server-line.throughput_vps" in metrics
+    assert "fleet-batch.throughput_vps" in metrics
     assert metrics["host.cpus"].value == 4.0
 
 
-def test_store_ingests_serve_scale_kind(tmp_path):
+@pytest.mark.parametrize("breakage", [
+    "old-loadgen-shape", "no-rungs", "empty-rungs", "rungs-not-object",
+    "rung-not-object", "rung-without-throughput", "unknown-section",
+])
+def test_extract_serve_refuses_malformed_payload(breakage):
+    doc = serve_payload()
+    if breakage == "old-loadgen-shape":
+        del doc["rungs"]
+        doc["loadgen"] = {"throughput_rps": 23_000.0, "shed": 0}
+    elif breakage == "no-rungs":
+        del doc["rungs"]
+    elif breakage == "empty-rungs":
+        doc["rungs"] = {}
+    elif breakage == "rungs-not-object":
+        doc["rungs"] = [doc["rungs"]["server-line"]]
+    elif breakage == "rung-not-object":
+        doc["rungs"]["server-line"] = 37_000.0
+    elif breakage == "rung-without-throughput":
+        doc["rungs"]["fleet-batch"]["throughput_vps"] = "fast"
+    elif breakage == "unknown-section":
+        doc["speedup"] = 4.68
+    assert classify_payload(doc) == "serve"
+    with pytest.raises(ResultsError):
+        extract_metrics("serve", doc)
+
+
+def test_store_ingests_serve_rungs(tmp_path):
     with ResultsStore(tmp_path / "h.db") as store:
-        outcome = store.ingest(scale_payload(), source="scale.json")
-        assert outcome.kind == "serve-scale"
-        assert store.series("scale.throughput_vps",
-                            kind="serve-scale") == [150_000.0]
+        outcome = store.ingest(serve_payload(), source="serve.json")
+        assert outcome.kind == "serve"
+        assert store.series("fleet-batch.throughput_vps",
+                            kind="serve") == [148_000.0]
+        with pytest.raises(ResultsError):
+            store.ingest({"bench": "serve-throughput",
+                          "loadgen": {"throughput_rps": 1.0}})
+        assert len(store.runs()) == 1  # nothing half-ingested
 
 
 def test_extract_refuses_empty_payload():
@@ -274,4 +306,4 @@ def test_export_columnar_roundtrip(tmp_path):
     assert n > 0
     assert all(len(cols[c]) == n
                for c in ("run_id", "value", "unit", "direction", "bound"))
-    assert "loadgen.throughput_rps" in cols["name"]
+    assert "server-line.throughput_vps" in cols["name"]

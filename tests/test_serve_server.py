@@ -22,7 +22,9 @@ from repro.ml.c45 import C45Classifier
 from repro.ml.dataset import Dataset
 from repro.pmu.events import NORMALIZER
 from repro.serve.client import ServeClient
+from repro.serve.loadgen import run_loadgen
 from repro.serve.server import DetectionServer, ServerThread
+from repro.utils.stats import tally
 
 N_FEATURES = len(FEATURES)
 
@@ -95,14 +97,19 @@ class TestProtocol:
             resp = json.loads(sock.makefile("rb").readline())
         assert resp["error"] == "bad_request"
 
-    def test_responses_in_request_order(self, served, rng):
+    def test_responses_in_request_order(self, served, clf, rng):
         _, host, port = served
         X = rng.normal(size=(300, N_FEATURES))
+        result = run_loadgen(host, port, X, ["t"] * 300, window=64)
+        assert result.completed == 300
+        assert result.errors == 0 and result.shed == 0
+        assert result.labels == tally(clf.predict(X))
+        # One connection is answered strictly in request order.
         with ServeClient(host, port) as c:
-            bulk = c.classify_many(X, window=64)
-        assert bulk.ok == 300
-        assert bulk.errors == 0 and bulk.shed == 0
-        assert np.isfinite(bulk.latency_s).all()
+            for i, row in enumerate(X[:64]):
+                c._send({"op": "classify", "id": i,
+                         "features": [float(v) for v in row]})
+            assert [c._recv()["id"] for _ in range(64)] == list(range(64))
 
     def test_client_refuses_dead_server(self):
         with pytest.raises(ServeError):
@@ -115,10 +122,9 @@ class TestBatching:
         host, port = thread.start()
         try:
             X = rng.normal(size=(1000, N_FEATURES))
-            with ServeClient(host, port) as c:
-                bulk = c.classify_many(X, window=256)
-                stats = c.stats()
-            assert bulk.ok == 1000
+            result = run_loadgen(host, port, X, ["t"] * 1000, window=256)
+            stats = result.server
+            assert result.completed == 1000
             assert stats["max_batch_seen"] > 1  # batching actually engaged
             assert stats["classified"] == 1000
         finally:
@@ -164,15 +170,15 @@ class TestBackpressure:
             timer = threading.Timer(0.5, thread.resume_batching)
             timer.start()
             try:
-                with ServeClient(host, port) as c:
-                    bulk = c.classify_many(
-                        rng.normal(size=(20, N_FEATURES)), window=20
-                    )
+                result = run_loadgen(host, port,
+                                     rng.normal(size=(20, N_FEATURES)),
+                                     ["t"] * 20, window=20)
             finally:
                 timer.cancel()
-            assert bulk.shed > 0
-            assert bulk.errors == 0
-            assert bulk.ok + bulk.shed == 20
+            assert result.shed > 0
+            assert result.errors == 0
+            assert result.completed + result.shed == 20
+            assert result.server["shed"] == result.shed
         finally:
             thread.stop()
 
