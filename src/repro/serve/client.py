@@ -22,6 +22,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
+from orjson import JSONDecodeError, loads
 
 from repro.errors import ServeError
 
@@ -87,8 +88,8 @@ class ServeClient:
         if not line:
             raise ServeError("server closed the connection")
         try:
-            return json.loads(line)
-        except json.JSONDecodeError as exc:
+            return loads(line)
+        except JSONDecodeError as exc:
             raise ServeError(f"malformed response: {exc}") from exc
 
     def request(self, obj: Dict[str, Any]) -> Dict[str, Any]:

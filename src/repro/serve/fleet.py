@@ -53,7 +53,8 @@ def load_model_doc(model: Union[str, Path, Dict[str, Any], Any]) -> Dict[str, An
         return model
     if isinstance(model, (str, Path)):
         try:
-            doc = json.loads(Path(model).read_text())
+            with Path(model).open() as fh:
+                doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ServeError(f"cannot load model document: {exc}") from exc
         if not isinstance(doc, dict):

@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
+from orjson import loads
 
 from repro.core.lab import Lab
 from repro.errors import ServeError
@@ -215,7 +216,7 @@ def _drive_connection(
                 if not line:
                     raise ServeError("connection closed mid-stream")
                 t_recv = time.perf_counter()
-                resp = json.loads(line)
+                resp = loads(line)
                 rid = resp.get("id")
                 if not isinstance(rid, int) or rid not in t_sent:
                     raise ServeError(f"response with unknown id: {resp!r}")

@@ -53,6 +53,8 @@ import re
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from orjson import JSONDecodeError, loads
+
 from repro.errors import ServeError
 from repro.serve.admission import AdmissionController
 from repro.serve.aggregate import VerdictAggregator
@@ -129,9 +131,9 @@ class HashRing:
 
 
 # Fast-path scanners: pull routing facts out of a request line without a
-# full JSON parse.  Anything they cannot settle falls back to json.loads;
-# deep validation always happens at the worker, which parses the same raw
-# bytes the client sent.
+# full JSON parse.  Anything they cannot settle falls back to a full parse
+# by the same decoder the worker uses; deep validation always happens at the
+# worker, which parses the same raw bytes the client sent.
 _OP_RE = re.compile(rb'"op"\s*:\s*"([a-z_]+)"')
 _SOURCE_RE = re.compile(rb'"source"\s*:\s*"((?:[^"\\]|\\.){1,256})"')
 _N_RE = re.compile(rb'"n"\s*:\s*(\d+)')
@@ -388,8 +390,8 @@ class DetectionRouter:
                 if entry.future is not None:
                     if not entry.future.done():
                         try:
-                            entry.future.set_result(json.loads(line))
-                        except json.JSONDecodeError:
+                            entry.future.set_result(loads(line))
+                        except JSONDecodeError:
                             entry.future.set_result(
                                 {"error": "bad_worker_response"}
                             )
@@ -407,8 +409,8 @@ class DetectionRouter:
         if entry.future is not None:
             return  # control traffic: not part of the classify ledger
         try:
-            resp = json.loads(line)
-        except json.JSONDecodeError:
+            resp = loads(line)
+        except JSONDecodeError:
             self.vectors_errored += entry.n
             return
         labels = resp.get("labels")
@@ -491,8 +493,8 @@ class DetectionRouter:
                 return
         # Control ops and anything the fast path could not settle.
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+            doc = loads(line)
+        except JSONDecodeError as exc:
             await responses.put({"error": "bad_request",
                                  "detail": f"invalid JSON: {exc}"})
             return
@@ -571,8 +573,8 @@ class DetectionRouter:
                 return None
         else:
             try:
-                source = json.loads(b'"' + source_match.group(1) + b'"')
-            except json.JSONDecodeError:
+                source = loads(b'"' + source_match.group(1) + b'"')
+            except JSONDecodeError:
                 return None
         id_match = _ID_RE.search(line)
         return source, n, id_match.group(1) if id_match else None

@@ -22,7 +22,11 @@ Replies: ``{"id": 7, "label": "bad-fs"}`` on success (batch requests get
 ``{"id": 7, "labels": [...], "n": ...}`` plus the echoed ``source``);
 ``{"id": 7, "error": "overloaded"}`` when the bounded request queue is
 full (explicit shed — the server never buffers without bound);
-``{"error": "bad_request", "detail": ...}`` for malformed input.
+``{"id": 7, "error": "bad_request", "detail": ...}`` for malformed input
+(no ``id`` when the line is not JSON at all).  Lines are decoded by orjson,
+which reads every float exactly and refuses ``NaN``, ``Infinity`` and
+overflowing literals; feature rows must then be numbers of the right shape,
+all finite.
 
 **Micro-batching.**  Classification requests land in a bounded queue; a
 single batcher task drains up to ``max_batch`` of them (waiting at most
@@ -47,9 +51,11 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
+from orjson import JSONDecodeError, loads
 
 from repro.errors import PMUError, ReproError, ServeError
 from repro.pmu.counters import EventVector
@@ -430,8 +436,8 @@ class DetectionServer:
     def _dispatch(self, line: bytes):
         """Parse one request line; returns a payload dict or (id, future)."""
         try:
-            req = json.loads(line)
-        except json.JSONDecodeError as exc:
+            req = loads(line)
+        except JSONDecodeError as exc:
             return {"error": "bad_request", "detail": f"invalid JSON: {exc}"}
         if not isinstance(req, dict):
             return {"error": "bad_request", "detail": "expected an object"}
@@ -466,47 +472,62 @@ class DetectionServer:
                     "detail": "reload requires a 'path'"}
         try:
             compiled = self.reload_model(path)
-        except (ReproError, OSError) as exc:
+        except (ReproError, OSError, ValueError) as exc:
             return {"id": rid, "error": "reload_failed", "detail": str(exc)}
         return {"id": rid, "reloaded": True, "nodes": compiled.n_nodes,
                 "classes": list(compiled.classes)}
 
     def _extract_features(self, req: Dict) -> np.ndarray:
         if "batch" in req:
-            batch = req["batch"]
-            if not isinstance(batch, list) or not batch:
-                raise ServeError("'batch' must be a non-empty list of "
-                                 "feature vectors")
-            feats = np.asarray(batch, dtype=float)
-            if feats.ndim != 2 or feats.shape[1] != len(self.features):
-                raise ServeError(
-                    f"'batch' must be a list of {len(self.features)}-float "
-                    "vectors"
-                )
+            feats = self._rows(
+                req["batch"], 2,
+                f"'batch' must be a non-empty list of "
+                f"{len(self.features)}-number vectors",
+            )
             n = req.get("n")
-            if n is not None and int(n) != feats.shape[0]:
+            if n is not None and (type(n) is not int or n != len(feats)):
                 raise ServeError(
-                    f"'n' ({n}) does not match batch length "
-                    f"({feats.shape[0]})"
+                    f"'n' ({n!r}) must be an integer equal to the batch "
+                    f"length ({len(feats)})"
                 )
             return feats
         if "features" in req:
-            feats = np.asarray(req["features"], dtype=float)
-            if feats.ndim != 1 or feats.size != len(self.features):
-                raise ServeError(
-                    f"'features' must be a flat list of "
-                    f"{len(self.features)} floats"
-                )
-            return feats
+            return self._rows(
+                req["features"], 1,
+                f"'features' must be a flat list of {len(self.features)} "
+                "numbers",
+            )
         if "counts" in req:
             counts = req["counts"]
             if not isinstance(counts, dict):
                 raise ServeError("'counts' must be an object of raw counts")
-            vec = EventVector(
-                {str(k): float(v) for k, v in counts.items()}
-            )
-            return vec.features(self.features)
+            if not all(type(v) in (int, float) and math.isfinite(v)
+                       for v in counts.values()):
+                raise ServeError("'counts' values must be finite numbers")
+            vec = EventVector({k: float(v) for k, v in counts.items()})
+            return self._rows(vec.features(self.features), 1,
+                              "normalized 'counts'")
         raise ServeError("classify requires 'features' or 'counts'")
+
+    def _rows(self, value: Any, ndim: int, shape_error: str) -> np.ndarray:
+        """``value`` as float64 feature rows, or ServeError.
+
+        Strict where ``np.asarray(value, dtype=float)`` is lenient: only
+        numbers (no strings or nulls), exactly ``ndim`` levels of nesting
+        ending in full feature vectors, every value finite.  NaN would
+        silently compare False at every tree node.
+        """
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # ragged nesting
+            raise ServeError(shape_error) from None
+        if (arr.ndim != ndim or arr.dtype.kind not in "iuf"
+                or arr.shape[-1] != len(self.features)):
+            raise ServeError(shape_error)
+        arr = arr.astype(np.float64, copy=False)
+        if not np.isfinite(arr).all():
+            raise ServeError("feature values must be finite numbers")
+        return arr
 
 
 class ServerThread(LoopThread):

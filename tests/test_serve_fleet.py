@@ -6,6 +6,7 @@ pool is kept small and module-scoped.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -146,6 +147,34 @@ def test_watchdog_respawns_crashed_worker(fleet):
                                        rid=1, source=src_w1)
     assert len(labels) == 8
     assert sup.restarts >= 1
+
+
+def test_fleet_stop_reaps_workers(model_doc):
+    """stop() leaves no worker process behind, the watchdog's respawns
+    included."""
+    thread = FleetThread(model_doc, workers=2, watchdog_interval_s=0.1)
+    thread.start()
+    sup = thread.fleet.supervisor
+    try:
+        spawned = [w.process for w in sup._workers.values()]
+        victim = sup._workers["w0"].process
+        victim.terminate()
+        victim.join(timeout=10.0)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            fresh = sup._workers.get("w0")
+            if fresh is not None and fresh.process is not victim \
+                    and fresh.alive():
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("watchdog did not respawn the killed worker")
+        spawned.append(fresh.process)
+    finally:
+        thread.stop()
+    assert not any(p.is_alive() for p in spawned)
+    children = {p.pid for p in multiprocessing.active_children()}
+    assert children.isdisjoint(p.pid for p in spawned)
 
 
 def test_fleet_rejects_bad_worker_count(model_doc):

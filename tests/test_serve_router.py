@@ -23,6 +23,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.client import ServeClient
 from repro.serve.router import HashRing, RouterThread
 from repro.serve.server import ServerThread
+from tests.test_serve_server import MALFORMED
 
 N_FEATURES = len(FEATURES)
 
@@ -281,6 +282,32 @@ def test_bad_json_answered_not_forwarded(pool):
     # Malformed input is answered by the router, never forwarded, so the
     # ledger is untouched and worker FIFOs stay aligned.
     v = client.stats()["vectors"]
+    assert v["received"] == (v["completed"] + v["shed"] + v["errors"]
+                             + v["inflight"])
+
+
+@pytest.mark.parametrize("body", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_malformed_line_is_an_error_not_a_lost_shard(pool, body):
+    """A bad line is the sender's error: the worker answers it, the link
+    stays up, and the next good line on the same shard completes."""
+    rt, _, client = pool
+    source = next(f"m-{i}" for i in range(64)
+                  if rt.router.ring.assign(f"m-{i}") == "w0")
+    resp = client.request({"op": "classify", "id": 1, "source": source,
+                           **body})
+    assert resp["id"] == 1 and resp["error"] == "bad_request"
+    stats = client.stats()
+    assert stats["workers"]["w0"]["up"]
+    v = stats["vectors"]
+    assert v["shed"] == 0 and v["completed"] == 0
+    assert v["errors"] == v["received"] > 0
+    with ServeClient(rt.router.host, rt.router.port) as other:
+        labels = other.classify_batch(np.full((3, N_FEATURES), 0.5), rid=2,
+                                      source=source)
+    assert len(labels) == 3
+    v = client.stats()["vectors"]
+    assert v["completed"] == 3 and v["shed"] == 0
     assert v["received"] == (v["completed"] + v["shed"] + v["errors"]
                              + v["inflight"])
 

@@ -28,6 +28,21 @@ from repro.utils.stats import tally
 
 N_FEATURES = len(FEATURES)
 
+#: Classify bodies that decode as JSON but break the request schema.  Each
+#: must get a ``bad_request`` reply carrying its id; the connection stays
+#: open for the lines behind it.
+MALFORMED = {
+    "null-count": {"counts": {NORMALIZER.name: None}},
+    "string-count": {"counts": {**{e.name: 2.0 for e in FEATURES},
+                                NORMALIZER.name: "4"}},
+    "overflowing-count": {"counts": {**{e.name: 1e300 for e in FEATURES},
+                                     NORMALIZER.name: 1e-300}},
+    "string-n": {"n": "abc", "batch": [[0.5] * N_FEATURES] * 2},
+    "ragged-batch": {"n": 2, "batch": [[0.5] * N_FEATURES,
+                                       [0.5] * (N_FEATURES - 1)]},
+    "nested-features": {"features": [[0.5, 0.5]] + [0.5] * (N_FEATURES - 1)},
+}
+
 
 def _make_clf(flip=False):
     rng = np.random.default_rng(5)
@@ -89,6 +104,25 @@ class TestProtocol:
                            "counts": ["not", "a", "dict"]})
             assert r["error"] == "bad_request"
             assert c.ping()  # connection survived all of it
+
+    @pytest.mark.parametrize("body", list(MALFORMED.values()),
+                             ids=list(MALFORMED))
+    def test_malformed_classify_answered_on_same_connection(self, served,
+                                                            body):
+        thread, host, port = served
+        bad = {"op": "classify", "id": 1, **body}
+        good = {"op": "classify", "id": 2, "features": [0.5] * N_FEATURES}
+        with socket.create_connection((host, port), timeout=10.0) as sock, \
+                sock.makefile("rb") as rfile:
+            # Pipelined: the good line is already buffered behind the bad.
+            sock.sendall(json.dumps(bad).encode() + b"\n"
+                         + json.dumps(good).encode() + b"\n")
+            replies = [json.loads(rfile.readline()) for _ in range(2)]
+        assert replies[0]["id"] == 1
+        assert replies[0]["error"] == "bad_request"
+        assert replies[0]["detail"]
+        assert replies[1]["id"] == 2 and "label" in replies[1]
+        assert thread.server.classified == 1
 
     def test_invalid_json_line(self, served):
         _, host, port = served
@@ -241,6 +275,8 @@ class TestReload:
             with ServeClient(host, port) as c:
                 with pytest.raises(ServeError):
                     c.reload(str(tmp_path / "missing.json"))
+                with pytest.raises(ServeError, match="null byte"):
+                    c.reload("model\x00.json")
                 assert c.ping()
                 assert c.classify(np.zeros(N_FEATURES)) in (
                     "good", "bad-fs")
