@@ -65,6 +65,12 @@ class ShadowReport:
         return items[:n]
 
     @property
+    def counts(self) -> Tuple[int, int, int, int]:
+        """What caches keep; ``ShadowReport(*counts, nthreads=n)`` rebuilds."""
+        return (self.fs_misses, self.ts_misses, self.cold_misses,
+                self.instructions)
+
+    @property
     def fs_rate(self) -> float:
         """False-sharing misses per instruction (the paper's rate)."""
         if self.instructions <= 0:
@@ -255,11 +261,8 @@ class ShadowMemoryDetector:
             engine = ExecutionEngine(jobs)
         counts = engine.shadow_batch(list(cases), chunk, self.max_threads,
                                      fast=self.fast)
-        return [
-            ShadowReport(fs_misses=fs, ts_misses=tsm, cold_misses=cold,
-                         instructions=instr, nthreads=case.threads)
-            for (_, case), (fs, tsm, cold, instr) in zip(cases, counts)
-        ]
+        return [ShadowReport(*c, nthreads=case.threads)
+                for (_, case), c in zip(cases, counts)]
 
 
 def false_sharing_rate(

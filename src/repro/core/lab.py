@@ -15,13 +15,11 @@ that as an occasional multiplicative inflation of cache-traffic counters.
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
+from repro.cache import ResultCache, default_path
 from repro.coherence.machine import (
     MachineSpec,
     MulticoreMachine,
@@ -34,6 +32,7 @@ from repro.pmu.events import Event, TABLE2_EVENTS
 from repro.pmu.sampler import PMUSampler
 from repro.trace.streams import DEFAULT_CHUNK
 from repro.utils.rng import rng_for
+from repro.versioning import SIM_VERSION
 
 #: Raw counters inflated when background interference hits a run: everything
 #: that scales with cache traffic, not with the program's instructions.
@@ -56,6 +55,11 @@ _INTERFERENCE_KEYS = (
 )
 
 
+def _admit_sim(value: object) -> Optional[SimulationResult]:
+    """A simulation-cache entry is kept only if it is a SimulationResult."""
+    return value if isinstance(value, SimulationResult) else None
+
+
 @dataclass
 class Lab:
     """One simulated testbed with a run cache and reproducible noise."""
@@ -73,41 +77,21 @@ class Lab:
     #: selects the per-access reference loop.  Results are bit-identical
     #: under every strategy (the fast ones exist purely for throughput).
     fast: Union[bool, str] = True
-    #: "auto" uses a per-spec pickle under the user cache dir; None disables;
-    #: a path uses that file.  Simulations are deterministic, so caching
-    #: across processes is safe (delete the file after changing simulator or
-    #: workload code).
+    #: "auto" uses a per-spec pickle under the user cache dir
+    #: (:func:`repro.cache.default_path`); None disables; a path uses that
+    #: file, and a :class:`PipelineContext`'s oracle cache sits beside it.
+    #: The file is stamped with ``SIM_VERSION`` (see :mod:`repro.cache`).
     disk_cache: Union[str, Path, None] = "auto"
-    _cache: Dict[Tuple, SimulationResult] = field(
-        default_factory=dict, repr=False
-    )
 
     def __post_init__(self) -> None:
         self._machine = MulticoreMachine(
             self.spec, self.latency, prefetch=self.prefetch, fast=self.fast
         )
         self._sampler = PMUSampler(seed=self.seed, noisy=self.noisy)
-        self._dirty = 0
-        self._cache_path: Optional[Path] = None
-        if self.disk_cache == "auto":
-            base = Path(
-                os.environ.get("REPRO_CACHE_DIR",
-                               Path(tempfile.gettempdir()) / "repro-simcache")
-            )
-            from repro.versioning import SIM_VERSION
-
-            self._cache_path = (
-                base / f"{self.spec.name}-c{self.chunk}-{SIM_VERSION}.pkl"
-            )
-        elif self.disk_cache is not None:
-            self._cache_path = Path(self.disk_cache)
-        if self._cache_path is not None and self._cache_path.exists():
-            try:
-                with open(self._cache_path, "rb") as fh:
-                    self._cache.update(pickle.load(fh))
-            except Exception:
-                # A corrupt cache is not an error; just recompute.
-                self._cache.clear()
+        path = (default_path(f"{self.spec.name}-c{self.chunk}-{SIM_VERSION}.pkl")
+                if self.disk_cache == "auto" else self.disk_cache)
+        #: The simulation cache, keyed by :meth:`simulation_key`.
+        self.sim_cache = ResultCache("sim", (SIM_VERSION,), _admit_sim, path)
 
     @property
     def machine(self) -> MulticoreMachine:
@@ -121,35 +105,13 @@ class Lab:
 
     def flush(self) -> None:
         """Persist the simulation cache to disk (no-op when disabled)."""
-        if self._cache_path is None:
-            return
-        self._cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self._cache_path.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            pickle.dump(self._cache, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(self._cache_path)
-        self._dirty = 0
+        self.sim_cache.flush()
 
     # ---------------------------------------------------------------- runs
 
     def simulation_key(self, workload, cfg) -> Tuple:
         """The run-cache key for one configuration (rep index excluded)."""
         return (workload.name,) + tuple(workload.cache_key(cfg)) + (self.chunk,)
-
-    def has_result(self, key: Tuple) -> bool:
-        """True when a simulation for this key is already cached."""
-        return key in self._cache
-
-    def adopt_result(self, key: Tuple, result: SimulationResult) -> None:
-        """Install a simulation computed elsewhere (a worker process).
-
-        Simulations are deterministic functions of the key, so adopting a
-        worker's result is indistinguishable from computing it here; the
-        serial measurement loop then consumes it as an ordinary cache hit.
-        """
-        if key not in self._cache:
-            self._cache[key] = result
-            self._dirty += 1
 
     def simulate(self, workload, cfg) -> SimulationResult:
         """Run (or fetch from cache) the simulation for one configuration.
@@ -159,16 +121,9 @@ class Lab:
         index is excluded from the cache key: repeats re-measure, they do
         not re-execute different computations.
         """
-        key = self.simulation_key(workload, cfg)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        result = self._machine.run(workload.trace(cfg), chunk=self.chunk)
-        self._cache[key] = result
-        self._dirty += 1
-        if self._dirty >= 25:
-            self.flush()
-        return result
+        return self.sim_cache.get_or_compute(
+            self.simulation_key(workload, cfg),
+            lambda: self._machine.run(workload.trace(cfg), chunk=self.chunk))
 
     def simulate_store(self, path: Union[str, Path],
                        stream: bool = True) -> SimulationResult:
@@ -186,21 +141,10 @@ class Lab:
         """
         from repro.trace.store import open_program, open_store
 
-        digest = open_store(path).digest
-        key = ("store", digest, self.chunk)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        program = open_program(path)
-        if stream:
-            result = self._machine.run_stream(program, chunk=self.chunk)
-        else:
-            result = self._machine.run(program, chunk=self.chunk)
-        self._cache[key] = result
-        self._dirty += 1
-        if self._dirty >= 25:
-            self.flush()
-        return result
+        drive = self._machine.run_stream if stream else self._machine.run
+        return self.sim_cache.get_or_compute(
+            ("store", open_store(path).digest, self.chunk),
+            lambda: drive(open_program(path), chunk=self.chunk))
 
     def measure(
         self,
@@ -228,10 +172,10 @@ class Lab:
         return vec
 
     def cache_size(self) -> int:
-        return len(self._cache)
+        return len(self.sim_cache)
 
     def clear_cache(self) -> None:
-        self._cache.clear()
+        self.sim_cache.clear()
 
     # ---------------------------------------------------------- interference
 

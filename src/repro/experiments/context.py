@@ -4,20 +4,16 @@ Training the detector and classifying two benchmark suites is expensive;
 every table/figure experiment needs some slice of it.  A
 :class:`PipelineContext` computes each artifact once (lazily) and caches the
 slow external-tool results (shadow-memory rates) on disk next to the
-simulation cache.
+simulation cache (both are :class:`repro.cache.ResultCache` instances).
 """
 
 from __future__ import annotations
 
-import logging
-import os
-import pickle
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.baselines.shadow import ShadowMemoryDetector, ShadowReport
+from repro.cache import ResultCache
 from repro.core.detector import FalseSharingDetector
 from repro.core.lab import Lab
 from repro.core.training import TrainingData, collect_training_data
@@ -27,8 +23,7 @@ from repro.suites import all_programs, get_program
 from repro.suites.base import SuiteCase, SuiteProgram
 from repro.telemetry.core import TELEMETRY
 from repro.utils.stats import majority, tally
-
-log = logging.getLogger(__name__)
+from repro.versioning import SHADOW_VERSION, SIM_VERSION
 
 #: Probability that a benchmark-classification measurement was polluted by
 #: background activity.  Real collection isn't sterile: the paper saw one
@@ -36,21 +31,13 @@ log = logging.getLogger(__name__)
 SUITE_INTERFERENCE = 0.004
 
 
-def _shadow_versions() -> Tuple[str, str]:
-    """The version pair stamped into (and demanded of) the shadow cache."""
-    from repro.versioning import SHADOW_VERSION, SIM_VERSION
-
-    return (SIM_VERSION, SHADOW_VERSION)
-
-
-def _valid_shadow_entry(value: object) -> bool:
-    """True for a well-formed cache entry: 4 integer oracle counts."""
-    return (
-        isinstance(value, (tuple, list))
-        and len(value) == 4
-        and all(isinstance(v, int) and not isinstance(v, bool)
-                for v in value)
-    )
+def _valid_shadow_entry(value: Any) -> Optional[Tuple[int, ...]]:
+    """The shadow cache's ``admit``: 4 integer counts as a tuple, else None."""
+    if (isinstance(value, (tuple, list)) and len(value) == 4
+            and all(isinstance(v, int) and not isinstance(v, bool)
+                    for v in value)):
+        return tuple(value)
+    return None
 
 
 @dataclass
@@ -101,60 +88,12 @@ class PipelineContext:
         self._detector: Optional[FalseSharingDetector] = None
         self._classified: Dict[str, ClassifiedProgram] = {}
         self._verified: Dict[str, VerifiedProgram] = {}
-        self._shadow_cache: Dict[Tuple, Tuple[int, int, int, int]] = {}
-        self._shadow_path = self._shadow_cache_path()
-        self._shadow_dirty = 0
-        if self._shadow_path is not None and self._shadow_path.exists():
-            self._load_shadow()
-
-    def _load_shadow(self) -> None:
-        """Populate the shadow cache from disk; anything suspect is a miss.
-
-        A corrupted or truncated file, a stale version stamp, the legacy
-        bare-dict format, or individually mangled entries must never raise:
-        the cache is an accelerator, so the correct degradation is to log,
-        drop the bad data, and recompute.
-        """
-        try:
-            with open(self._shadow_path, "rb") as fh:
-                payload = pickle.load(fh)
-        except Exception as exc:
-            log.warning("shadow cache %s unreadable (%s: %s); recomputing",
-                        self._shadow_path, type(exc).__name__, exc)
-            TELEMETRY.count("shadow.cache.corrupt_files")
-            return
-        # Only a payload stamped with the current simulator + oracle
-        # versions is trusted; anything else (including the legacy
-        # bare-dict format) is recomputed rather than silently reused
-        # with stale semantics.
-        if not (isinstance(payload, dict)
-                and payload.get("versions") == _shadow_versions()
-                and isinstance(payload.get("entries"), dict)):
-            TELEMETRY.count("shadow.cache.invalidated")
-            return
-        dropped = 0
-        for key, value in payload["entries"].items():
-            if _valid_shadow_entry(value):
-                self._shadow_cache[key] = tuple(value)
-            else:
-                dropped += 1
-        if dropped:
-            log.warning("shadow cache %s: dropped %d mangled entries; "
-                        "they will be recomputed", self._shadow_path, dropped)
-            TELEMETRY.count("shadow.cache.dropped_entries", dropped)
-
-    def _shadow_cache_path(self) -> Optional[Path]:
-        if self.lab.disk_cache is None:
-            return None
-        base = Path(
-            os.environ.get("REPRO_CACHE_DIR",
-                           Path(tempfile.gettempdir()) / "repro-simcache")
-        )
-        sim_v, shadow_v = _shadow_versions()
-        return base / (
-            f"shadow-{self.lab.spec.name}-c{self.lab.chunk}"
-            f"-{sim_v}-{shadow_v}.pkl"
-        )
+        sim_path = self.lab.sim_cache.path  # the oracle cache sits beside it
+        self.shadow_cache = ResultCache(
+            "shadow", (SIM_VERSION, SHADOW_VERSION), _valid_shadow_entry,
+            None if sim_path is None else sim_path.with_name(
+                f"shadow-{self.lab.spec.name}-c{self.lab.chunk}"
+                f"-{SIM_VERSION}-{SHADOW_VERSION}.pkl"))
 
     # ------------------------------------------------------------- training
 
@@ -216,34 +155,15 @@ class PipelineContext:
     # ------------------------------------------------------------ shadow oracle
 
     def shadow_report(self, program: SuiteProgram, case: SuiteCase) -> ShadowReport:
-        key = (program.name,) + tuple(program.cache_key(case))
-        hit = self._shadow_cache.get(key)
-        if hit is not None and not _valid_shadow_entry(hit):
-            # Defense in depth: an entry mangled after load (or adopted
-            # from a hostile pickle) is a miss, not a crash.
-            log.warning("shadow cache entry for %s is mangled; recomputing",
-                        key)
-            TELEMETRY.count("shadow.cache.dropped_entries")
-            del self._shadow_cache[key]
-            hit = None
-        if hit is None:
-            TELEMETRY.count("shadow.cache.miss")
+        def run() -> Tuple[int, int, int, int]:
             with TELEMETRY.span("shadow.run", program=program.name,
                                 case=case.run_id()):
-                rep = self.shadow.run(program.trace(case),
-                                      chunk=self.lab.chunk)
-            hit = (rep.fs_misses, rep.ts_misses, rep.cold_misses,
-                   rep.instructions)
-            self._shadow_cache[key] = hit
-            self._shadow_dirty += 1
-            if self._shadow_dirty >= 20:
-                self._flush_shadow()
-        else:
-            TELEMETRY.count("shadow.cache.hit")
-        return ShadowReport(
-            fs_misses=hit[0], ts_misses=hit[1], cold_misses=hit[2],
-            instructions=hit[3], nthreads=case.threads,
-        )
+                return self.shadow.run(program.trace(case),
+                                       chunk=self.lab.chunk).counts
+
+        counts = self.shadow_cache.get_or_compute(
+            (program.name,) + tuple(program.cache_key(case)), run)
+        return ShadowReport(*counts, nthreads=case.threads)
 
     def shadow_report_store(self, path) -> ShadowReport:
         """Oracle counts for a persisted trace store, cached by digest.
@@ -256,69 +176,33 @@ class PipelineContext:
         from repro.trace.store import open_store
 
         store = open_store(path)
-        key = ("store", store.digest, self.lab.chunk)
-        hit = self._shadow_cache.get(key)
-        if hit is not None and not _valid_shadow_entry(hit):
-            log.warning("shadow cache entry for %s is mangled; recomputing",
-                        key)
-            TELEMETRY.count("shadow.cache.dropped_entries")
-            del self._shadow_cache[key]
-            hit = None
-        if hit is None:
-            TELEMETRY.count("shadow.cache.miss")
+
+        def run() -> Tuple[int, int, int, int]:
             with TELEMETRY.span("shadow.run_store", digest=store.digest):
-                rep = self.shadow.run_store(path, chunk=self.lab.chunk)
-            hit = (rep.fs_misses, rep.ts_misses, rep.cold_misses,
-                   rep.instructions)
-            self._shadow_cache[key] = hit
-            self._shadow_dirty += 1
-            if self._shadow_dirty >= 20:
-                self._flush_shadow()
-            nthreads = rep.nthreads
-        else:
-            TELEMETRY.count("shadow.cache.hit")
-            nthreads = len(list(store.meta.get("threads") or [])) or 1
+                return self.shadow.run_store(path, chunk=self.lab.chunk).counts
+
+        counts = self.shadow_cache.get_or_compute(
+            ("store", store.digest, self.lab.chunk), run)
         return ShadowReport(
-            fs_misses=hit[0], ts_misses=hit[1], cold_misses=hit[2],
-            instructions=hit[3], nthreads=nthreads,
-        )
+            *counts, nthreads=len(list(store.meta.get("threads") or [])) or 1)
 
     def _prefetch_shadow(
         self, pairs: List[Tuple[SuiteProgram, SuiteCase]]
     ) -> None:
         """Run missing oracle cases across the engine's worker pool."""
-        seen = set()
-        keys: List[Tuple] = []
-        missing: List[Tuple[str, SuiteCase]] = []
+        cases: Dict[Tuple, Tuple[str, SuiteCase]] = {}
         for program, case in pairs:
-            key = (program.name,) + tuple(program.cache_key(case))
-            if key in seen or key in self._shadow_cache:
-                continue
-            seen.add(key)
-            keys.append(key)
-            missing.append((program.name, case))
-        if self.engine.jobs <= 1 or len(missing) <= 1:
+            cases.setdefault((program.name,) + tuple(program.cache_key(case)),
+                             (program.name, case))
+        keys = self.shadow_cache.missing(cases)
+        if self.engine.jobs <= 1 or len(keys) <= 1:
             return
-        TELEMETRY.count("shadow.prefetch.dispatched", len(missing))
-        counts = self.engine.shadow_batch(missing, self.lab.chunk,
-                                          self.shadow.max_threads,
-                                          fast=self.shadow.fast)
-        for key, hit in zip(keys, counts):
-            self._shadow_cache[key] = hit
-            self._shadow_dirty += 1
-        self._flush_shadow()
-
-    def _flush_shadow(self) -> None:
-        if self._shadow_path is None:
-            return
-        self._shadow_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self._shadow_path.with_suffix(".tmp")
-        payload = {"versions": _shadow_versions(),
-                   "entries": self._shadow_cache}
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh)
-        tmp.replace(self._shadow_path)
-        self._shadow_dirty = 0
+        TELEMETRY.count("shadow.prefetch.dispatched", len(keys))
+        counts = self.engine.shadow_batch(
+            [cases[k] for k in keys], self.lab.chunk,
+            self.shadow.max_threads, fast=self.shadow.fast)
+        self.shadow_cache.update(zip(keys, counts))
+        self.shadow_cache.flush()
 
     # ------------------------------------------------------------ verification
 
@@ -359,7 +243,7 @@ class PipelineContext:
             detected_no_fs=n - detected_fs,
             detail=detail,
         )
-        self._flush_shadow()
+        self.shadow_cache.flush()
 
     def verify_all(self) -> Dict[str, VerifiedProgram]:
         self._prefetch_shadow(

@@ -132,8 +132,8 @@ def ablation_noise(ctx: PipelineContext) -> ExperimentResult:
     from repro.core.lab import Lab
     from repro.core.training import collect_training_data
 
-    quiet = Lab(noisy=False, disk_cache=ctx.lab.disk_cache)
-    quiet._cache = ctx.lab._cache  # share the simulation cache
+    quiet = Lab(noisy=False, disk_cache=None)
+    quiet.sim_cache = ctx.lab.sim_cache  # share the simulation cache
     td_quiet = collect_training_data(quiet)
     cm_quiet = cross_validate(C45Classifier, td_quiet.dataset, k=10)
     cm_noisy = cross_validate(C45Classifier, ctx.training.dataset, k=10)

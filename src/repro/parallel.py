@@ -14,7 +14,7 @@ strong invariant:
 The :class:`ExecutionEngine` realizes the invariant by construction: worker
 processes only *simulate* (the deterministic part) and ship
 :class:`~repro.coherence.machine.SimulationResult` objects back; the parent
-adopts them into the :class:`~repro.core.lab.Lab` run cache and then drives
+installs them in the :class:`~repro.core.lab.Lab` run cache and then drives
 the unchanged serial loop, which consumes cache hits in the original case
 order.  Noise sampling, screening, classification — everything order- or
 RNG-sensitive — still happens serially in the parent, so artifacts cannot
@@ -124,10 +124,9 @@ def _shadow_task(task: Tuple) -> Tuple[int, int, int, int]:
     from repro.baselines.shadow import ShadowMemoryDetector
 
     program = resolve_target(name)
-    rep = ShadowMemoryDetector(max_threads=max_threads, fast=fast).run(
+    return ShadowMemoryDetector(max_threads=max_threads, fast=fast).run(
         program.trace(case), chunk=chunk
-    )
-    return (rep.fs_misses, rep.ts_misses, rep.cold_misses, rep.instructions)
+    ).counts
 
 
 def _timed_call(payload: Tuple) -> Tuple[float, object]:
@@ -233,34 +232,31 @@ class ExecutionEngine:
     def prefetch_simulations(self, lab, pairs: Sequence[Tuple]) -> int:
         """Simulate missing ``(workload, cfg)`` cases in parallel.
 
-        Results are adopted into ``lab``'s run cache; the caller then runs
+        Results are installed in ``lab``'s run cache; the caller then runs
         its normal serial loop, which finds every case already simulated.
         Cases whose workload is not resolvable by registry name (a caller
         passing some ad-hoc object) are skipped and simply get simulated
         serially by that loop.  Returns the number of cases dispatched.
         """
-        seen = set()
-        missing: List[Tuple] = []
-        keys: List[Tuple] = []
+        if self.jobs <= 1:
+            return 0
+        tasks = {}
         for workload, cfg in pairs:
-            key = lab.simulation_key(workload, cfg)
-            if key in seen or lab.has_result(key):
-                continue
             try:
                 if resolve_target(workload.name) is not workload:
                     continue
             except ReproError:
                 continue
-            seen.add(key)
-            keys.append(key)
-            missing.append((workload.name, cfg, lab.spec, lab.latency,
-                            lab.prefetch, lab.fast, lab.chunk))
-        if self.jobs <= 1 or len(missing) <= 1:
+            tasks.setdefault(lab.simulation_key(workload, cfg),
+                             (workload.name, cfg, lab.spec, lab.latency,
+                              lab.prefetch, lab.fast, lab.chunk))
+        keys = lab.sim_cache.missing(tasks)
+        if len(keys) <= 1:
             return 0
-        for key, result in zip(keys, self.map(_simulate_task, missing)):
-            lab.adopt_result(key, result)
+        lab.sim_cache.update(
+            zip(keys, self.map(_simulate_task, [tasks[k] for k in keys])))
         lab.flush()
-        return len(missing)
+        return len(keys)
 
     def simulate_stores(
         self,

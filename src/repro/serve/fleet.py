@@ -94,7 +94,11 @@ def _worker_main(model_doc: Dict[str, Any], host: str, conn,
             bound_host, bound_port = await server.start()
             conn.send(("ready", bound_host, bound_port))
             conn.close()
-            await server.serve_forever()
+            # Serve until the supervisor's process is gone, however it died.
+            orphaned = asyncio.Event()
+            asyncio.get_running_loop().add_reader(
+                mp.parent_process().sentinel, orphaned.set)
+            await orphaned.wait()
 
         asyncio.run(_serve())
     except KeyboardInterrupt:  # pragma: no cover - parent-driven shutdown
@@ -155,8 +159,12 @@ class FleetSupervisor:
         """Spawn every worker; returns ``[(name, host, port), ...]``."""
         if self._workers:
             raise ServeError("fleet already started")
-        for i in range(self.n_workers):
-            self._spawn(f"w{i}")
+        try:
+            for i in range(self.n_workers):
+                self._spawn(f"w{i}")
+        except BaseException:
+            self.stop()  # no half-started fleet outlives the failure
+            raise
         return [(w.name, w.host, w.port)
                 for w in self._workers.values()]
 
@@ -171,14 +179,15 @@ class FleetSupervisor:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self.start_timeout_s):
-            process.terminate()
-            raise ServeError(f"worker {name} did not start within "
-                             f"{self.start_timeout_s}s")
-        status, host, port = parent_conn.recv()
-        parent_conn.close()
+        with parent_conn:
+            try:
+                ready = parent_conn.poll(self.start_timeout_s)
+                status, host, port = parent_conn.recv() if ready else (
+                    "error", f"did not start within {self.start_timeout_s}s", 0)
+            except EOFError:
+                status, host, port = "error", "exited before it was ready", 0
         if status != "ready":
-            process.join(timeout=5.0)
+            self._terminate(process)
             raise ServeError(f"worker {name} failed to start: {host}")
         worker = _Worker(name, process, host, int(port))
         self._workers[name] = worker
@@ -189,24 +198,24 @@ class FleetSupervisor:
         worker = self._workers.pop(name, None)
         if worker is None:
             raise ServeError(f"unknown worker {name!r}")
-        self._terminate(worker)
+        self._terminate(worker.process)
         self.restarts += 1
         fresh = self._spawn(name)
         return fresh.host, fresh.port
 
     def stop(self) -> None:
         for worker in list(self._workers.values()):
-            self._terminate(worker)
+            self._terminate(worker.process)
         self._workers.clear()
 
     @staticmethod
-    def _terminate(worker: _Worker) -> None:
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(timeout=10.0)
-        if worker.process.is_alive():  # pragma: no cover - stuck process
-            worker.process.kill()
-            worker.process.join(timeout=5.0)
+    def _terminate(process) -> None:
+        if process.is_alive():
+            process.terminate()
+        process.join(timeout=10.0)
+        if process.is_alive():  # pragma: no cover - stuck process
+            process.kill()
+            process.join(timeout=5.0)
 
     # -------------------------------------------------------------- reading
 

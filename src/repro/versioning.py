@@ -1,9 +1,9 @@
 """Simulation versioning.
 
 ``SIM_VERSION`` names the current semantics of the simulator + workload
-generators.  It is part of every on-disk cache filename, so editing the
-simulator or a trace generator (and bumping this) can never silently reuse
-stale cached results.
+generators.  It names every default cache file and stamps every cache
+payload (:mod:`repro.cache`), so editing the simulator or a trace generator
+(and bumping this) can never silently reuse stale cached results.
 
 ``SHADOW_VERSION`` names the semantics of the shadow-memory oracle
 (:mod:`repro.baselines.shadow`).  The oracle's disk cache is keyed on both

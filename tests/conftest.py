@@ -7,6 +7,8 @@ cache amortizes across files.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,26 @@ def mini_lab():
 @pytest.fixture
 def hermetic_lab():
     return Lab(disk_cache=None)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the session if a test left a child process running.
+
+    A leaked fleet worker or pool process then shows up as a red run that
+    names it, instead of a process that outlives the suite; it is
+    terminated here either way.
+    """
+    leaked = multiprocessing.active_children()
+    if not leaked:
+        return
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    for proc in leaked:
+        line = f"leaked child process: {proc.name} (pid {proc.pid})"
+        if reporter is not None:
+            reporter.write_line(line, red=True)
+        proc.terminate()
+        proc.join(timeout=10.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=5.0)
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED

@@ -6,19 +6,26 @@ pool is kept small and module-scoped.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.training import FEATURES
 from repro.errors import ServeError
 from repro.ml.c45 import C45Classifier
 from repro.ml.dataset import Dataset
 from repro.ml.persistence import classifier_to_dict
 from repro.serve.client import ServeClient
-from repro.serve.fleet import FleetThread, load_model_doc
+from repro.serve.fleet import FleetSupervisor, FleetThread, load_model_doc
 from repro.serve.server import ServerThread
 
 N_FEATURES = len(FEATURES)
@@ -52,8 +59,6 @@ def fleet(model_doc):
 
 
 def test_load_model_doc_accepts_clf_dict_and_path(clf, model_doc, tmp_path):
-    import json
-
     assert load_model_doc(model_doc) is model_doc
     assert load_model_doc(clf)["tree"] == model_doc["tree"]
     path = tmp_path / "m.json"
@@ -180,3 +185,82 @@ def test_fleet_stop_reaps_workers(model_doc):
 def test_fleet_rejects_bad_worker_count(model_doc):
     with pytest.raises(ServeError):
         FleetThread(model_doc, workers=0)
+
+
+# ------------------------------------------------------ no orphaned workers
+
+
+_HOST = """
+import json, multiprocessing, sys, time
+from repro.serve.fleet import FleetThread
+thread = FleetThread(sys.argv[1], workers=2)
+thread.start()
+print(json.dumps([p.pid for p in multiprocessing.active_children()]),
+      flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid):
+    """True while ``pid`` runs (a zombie awaiting its reaper has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_workers_exit_when_supervisor_is_killed(model_doc, tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(model_doc))
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    host = subprocess.Popen([sys.executable, "-c", _HOST, str(model)],
+                            env=env, stdout=subprocess.PIPE, text=True)
+    pids = []
+    try:
+        pids = json.loads(host.stdout.readline())
+        assert len(pids) == 2 and all(_running(p) for p in pids)
+        host.send_signal(signal.SIGKILL)
+        host.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while any(_running(p) for p in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_running(p) for p in pids), "orphaned workers"
+    finally:
+        host.kill()
+        host.wait(timeout=10)
+        host.stdout.close()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_failed_start_reaps_started_workers(model_doc, monkeypatch):
+    started = []
+    real_spawn = FleetSupervisor._spawn
+
+    def flaky_spawn(self, name):
+        if started:
+            raise ServeError("second worker failed")
+        worker = real_spawn(self, name)
+        started.append(worker.process)
+        return worker
+
+    monkeypatch.setattr(FleetSupervisor, "_spawn", flaky_spawn)
+    sup = FleetSupervisor(model_doc, workers=3)
+    with pytest.raises(ServeError, match="second worker failed"):
+        sup.start()
+    assert len(started) == 1
+    assert started[0].exitcode is not None  # terminated and joined
+    assert sup.workers == {}
+    assert started[0] not in multiprocessing.active_children()
+
+
+def test_start_timeout_joins_the_worker(model_doc):
+    before = set(multiprocessing.active_children())
+    sup = FleetSupervisor(model_doc, workers=1, start_timeout_s=0.01)
+    with pytest.raises(ServeError, match="did not start"):
+        sup.start()
+    assert set(multiprocessing.active_children()) <= before

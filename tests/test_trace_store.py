@@ -348,9 +348,9 @@ def test_context_shadow_report_store_caches_by_digest(tmp_path, rng):
     prog.to_file(p2)
     ctx = PipelineContext(lab=Lab(spec=SMALL_SPEC, disk_cache=None))
     rep1 = ctx.shadow_report_store(p1)
-    assert len(ctx._shadow_cache) == 1
+    assert len(ctx.shadow_cache) == 1
     rep2 = ctx.shadow_report_store(p2)  # identical bytes: cache hit
-    assert len(ctx._shadow_cache) == 1
+    assert len(ctx.shadow_cache) == 1
     assert (rep1.fs_misses, rep1.ts_misses, rep1.cold_misses,
             rep1.instructions) == (rep2.fs_misses, rep2.ts_misses,
                                    rep2.cold_misses, rep2.instructions)
