@@ -114,14 +114,12 @@ class ShadowMemoryDetector:
 
     def __init__(self, max_threads: int = MAX_THREADS,
                  track_lines: bool = False,
-                 fast: "bool | str" = True) -> None:
+                 fast: bool = True) -> None:
+        if not isinstance(fast, bool):
+            raise BaselineError(f"fast must be a bool, got {fast!r}")
         self.max_threads = max_threads
         self.track_lines = track_lines
-        # Also accept the simulator's drive-strategy vocabulary so a single
-        # ``fast`` setting can be threaded through Lab and oracle alike:
-        # ``'ref'`` selects the reference walk, any vectorized strategy
-        # (``'auto'``/``'runs'``/``'lines'``) enables the numpy prefilter.
-        self.fast = fast if isinstance(fast, bool) else fast != "ref"
+        self.fast = fast
 
     def run(
         self, program: ProgramTrace, chunk: int = DEFAULT_CHUNK

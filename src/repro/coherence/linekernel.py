@@ -51,11 +51,11 @@ Why this is exact (see DESIGN.md for the full argument):
   access index and a single ordered Python walk performs the same
   ``penalty[c] += ...`` sequence the reference loop would (adding 0.0 for
   the skipped no-penalty accesses would be an identity, so they are simply
-  absent).  When the caller threads a shared tally block through several
-  segments (:meth:`MulticoreMachine.run_stream`), the stall accumulators
-  are seeded from it so the addition sequence continues across segments.
+  absent).  The caller threads one tally block through every piece of a
+  slice (:meth:`MulticoreMachine.run_sliced`), so the stall accumulators
+  are seeded from it and the addition sequence continues across pieces.
 
-``drive_lines`` returns ``None`` when the segment is ineligible (the L3
+``drive_lines`` returns False when the segment is ineligible (the L3
 would evict, or an overfull L2 set would have to evict a line the scalar
 walk owns); the caller falls back to another strategy.
 ``tests/test_coherence_linekernel.py`` pins bit-identical results against
@@ -120,19 +120,15 @@ def _overfull_sets(cache, touched: np.ndarray) -> Optional[np.ndarray]:
     return over if over.any() else None
 
 
-def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
+def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg) -> bool:
     """Drive one segment with the line-partitioned kernel.
 
-    Returns a ``_SegmentTallies`` bit-identical to ``_drive_ref``'s, or
-    ``None`` when the segment is ineligible for this strategy.  When
-    ``seg`` is given, tallies accumulate into it; nothing is written to it
-    (or to any machine/run state) before the last bail-out point.
+    Accumulates into the tally block ``seg`` exactly what ``_drive_ref``
+    would and returns True, or returns False when the segment is
+    ineligible for this strategy.  Nothing is written to ``seg`` (or to
+    any machine/run state) before the last bail-out point.
     """
-    from repro.coherence.machine import (
-        _CONTENTION_EPOCH,
-        _EventTallies,
-        _SegmentTallies,
-    )
+    from repro.coherence.machine import _CONTENTION_EPOCH
 
     spec = machine.spec
     lat = machine.latency
@@ -141,11 +137,9 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
     addrs_a = np.asarray(addrs_a, dtype=np.int64)
     writes_a = np.asarray(writes_a, dtype=bool)
     n = int(cores_a.size)
-    if seg is None:
-        seg = _SegmentTallies(_EventTallies(), nt)
     ev = seg.ev
     if n == 0:
-        return seg
+        return True
     lines_g = addrs_a >> 6
 
     # ---- partition by line: runs in the (line, original order) domain ----
@@ -200,7 +194,7 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
     if evict_residents:
         l3_budget = np.unique(np.concatenate([uniq_all] + evict_residents))
     if not _fits_without_eviction(machine._l3, l3_budget):
-        return None
+        return False
 
     # Replay-owned lines: touched by exactly one core, mapping to one of
     # that core's overfull sets, held by no other core, and not Shared at
@@ -597,7 +591,7 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
                             vic = next(iter(d2))
                             vs = d2.pop(vic)
                             if vs == _SENT:
-                                return None  # walk-owned victim: bail
+                                return False  # walk-owned victim: bail
                             if vs == MODIFIED:
                                 n_out_dirty += 1
                                 wb_g.append(gg)
@@ -1011,4 +1005,4 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg=None):
     seg.n_dtlb_st += n_dtlb_st
     seg.n_l1_miss += int(np.count_nonzero(l1m_g))
     seg.n_hit_lfb += n_hit_lfb
-    return seg
+    return True

@@ -57,7 +57,6 @@ from repro.trace.access import ProgramTrace
 from repro.trace.streams import (
     DEFAULT_CHUNK,
     DEFAULT_SEGMENT,
-    interleave,
     interleave_stream,
 )
 
@@ -252,12 +251,6 @@ class MulticoreMachine:
         self.fast = fast
         self.strategy = _normalize_strategy(fast)
         self.fast_min_compression = fast_min_compression
-        #: True when the last segment fell back to the reference loop
-        #: because its compression was below the gate or the line kernel
-        #: was ineligible (telemetry).
-        self._gate_fallback = False
-        #: True when the last forced/auto 'lines' segment was ineligible.
-        self._line_fallback = False
         #: Per-run path histogram (``{'lines': 3, 'ref-gated': 1}``): which
         #: strategy actually drove each segment of the most recent
         #: :meth:`run`/:meth:`run_sliced` call.  Always maintained (one dict
@@ -277,16 +270,18 @@ class MulticoreMachine:
         program: ProgramTrace,
         chunk: int = DEFAULT_CHUNK,
         keep_state: bool = False,
+        max_accesses: int = DEFAULT_SEGMENT,
     ) -> SimulationResult:
         """Simulate ``program`` and return raw counts + timing.
 
         ``keep_state=True`` leaves the final cache structures on the machine
         (``_l1``, ``_l2``, ``_l3``) for post-mortem inspection — used by
-        coherence-invariant tests.
+        coherence-invariant tests.  ``max_accesses`` bounds the merge
+        window (see :meth:`run_sliced`).
         """
-        results = self.run_sliced(program, n_slices=1, chunk=chunk,
-                                  keep_state=keep_state)
-        return results[0]
+        return self.run_sliced(program, 1, chunk=chunk,
+                               keep_state=keep_state,
+                               max_accesses=max_accesses)[0]
 
     def run_sliced(
         self,
@@ -294,6 +289,7 @@ class MulticoreMachine:
         n_slices: int,
         chunk: int = DEFAULT_CHUNK,
         keep_state: bool = False,
+        max_accesses: int = DEFAULT_SEGMENT,
     ) -> List[SimulationResult]:
         """Simulate ``program`` in ``n_slices`` consecutive time slices.
 
@@ -302,32 +298,40 @@ class MulticoreMachine:
         carries over between slices (warm caches) — the substrate for the
         paper's future-work idea of detecting false sharing "in short time
         slices" rather than over whole executions (Section 6).
+
+        The merged order is driven window by window from
+        :func:`~repro.trace.streams.interleave_stream` (at most
+        ``max_accesses`` merged rows resident), cut at the slice bounds.
+        Every piece of a slice accumulates into that slice's one tally
+        block, continuing the reference loop's accumulation sequence:
+        penalties and stall cycles are order-sensitive IEEE sums, so the
+        result is bitwise independent of the window size.
         """
         if n_slices < 1:
             raise SimulationError("n_slices must be >= 1")
         nt = program.nthreads
         self._setup_run(nt)
         state = _RunState(nt, self.spec.tlb_entries)
-
-        merged = interleave(program, chunk=chunk)
-        cores_a = merged.core
-        addrs_a = merged.addr
-        writes_a = merged.is_write
-        total = int(cores_a.size)
-
-        # Slice boundaries over the merged order.
+        total = program.total_accesses
         bounds = [round(i * total / n_slices) for i in range(n_slices + 1)]
+        tallies = [_SegmentTallies(_EventTallies(), nt)
+                   for _ in range(n_slices)]
+        s_i = pos = 0
+        for window in interleave_stream(program, chunk=chunk,
+                                        max_accesses=max_accesses):
+            lo, end = 0, len(window)
+            while lo < end:
+                while bounds[s_i + 1] <= pos:
+                    s_i += 1
+                hi = min(end, lo + bounds[s_i + 1] - pos)
+                self._drive(window.core[lo:hi], window.addr[lo:hi],
+                            window.is_write[lo:hi], state, tallies[s_i])
+                pos += hi - lo
+                lo = hi
 
-        results: List[SimulationResult] = []
-        for s_i in range(n_slices):
-            lo, hi = bounds[s_i], bounds[s_i + 1]
-            seg = self._drive(
-                cores_a[lo:hi], addrs_a[lo:hi], writes_a[lo:hi], state,
-            )
-            results.append(self._slice_result(program, seg, s_i, n_slices))
-
-        # Samples belong to the whole run; attach them to the last slice's
-        # result as well as every slice (cheap shared reference).
+        results = [self._slice_result(program, seg, i, n_slices)
+                   for i, seg in enumerate(tallies)]
+        # Samples belong to the whole run; every slice shares the list.
         for res in results:
             res.hitm_samples = self._hitm_samples
         # Free the big structures before returning (unless a test wants
@@ -335,40 +339,6 @@ class MulticoreMachine:
         if not keep_state:
             del self._l1, self._l2, self._l3, self._nt, self._contenders
         return results
-
-    def run_stream(
-        self,
-        program: ProgramTrace,
-        chunk: int = DEFAULT_CHUNK,
-        max_accesses: int = DEFAULT_SEGMENT,
-        keep_state: bool = False,
-    ) -> SimulationResult:
-        """Simulate ``program`` by streaming bounded merged segments.
-
-        Bit-identical to :meth:`run`: segments come from
-        :func:`~repro.trace.streams.interleave_stream` (whose concatenation
-        is exactly the monolithic merge) and every segment accumulates into
-        one shared tally block, continuing the reference loop's accumulation
-        sequence — penalties and stall cycles are order-sensitive IEEE sums,
-        so the continuation is what makes the equality *bitwise*, not just
-        approximate.  The point is memory: a GB-scale memmap-backed trace
-        drives end-to-end while only ``max_accesses`` merged rows (plus the
-        cache structures) are ever resident.
-        """
-        nt = program.nthreads
-        self._setup_run(nt)
-        state = _RunState(nt, self.spec.tlb_entries)
-        ev = _EventTallies()
-        seg = _SegmentTallies(ev, nt)
-        for piece in interleave_stream(program, chunk=chunk,
-                                       max_accesses=max_accesses):
-            self._drive(piece.core, piece.addr, piece.is_write, state,
-                        seg=seg)
-        result = self._slice_result(program, seg, 0, 1)
-        result.hitm_samples = self._hitm_samples
-        if not keep_state:
-            del self._l1, self._l2, self._l3, self._nt, self._contenders
-        return result
 
     def _setup_run(self, nt: int) -> None:
         """Fresh per-run coherence structures (persist across slices)."""
@@ -442,18 +412,15 @@ class MulticoreMachine:
             meta=meta,
         )
 
-    def _drive(self, cores_a, addrs_a, writes_a,
-               state: "_RunState",
-               seg: "Optional[_SegmentTallies]" = None) -> "_SegmentTallies":
-        """Process one segment of the merged trace against live state.
+    def _drive(self, cores_a, addrs_a, writes_a, state: "_RunState",
+               seg: "_SegmentTallies") -> None:
+        """Process one piece of the merged trace into ``seg``.
 
         Dispatches to the strategy selected at construction (``'auto'``
-        probes each segment); all strategies are pinned bit-identical.
-        When ``seg`` is given, tallies accumulate into it instead of a
-        fresh block — :meth:`run_stream` threads one block through every
-        segment so floats continue the monolithic accumulation order.
+        probes each piece); all strategies are pinned bit-identical and
+        continue ``seg``'s accumulation order.
 
-        With :data:`repro.telemetry.core.TELEMETRY` enabled, each segment
+        With :data:`repro.telemetry.core.TELEMETRY` enabled, each piece
         records a ``sim.drive`` span (path taken, accesses, accesses/s)
         and the path/compression-gate counters; disabled (the default) the
         only cost is the single ``enabled`` attribute check below.
@@ -461,15 +428,15 @@ class MulticoreMachine:
         tel = TELEMETRY
         n = int(len(cores_a))
         if not tel.enabled:
-            seg, path = self._drive_dispatch(cores_a, addrs_a, writes_a,
-                                             state, seg)
+            path = self._drive_dispatch(cores_a, addrs_a, writes_a, state,
+                                        seg)
             self.path_counts[path] = self.path_counts.get(path, 0) + 1
             self.path_accesses[path] = self.path_accesses.get(path, 0) + n
-            return seg
+            return
         t0 = time.perf_counter()
         with tel.span("sim.drive", accesses=n) as sp:
-            seg, path = self._drive_dispatch(
-                cores_a, addrs_a, writes_a, state, seg)
+            path = self._drive_dispatch(cores_a, addrs_a, writes_a, state,
+                                        seg)
         dt = time.perf_counter() - t0
         self.path_counts[path] = self.path_counts.get(path, 0) + 1
         self.path_accesses[path] = self.path_accesses.get(path, 0) + n
@@ -479,46 +446,39 @@ class MulticoreMachine:
         tel.count("sim.drive.accesses", n)
         tel.count(f"sim.drive.path.{path}")
         tel.gauge("sim.drive.accesses_per_s", rate)
-        return seg
 
     def _drive_dispatch(self, cores_a, addrs_a, writes_a,
-                        state: "_RunState",
-                        seg: "Optional[_SegmentTallies]" = None):
-        """Run one segment under ``self.strategy``; returns (seg, path).
+                        state: "_RunState", seg: "_SegmentTallies") -> str:
+        """Run one piece under ``self.strategy``; returns the path taken.
 
-        ``path`` is the strategy that actually drove the segment:
+        The path is the strategy that actually drove the piece:
         ``'ref'``, ``'runs'``, ``'lines'``, or ``'ref-gated'`` when a
         vectorized strategy fell back to the reference loop.
         """
         strategy = self.strategy
-        self._gate_fallback = False
-        self._line_fallback = False
         if strategy == "ref":
-            return (self._drive_ref(cores_a, addrs_a, writes_a, state, seg),
-                    "ref")
+            self._drive_ref(cores_a, addrs_a, writes_a, state, seg)
+            return "ref"
         if strategy == "runs":
-            seg = self._drive_fast(cores_a, addrs_a, writes_a, state,
-                                   seg=seg)
-            return seg, ("ref-gated" if self._gate_fallback else "runs")
+            if self._drive_fast(cores_a, addrs_a, writes_a, state, seg):
+                return "runs"
+            return "ref-gated"
         if strategy == "lines":
-            out = self._drive_lines(cores_a, addrs_a, writes_a, state, seg)
-            if out is not None:
-                return out, "lines"
-            self._line_fallback = True
-            self._gate_fallback = True
-            return (self._drive_ref(cores_a, addrs_a, writes_a, state, seg),
-                    "ref-gated")
+            if self._drive_lines(cores_a, addrs_a, writes_a, state, seg):
+                return "lines"
+            self._drive_ref(cores_a, addrs_a, writes_a, state, seg)
+            return "ref-gated"
         return self._drive_auto(cores_a, addrs_a, writes_a, state, seg)
 
     def _drive_auto(self, cores_a, addrs_a, writes_a, state: "_RunState",
-                    seg: "Optional[_SegmentTallies]" = None):
-        """``'auto'``: probe the segment, then pick the cheapest strategy.
+                    seg: "_SegmentTallies") -> str:
+        """``'auto'``: probe the piece, then pick the cheapest strategy.
 
         * compressible and low-churn -> run-compression;
         * compressible but line-churning (contended) -> line kernel, with
           run-compression as the fallback;
         * fragmented -> line kernel, with the reference loop as fallback;
-        * tiny segments -> run-compression (the line kernel's fixed numpy
+        * tiny pieces -> run-compression (the line kernel's fixed numpy
           overhead cannot pay for itself below :data:`_LINES_MIN`).
 
         ``fast_min_compression <= 0`` preserves the historical meaning of
@@ -527,26 +487,24 @@ class MulticoreMachine:
         min_ratio = self.fast_min_compression
         n = int(len(cores_a))
         if min_ratio <= 0.0 or n < _LINES_MIN:
-            out = self._drive_fast(cores_a, addrs_a, writes_a, state,
-                                   gated=min_ratio > 0.0, seg=seg)
-            return out, ("ref-gated" if self._gate_fallback else "runs")
+            if self._drive_fast(cores_a, addrs_a, writes_a, state, seg,
+                                gated=min_ratio > 0.0):
+                return "runs"
+            return "ref-gated"
         compression, churn, line_ratio = self._probe_gate(cores_a, addrs_a)
         if (compression >= min_ratio and churn < _CHURN_ROUTE
                 and line_ratio > _LINE_RUNS_ROUTE):
-            out = self._drive_fast(cores_a, addrs_a, writes_a, state,
-                                   gated=False, seg=seg)
-            return out, "runs"
-        out = self._drive_lines(cores_a, addrs_a, writes_a, state, seg)
-        if out is not None:
-            return out, "lines"
-        self._line_fallback = True
+            self._drive_fast(cores_a, addrs_a, writes_a, state, seg,
+                             gated=False)
+            return "runs"
+        if self._drive_lines(cores_a, addrs_a, writes_a, state, seg):
+            return "lines"
         if compression >= min_ratio:
-            out = self._drive_fast(cores_a, addrs_a, writes_a, state,
-                                   gated=False, seg=seg)
-            return out, "runs"
-        self._gate_fallback = True
-        return (self._drive_ref(cores_a, addrs_a, writes_a, state, seg),
-                "ref-gated")
+            self._drive_fast(cores_a, addrs_a, writes_a, state, seg,
+                             gated=False)
+            return "runs"
+        self._drive_ref(cores_a, addrs_a, writes_a, state, seg)
+        return "ref-gated"
 
     def _probe_gate(self, cores_a, addrs_a):
         """Stratified gate probe: ``(compression, churn, line_ratio)``.
@@ -593,19 +551,15 @@ class MulticoreMachine:
             return float("inf"), 0.0, 1.0
         return total / runs, churn / runs, lruns / runs
 
-    def _drive_lines(self, cores_a, addrs_a, writes_a,
-                     state: "_RunState",
-                     seg: "Optional[_SegmentTallies]" = None,
-                     ) -> "Optional[_SegmentTallies]":
-        """Line-partitioned kernel; ``None`` when the segment is ineligible."""
+    def _drive_lines(self, cores_a, addrs_a, writes_a, state: "_RunState",
+                     seg: "_SegmentTallies") -> bool:
+        """Line-partitioned kernel; False when the piece is ineligible."""
         from repro.coherence.linekernel import drive_lines
 
         return drive_lines(self, cores_a, addrs_a, writes_a, state, seg)
 
-    def _drive_ref(self, cores_a, addrs_a, writes_a,
-                   state: "_RunState",
-                   seg: "Optional[_SegmentTallies]" = None,
-                   ) -> "_SegmentTallies":
+    def _drive_ref(self, cores_a, addrs_a, writes_a, state: "_RunState",
+                   seg: "_SegmentTallies") -> None:
         """Reference path: one Python iteration per access (the spec)."""
         cores_l = (cores_a.tolist() if isinstance(cores_a, np.ndarray)
                    else list(cores_a))
@@ -614,8 +568,6 @@ class MulticoreMachine:
         writes_l = (writes_a.tolist() if isinstance(writes_a, np.ndarray)
                     else list(writes_a))
         lat = self.latency
-        if seg is None:
-            seg = _SegmentTallies(_EventTallies(), len(state.penalty))
         ev = seg.ev
 
         l1_masks = [c.mask for c in self._l1]
@@ -701,12 +653,9 @@ class MulticoreMachine:
         seg.n_rfo_s += n_rfo_s
         seg.n_writes += n_writes
         seg.n_reads += len(cores_l) - n_writes
-        return seg
 
-    def _drive_fast(self, cores_a, addrs_a, writes_a,
-                    state: "_RunState", gated: bool = True,
-                    seg: "Optional[_SegmentTallies]" = None,
-                    ) -> "_SegmentTallies":
+    def _drive_fast(self, cores_a, addrs_a, writes_a, state: "_RunState",
+                    seg: "_SegmentTallies", gated: bool = True) -> bool:
         """Vectorized fast path: run-compress the trace, scalar-drive leaders.
 
         Line/page extraction and per-core run-length detection happen once in
@@ -717,19 +666,18 @@ class MulticoreMachine:
         (see module docstring for the equivalence argument).
 
         ``gated=False`` skips the compression probe — used by ``'auto'``,
-        which has already probed the segment.
+        which has already probed the segment.  Returns False when the
+        probe sent the segment to the reference loop instead.
         """
         lat = self.latency
         nt = len(state.penalty)
-        if seg is None:
-            seg = _SegmentTallies(_EventTallies(), nt)
         ev = seg.ev
         cores_a = np.asarray(cores_a)
         addrs_a = np.asarray(addrs_a, dtype=np.int64)
         writes_a = np.asarray(writes_a, dtype=bool)
         n = int(cores_a.size)
         if n == 0:
-            return seg
+            return True
 
         min_ratio = self.fast_min_compression
         if gated and min_ratio > 0.0:
@@ -739,9 +687,8 @@ class MulticoreMachine:
             # keeps that fallback nearly free.
             compression, _, _ = self._probe_gate(cores_a, addrs_a)
             if compression < min_ratio:
-                self._gate_fallback = True
-                return self._drive_ref(cores_a, addrs_a, writes_a, state,
-                                       seg)
+                self._drive_ref(cores_a, addrs_a, writes_a, state, seg)
+                return False
 
         lines_a = addrs_a >> 6
         # Run boundaries: a new run whenever the core or the line changes.
@@ -920,7 +867,7 @@ class MulticoreMachine:
         seg.n_l1_miss += n_l1_miss
         seg.n_hit_lfb += n_hit_lfb
         seg.n_rfo_s += n_rfo_s
-        return seg
+        return True
 
     # ---------------------------------------------------------------- slow paths
 

@@ -125,26 +125,22 @@ class Lab:
             self.simulation_key(workload, cfg),
             lambda: self._machine.run(workload.trace(cfg), chunk=self.chunk))
 
-    def simulate_store(self, path: Union[str, Path],
-                       stream: bool = True) -> SimulationResult:
+    def simulate_store(self, path: Union[str, Path]) -> SimulationResult:
         """Run (or fetch from cache) the simulation of a persisted trace.
 
         ``path`` names a program store written by
         :func:`repro.trace.store.save_program`.  The cache key is the
         store's **content digest**, read from the header in O(1): renamed
         or copied files hit the same entry, and a regenerated trace with
-        different bytes misses regardless of its name.  The default
-        ``stream=True`` drives the trace off the memmap through the
-        streaming merge, so multi-GB stores never materialize a merged
-        copy; ``stream=False`` uses the monolithic drive (identical
-        results — the streamed path is bit-exact by construction).
+        different bytes misses regardless of its name.  The trace is
+        driven off the memmap window by window, so multi-GB stores never
+        materialize a merged copy.
         """
         from repro.trace.store import open_program, open_store
 
-        drive = self._machine.run_stream if stream else self._machine.run
         return self.sim_cache.get_or_compute(
             ("store", open_store(path).digest, self.chunk),
-            lambda: drive(open_program(path), chunk=self.chunk))
+            lambda: self._machine.run(open_program(path), chunk=self.chunk))
 
     def measure(
         self,

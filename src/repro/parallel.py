@@ -102,7 +102,7 @@ def _simulate_store_task(task: Tuple) -> Tuple[object, int]:
     document that N workers over a GB-scale trace do not cost N trace-sized
     residencies.
     """
-    path, spec, latency, prefetch, fast, chunk, stream = task
+    path, spec, latency, prefetch, fast, chunk = task
     import resource
 
     from repro.coherence.machine import MulticoreMachine
@@ -110,10 +110,7 @@ def _simulate_store_task(task: Tuple) -> Tuple[object, int]:
 
     program = open_program(path)
     machine = MulticoreMachine(spec, latency, prefetch=prefetch, fast=fast)
-    if stream:
-        result = machine.run_stream(program, chunk=chunk)
-    else:
-        result = machine.run(program, chunk=chunk)
+    result = machine.run(program, chunk=chunk)
     rss_kib = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     return result, rss_kib
 
@@ -266,13 +263,12 @@ class ExecutionEngine:
         prefetch: bool = True,
         fast: "bool | str" = True,
         chunk: Optional[int] = None,
-        stream: bool = True,
     ) -> List[Tuple[object, int]]:
         """Simulate persisted program stores, one worker memmap per path.
 
         Workers receive ``(path, machine params)`` handles only; each opens
-        the store read-only and drives it straight off the memmap (streamed
-        merge by default, so the interleaved order is never materialized).
+        the store read-only and drives it straight off the memmap (the
+        windowed drive never materializes the whole interleaved order).
         Returns ``(SimulationResult, worker_peak_rss_kib)`` pairs in input
         order — the RSS figures substantiate the zero-copy claim in bench
         reports.
@@ -282,7 +278,7 @@ class ExecutionEngine:
 
         latency = latency if latency is not None else DEFAULT_LATENCY
         chunk = int(chunk) if chunk is not None else DEFAULT_CHUNK
-        tasks = [(str(p), spec, latency, prefetch, fast, chunk, stream)
+        tasks = [(str(p), spec, latency, prefetch, fast, chunk)
                  for p in paths]
         return self.map(_simulate_store_task, tasks)
 
@@ -291,14 +287,14 @@ class ExecutionEngine:
         cases: Sequence[Tuple],
         chunk: int,
         max_threads: int,
-        fast: "bool | str" = True,
+        fast: bool = True,
     ) -> List[Tuple[int, int, int, int]]:
         """Oracle counts for ``(program_name, case)`` pairs, in order.
 
-        ``fast`` accepts the shadow detector's vocabulary: a bool, or any
-        simulator drive-strategy string (``'ref'`` disables the numpy
-        prefilter, everything else enables it).
+        ``fast`` toggles the oracle's numpy prefilter and must be a bool.
         """
+        if not isinstance(fast, bool):
+            raise ReproError(f"fast must be a bool, got {fast!r}")
         tasks = [(name, case, chunk, max_threads, fast)
                  for name, case in cases]
         return self.map(_shadow_task, tasks)

@@ -59,7 +59,7 @@ from repro.errors import ServeError
 from repro.serve.admission import AdmissionController
 from repro.serve.aggregate import VerdictAggregator
 from repro.serve.loopthread import LoopThread
-from repro.serve.server import STREAM_LIMIT
+from repro.serve.server import OVERSIZED_LINE, STREAM_LIMIT, discard_input
 from repro.telemetry.core import TELEMETRY
 
 __all__ = ["HashRing", "DetectionRouter", "RouterThread"]
@@ -268,12 +268,14 @@ class DetectionRouter:
             return
         self._accepting = False
         self._server.close()
-        await self._server.wait_closed()
+        # Fail in-flight work first: a half-closed client's connection
+        # stays open until its owed replies are written.
         for name in list(self._links):
             await self._down_link(self._links[name],
                                   detail="router shutting down")
         for writer in list(self._writers):
             writer.close()
+        await self._server.wait_closed()
         self._server = None
 
     async def serve_forever(self) -> None:
@@ -446,30 +448,64 @@ class DetectionRouter:
         default_source = f"conn-{self._conn_seq}"
         responses: asyncio.Queue = asyncio.Queue()
         writer_task = asyncio.create_task(self._write_loop(responses, writer))
+        owed: Optional[int] = None
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                await self._dispatch(line, default_source, responses)
+            owed = await self._read_requests(reader, default_source,
+                                             responses)
         except (ConnectionResetError, asyncio.CancelledError):
             pass
         finally:
-            await responses.put(None)
+            # At EOF the writer stays open until every reply owed to this
+            # client is written (a half-closed client still waits for
+            # them), and unread input is dropped so the close is not a
+            # reset; after an error the writer stops at once.
+            await responses.put(owed)
             with contextlib.suppress(Exception):
                 await writer_task
+            if owed is not None:
+                await discard_input(reader, writer)
             self._writers.discard(writer)
             with contextlib.suppress(Exception):
                 writer.close()
 
+    async def _read_requests(self, reader: asyncio.StreamReader,
+                             default_source: str,
+                             responses: asyncio.Queue) -> int:
+        """Dispatch a client's lines until EOF; returns the replies owed.
+
+        Every dispatched line is owed exactly one reply.  A final line
+        cut off by EOF gets its newline here, so its bytes can never glue
+        onto the next line forwarded to the same worker.
+        """
+        owed = 0
+        while True:
+            try:
+                line = await reader.readline()
+            except ValueError:  # longer than STREAM_LIMIT
+                await responses.put(OVERSIZED_LINE)
+                return owed + 1
+            if not line:
+                return owed
+            if not line.strip():
+                continue
+            if not line.endswith(b"\n"):
+                line += b"\n"
+            owed += 1
+            await self._dispatch(line, default_source, responses)
+
     async def _write_loop(self, responses: asyncio.Queue,
                           writer: asyncio.StreamWriter) -> None:
-        while True:
+        """Write replies until ``None``, or until the count of replies
+        owed (an ``int``) has been written."""
+        written = 0
+        owed: Optional[int] = None
+        while owed is None or written < owed:
             item = await responses.get()
             if item is None:
                 return
+            if isinstance(item, int):
+                owed = item
+                continue
             if isinstance(item, dict):
                 item = json.dumps(item).encode() + b"\n"
             try:
@@ -477,6 +513,7 @@ class DetectionRouter:
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):
                 return
+            written += 1
 
     # ------------------------------------------------------------ dispatch
 

@@ -71,6 +71,26 @@ __all__ = ["DetectionServer", "ServerThread", "STREAM_LIMIT"]
 #: magnitude of headroom without letting one client buffer unboundedly.
 STREAM_LIMIT = 16 * 1024 * 1024
 
+#: The reply to a request line longer than :data:`STREAM_LIMIT`.  It has
+#: no ``id`` (the line was never parsed), and the connection then closes:
+#: the rest of its input has lost its framing.
+OVERSIZED_LINE = {"error": "bad_request",
+                  "detail": f"request line longer than {STREAM_LIMIT} bytes"}
+
+
+async def discard_input(reader: asyncio.StreamReader,
+                        writer: asyncio.StreamWriter) -> None:
+    """Half-close ``writer``, then read and drop input until the peer's EOF.
+
+    Closing a socket that still has unread input makes the kernel send a
+    reset, which can destroy a reply the peer has not read yet.
+    """
+    with contextlib.suppress(Exception):
+        writer.write_eof()
+        while await reader.read(1 << 16):
+            pass
+
+
 #: Sentinel queued by ``stop`` so the batcher exits after draining
 #: everything enqueued before shutdown began.
 _STOP = object()
@@ -381,9 +401,15 @@ class DetectionServer:
         writer_task = asyncio.create_task(
             self._write_loop(responses, writer)
         )
+        oversized = False
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # longer than STREAM_LIMIT
+                    await responses.put(OVERSIZED_LINE)
+                    oversized = True
+                    break
                 if not line:
                     break
                 line = line.strip()
@@ -396,6 +422,8 @@ class DetectionServer:
             await responses.put(None)
             with contextlib.suppress(Exception):
                 await writer_task
+            if oversized:
+                await discard_input(reader, writer)
             self._writers.discard(writer)
             with contextlib.suppress(Exception):
                 writer.close()

@@ -80,6 +80,37 @@ class MergedTrace:
                    store["is_write"].view(np.bool_))
 
 
+def _merge(threads, lo: int, hi: int, chunk: int) -> MergedTrace:
+    """The merged rows at per-thread positions ``[lo, hi)``.
+
+    The merge key is ``(position // chunk, thread, position)``, so with
+    ``lo`` on a round boundary the rows are a self-contained stretch of
+    the global order, and each thread contributes one contiguous slice of
+    its columns (views when the columns are memmaps).
+    """
+    if len(threads) == 1:
+        t = threads[0]
+        return MergedTrace(np.zeros(hi - lo, np.int16),
+                           t.addrs[lo:hi], t.is_write[lo:hi])
+    spans = [(min(t.n_accesses, lo), min(t.n_accesses, hi)) for t in threads]
+    n = sum(b - a for a, b in spans)
+    core_col = np.empty(n, np.int16)
+    pos_col = np.empty(n, np.int64)
+    addr_col = np.empty(n, np.int64)
+    wr_col = np.empty(n, bool)
+    off = 0
+    for tid, (t, (a, b)) in enumerate(zip(threads, spans)):
+        sl = slice(off, off + (b - a))
+        core_col[sl] = tid
+        pos_col[sl] = np.arange(a, b, dtype=np.int64)
+        addr_col[sl] = t.addrs[a:b]
+        wr_col[sl] = t.is_write[a:b]
+        off += b - a
+    # np.lexsort sorts by its last key first.
+    order = np.lexsort((pos_col, core_col, pos_col // chunk))
+    return MergedTrace(core_col[order], addr_col[order], wr_col[order])
+
+
 def interleave(program: ProgramTrace, chunk: int = DEFAULT_CHUNK) -> MergedTrace:
     """Merge a program's thread traces into chunked round-robin order.
 
@@ -89,36 +120,8 @@ def interleave(program: ProgramTrace, chunk: int = DEFAULT_CHUNK) -> MergedTrace
     """
     if chunk <= 0:
         raise TraceError("chunk must be positive")
-    nt = program.nthreads
-    sizes = [t.n_accesses for t in program.threads]
-    total = sum(sizes)
-    if total == 0:
-        return MergedTrace(
-            np.empty(0, np.int16), np.empty(0, np.int64), np.empty(0, bool)
-        )
-    if nt == 1:
-        t = program.threads[0]
-        return MergedTrace(
-            np.zeros(t.n_accesses, np.int16), t.addrs.copy(), t.is_write.copy()
-        )
-
-    # Sort key: (round, thread, position) where round = position // chunk.
-    # np.lexsort sorts by last key first.
-    core_col = np.empty(total, np.int16)
-    pos_col = np.empty(total, np.int64)
-    addr_col = np.empty(total, np.int64)
-    wr_col = np.empty(total, bool)
-    off = 0
-    for tid, t in enumerate(program.threads):
-        n = t.n_accesses
-        sl = slice(off, off + n)
-        core_col[sl] = tid
-        pos_col[sl] = np.arange(n, dtype=np.int64)
-        addr_col[sl] = t.addrs
-        wr_col[sl] = t.is_write
-        off += n
-    order = np.lexsort((pos_col, core_col, pos_col // chunk))
-    return MergedTrace(core_col[order], addr_col[order], wr_col[order])
+    longest = max(t.n_accesses for t in program.threads)
+    return _merge(program.threads, 0, longest, chunk)
 
 
 def interleave_stream(
@@ -126,61 +129,23 @@ def interleave_stream(
     chunk: int = DEFAULT_CHUNK,
     max_accesses: int = DEFAULT_SEGMENT,
 ) -> Iterator[MergedTrace]:
-    """:func:`interleave`, streamed: bounded-memory segments, exact order.
+    """:func:`interleave`, streamed: bounded-memory windows, exact order.
 
-    Yields consecutive :class:`MergedTrace` segments whose concatenation is
-    bit-identical to ``interleave(program, chunk)`` — without ever
-    materializing the full merged columns.  The merge key is
-    ``(position // chunk, thread, position)``, so the global order is
-    primarily by *round*: a window of whole rounds is self-contained, and
-    each window only touches the ``len(threads) * chunk * rounds`` slice of
-    every per-thread column (views when the columns are memmaps — the
-    window working set is bounded regardless of trace size).
+    Yields consecutive :class:`MergedTrace` windows whose concatenation is
+    bit-identical to ``interleave(program, chunk)`` without ever
+    materializing the full merged columns.  Each window is a stretch of
+    whole interleaving rounds, so it only touches a
+    ``len(threads) * chunk * rounds`` slice of every per-thread column.
 
-    ``max_accesses`` bounds the segment size; at least one round per
-    segment is always emitted.
+    ``max_accesses`` bounds the window size; every window holds at least
+    one round.
     """
     if chunk <= 0:
         raise TraceError("chunk must be positive")
     if max_accesses <= 0:
         raise TraceError("max_accesses must be positive")
     threads = program.threads
-    nt = program.nthreads
-    sizes = [t.n_accesses for t in threads]
-    longest = max(sizes) if sizes else 0
-    if longest == 0:
-        return
-    if nt == 1:
-        t = threads[0]
-        for lo in range(0, sizes[0], max_accesses):
-            hi = min(lo + max_accesses, sizes[0])
-            yield MergedTrace(
-                np.zeros(hi - lo, np.int16),
-                t.addrs[lo:hi], t.is_write[lo:hi],
-            )
-        return
-    rounds = max(1, max_accesses // (nt * chunk))
-    total_rounds = -(-longest // chunk)
-    for r0 in range(0, total_rounds, rounds):
-        lo = r0 * chunk
-        hi = min((r0 + rounds) * chunk, longest)
-        seg_n = sum(max(0, min(n, hi) - min(n, lo)) for n in sizes)
-        if seg_n == 0:
-            continue
-        core_col = np.empty(seg_n, np.int16)
-        pos_col = np.empty(seg_n, np.int64)
-        addr_col = np.empty(seg_n, np.int64)
-        wr_col = np.empty(seg_n, bool)
-        off = 0
-        for tid, t in enumerate(threads):
-            a, b = min(sizes[tid], lo), min(sizes[tid], hi)
-            if b <= a:
-                continue
-            sl = slice(off, off + (b - a))
-            core_col[sl] = tid
-            pos_col[sl] = np.arange(a, b, dtype=np.int64)
-            addr_col[sl] = t.addrs[a:b]
-            wr_col[sl] = t.is_write[a:b]
-            off += b - a
-        order = np.lexsort((pos_col, core_col, pos_col // chunk))
-        yield MergedTrace(core_col[order], addr_col[order], wr_col[order])
+    longest = max(t.n_accesses for t in threads)
+    step = max(1, max_accesses // (len(threads) * chunk)) * chunk
+    for lo in range(0, longest, step):
+        yield _merge(threads, lo, min(lo + step, longest), chunk)

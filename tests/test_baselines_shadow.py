@@ -206,3 +206,8 @@ class TestFastPrefilter:
 
     def test_fast_default_on(self):
         assert ShadowMemoryDetector().fast is True
+
+    @pytest.mark.parametrize("fast", ["fsat", "ref", "auto", 1, None])
+    def test_fast_must_be_a_bool(self, fast):
+        with pytest.raises(BaselineError, match="fast must be a bool"):
+            ShadowMemoryDetector(fast=fast)

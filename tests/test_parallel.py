@@ -159,6 +159,14 @@ class TestClassifyDeterminism:
 
 
 class TestShadowDeterminism:
+    @pytest.mark.parametrize("fast", ["fsat", "ref", 0])
+    def test_shadow_batch_fast_must_be_a_bool(self, fast):
+        p = get_program("linear_regression")
+        case = p.verification_cases()[0]
+        with pytest.raises(ReproError, match="fast must be a bool"):
+            ExecutionEngine(1).shadow_batch([(p.name, case)], chunk=4,
+                                            max_threads=8, fast=fast)
+
     def test_run_many_matches_serial(self):
         p = get_program("linear_regression")
         cases = p.verification_cases()[:3]

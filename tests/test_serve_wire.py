@@ -4,13 +4,16 @@
   and through a router, and the ledgers stay exact;
 * the router's regex peek agrees with ``orjson.loads`` of the same bytes
   on well-formed classify lines;
-* ``orjson.loads(json.dumps(X.tolist()))`` gives back ``X`` bit for bit.
+* ``orjson.loads(json.dumps(X.tolist()))`` gives back ``X`` bit for bit;
+* a line cut off by EOF, a half-closed client and a line over
+  ``STREAM_LIMIT`` each get their replies, and the ledgers stay exact.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import time
 
 import numpy as np
 import orjson
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.training import FEATURES
 from repro.serve.router import DetectionRouter, RouterThread
-from repro.serve.server import ServerThread
+from repro.serve.server import STREAM_LIMIT, ServerThread
 from tests.test_serve_server import _make_clf
 
 N_FEATURES = len(FEATURES)
@@ -95,6 +98,65 @@ def test_not_finite_value_is_bad_request(endpoint, token, framing):
     completed, errors = ledger()
     assert completed == 1
     assert errors in (None, n_bad)
+
+
+def _classify_line(rid, features):
+    return (f'{{"op": "classify", "id": {rid}, "source": "s", '
+            f'"features": [{features}]}}\n').encode()
+
+
+def test_unterminated_final_line_does_not_glue_onto_the_next(endpoint):
+    host, port, ledger = endpoint
+    good = ", ".join(["0.5"] * N_FEATURES)
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(b'{"op": "classify", "id": 0, "source": "s", '
+                     b'"features": [1.0, 2')
+    # Wait until the cut-off line is answered (the router counts it as
+    # an error), so the next client's lines reach the worker after it.
+    deadline = time.monotonic() + 10.0
+    while ledger()[1] not in (None, 1):
+        assert time.monotonic() < deadline, "cut-off line never answered"
+        time.sleep(0.01)
+    with socket.create_connection((host, port), timeout=10.0) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(b"".join(_classify_line(i, good) for i in (1, 2, 3)))
+        replies = [json.loads(rfile.readline()) for _ in range(3)]
+    assert [r["id"] for r in replies] == [1, 2, 3]
+    assert all("label" in r for r in replies)
+    completed, errors = ledger()
+    assert completed == 3
+    assert errors in (None, 1)
+
+
+def test_half_closed_client_gets_every_reply(endpoint):
+    host, port, ledger = endpoint
+    good = ", ".join(["0.5"] * N_FEATURES)
+    with socket.create_connection((host, port), timeout=10.0) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(_classify_line(1, good) + b'{"op": "ping", "id": 2}\n'
+                     + _classify_line(3, good))
+        sock.shutdown(socket.SHUT_WR)
+        replies = [json.loads(line) for line in rfile]
+    # No reply order is promised across a router's shards and control ops.
+    assert sorted(r["id"] for r in replies) == [1, 2, 3]
+    assert sum("label" in r for r in replies) == 2
+    assert ledger()[0] == 2
+
+
+def test_oversized_line_is_bad_request_then_close(endpoint):
+    host, port, ledger = endpoint
+    big = b'{"op": "ping", "pad": "' + b"x" * STREAM_LIMIT + b'"}\n'
+    with socket.create_connection((host, port), timeout=30.0) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(big + b'{"op": "ping", "id": 7}\n')
+        sock.shutdown(socket.SHUT_WR)
+        replies = [json.loads(line) for line in rfile]
+    # One reply without an id, then a clean EOF; the ping behind the
+    # unframed line is not answered.
+    assert replies == [{"error": "bad_request",
+                        "detail": f"request line longer than "
+                                  f"{STREAM_LIMIT} bytes"}]
+    assert ledger()[0] == 0
 
 
 # ------------------------------------------------- peek == orjson.loads

@@ -237,16 +237,49 @@ def test_missing_file_and_missing_column(tmp_path, rng):
 # -------------------------------------------------------- streamed merging
 
 
+def _window_cases(rng):
+    """A three-thread program, a one-thread program and an empty one."""
+    empty = ProgramTrace([ThreadTrace(np.empty(0, np.int64),
+                                      np.empty(0, bool)) for _ in range(2)])
+    return [_random_program(rng), _random_program(rng, nthreads=1), empty]
+
+
+def _assert_same_result(a, b):
+    assert a.counts == b.counts
+    assert a.cycles_per_core == b.cycles_per_core
+    assert a.instructions_per_core == b.instructions_per_core
+    assert a.seconds == b.seconds
+    assert a.hitm_samples == b.hitm_samples
+    assert (a.name, a.meta) == (b.name, b.meta)
+
+
 @pytest.mark.parametrize("max_accesses", [64, 333, 1 << 20])
 def test_interleave_stream_matches_monolithic(tmp_path, rng, max_accesses):
-    prog = _random_program(rng)
-    mono = interleave(prog)
-    pieces = list(interleave_stream(prog, max_accesses=max_accesses))
-    assert sum(len(p) for p in pieces) == len(mono)
-    assert np.array_equal(np.concatenate([p.core for p in pieces]), mono.core)
-    assert np.array_equal(np.concatenate([p.addr for p in pieces]), mono.addr)
-    assert np.array_equal(
-        np.concatenate([p.is_write for p in pieces]), mono.is_write)
+    for prog in _window_cases(rng):
+        mono = interleave(prog)
+        pieces = list(interleave_stream(prog, max_accesses=max_accesses))
+        assert sum(len(p) for p in pieces) == len(mono)
+        for col in ("core", "addr", "is_write"):
+            joined = [getattr(p, col) for p in pieces]
+            assert np.array_equal(
+                np.concatenate(joined) if joined else joined,
+                getattr(mono, col))
+        # The drive is window-size invariant: whole runs, and time slices
+        # whose bounds fall inside windows (3 slices over ~900 accesses
+        # against 60- and 324-access windows).
+        for fast in ("ref", "auto"):
+            def machine():
+                return MulticoreMachine(SMALL_SPEC, fast=fast,
+                                        hitm_sample_period=3)
+
+            _assert_same_result(
+                machine().run(prog, max_accesses=max_accesses),
+                machine().run(prog))
+            sliced = machine().run_sliced(prog, 3, max_accesses=max_accesses)
+            whole = machine().run_sliced(prog, 3)
+            assert len(sliced) == len(whole) == 3
+            for a, b in zip(sliced, whole):
+                _assert_same_result(a, b)
 
 
 def test_interleave_stream_single_thread(rng):
@@ -256,6 +289,9 @@ def test_interleave_stream_single_thread(rng):
     mono = interleave(prog)
     pieces = list(interleave_stream(prog, max_accesses=128))
     assert np.array_equal(np.concatenate([p.addr for p in pieces]), mono.addr)
+    _assert_same_result(
+        MulticoreMachine(SMALL_SPEC).run(prog, max_accesses=128),
+        MulticoreMachine(SMALL_SPEC).run(prog))
 
 
 def test_run_stream_is_bit_identical_to_run(tmp_path, rng):
@@ -264,7 +300,7 @@ def test_run_stream_is_bit_identical_to_run(tmp_path, rng):
     mapped = ProgramTrace.open_mmap(tmp_path / "p.rtrc")
     ref = MulticoreMachine(SMALL_SPEC, fast="auto").run(prog)
     for max_accesses in (256, 4096):
-        res = MulticoreMachine(SMALL_SPEC, fast="auto").run_stream(
+        res = MulticoreMachine(SMALL_SPEC, fast="auto").run(
             mapped, max_accesses=max_accesses)
         assert res.counts == ref.counts
         assert res.cycles_per_core == ref.cycles_per_core
@@ -276,7 +312,7 @@ def test_run_stream_is_bit_identical_to_run(tmp_path, rng):
 def test_run_stream_populates_path_accesses(rng):
     prog = _random_program(rng, nthreads=2, max_len=3000)
     m = MulticoreMachine(SMALL_SPEC, fast="auto")
-    m.run_stream(prog, max_accesses=512)
+    m.run(prog, max_accesses=512)
     assert sum(m.path_accesses.values()) == prog.total_accesses
     assert set(m.path_accesses) == set(m.path_counts)
 
@@ -298,13 +334,14 @@ def test_lab_simulate_store_keys_on_digest(tmp_path, rng):
     # A renamed copy with identical bytes is the same cache entry.
     assert lab.simulate_store(p2) is res
     assert lab.cache_size() == 1
-    # And both streaming and monolithic drives agree with a plain run.
+    # And the drive off the memmap agrees with a plain in-memory run,
+    # also when the store is driven in small windows.
     direct = lab.machine.run(prog, chunk=lab.chunk)
     assert res.counts == direct.counts
     assert res.cycles_per_core == direct.cycles_per_core
-    mono = Lab(spec=SMALL_SPEC, disk_cache=None).simulate_store(
-        p1, stream=False)
-    assert mono.counts == res.counts
+    windowed = lab.machine.run(open_program(p1), chunk=lab.chunk,
+                               max_accesses=64)
+    assert windowed.counts == res.counts
 
 
 def test_engine_simulate_stores_reports_worker_rss(tmp_path, rng):
@@ -380,5 +417,5 @@ def test_two_gigabyte_trace_streams_end_to_end(tmp_path):
     assert path.stat().st_size > 2 * (1 << 30)
     del prog, threads, addrs, writes
     mapped = ProgramTrace.open_mmap(path)
-    res = MulticoreMachine(SMALL_SPEC, fast="auto").run_stream(mapped)
+    res = MulticoreMachine(SMALL_SPEC, fast="auto").run(mapped)
     assert res.counts["INST_RETIRED.ANY"] > 0
