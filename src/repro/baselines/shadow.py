@@ -230,11 +230,12 @@ class ShadowMemoryDetector:
     def run_store(self, path, chunk: int = DEFAULT_CHUNK) -> ShadowReport:
         """Shadow a program persisted as a binary trace store.
 
-        The store is opened as read-only memmap views (zero-copy), so the
-        oracle's numpy prefilter reduces file-backed pages directly; only
-        the filtered residue is ever materialized for the scalar state
-        machine.  Results are identical to :meth:`run` on the in-memory
-        program the store was written from.
+        The store is opened as read-only memmap views (zero-copy), but
+        :meth:`run` then calls
+        :func:`~repro.trace.streams.interleave`, which builds the whole
+        merged order in memory; unlike the simulator's windowed drive,
+        the oracle is not streamed.  Results are identical to :meth:`run`
+        on the in-memory program the store was written from.
         """
         from repro.trace.store import open_program
 

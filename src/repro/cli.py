@@ -81,7 +81,7 @@ def _apply_jobs(args) -> None:
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("workload", help="mini-program or suite program name")
+    """The workload-run options; callers declare the ``workload`` positional."""
     p.add_argument("-t", "--threads", type=int, default=6)
     p.add_argument("-m", "--mode", default="good",
                    help="mini-programs: good | bad-fs | bad-ma")
@@ -105,6 +105,7 @@ def perf_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
     stat = sub.add_parser("stat", help="run a workload and print event counts")
+    stat.add_argument("workload", help="mini-program or suite program name")
     _add_run_options(stat)
     stat.add_argument("-e", "--events", default="",
                       help="comma-separated event names (default: Table 2)")
@@ -206,6 +207,7 @@ def detect_main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-detect",
         description="Detect false sharing in a workload run.",
     )
+    parser.add_argument("workload", help="mini-program or suite program name")
     _add_run_options(parser)
     parser.add_argument("--slices", type=int, default=0,
                         help="classify N time slices instead of the whole "
@@ -275,17 +277,7 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("workload", nargs="?", default="",
                         help="mini-program or suite program name "
                              "(omit with --crosscheck)")
-    parser.add_argument("-t", "--threads", type=int, default=6)
-    parser.add_argument("-m", "--mode", default="good",
-                        help="mini-programs: good | bad-fs | bad-ma")
-    parser.add_argument("-n", "--size", type=int, default=0,
-                        help="problem size (mini-programs; 0 = default)")
-    parser.add_argument("--pattern", default="random",
-                        help="bad-ma access pattern (random, strideN)")
-    parser.add_argument("--input", default="",
-                        help="input set (suite programs, e.g. simsmall)")
-    parser.add_argument("--opt", default="-O2",
-                        help="optimization level for suite programs")
+    _add_run_options(parser)
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of tables")
     parser.add_argument("--top", type=int, default=12,
@@ -360,17 +352,7 @@ def predict_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("workload", nargs="?", default="",
                         help="mini-program or suite program name "
                              "(omit with --all)")
-    parser.add_argument("-t", "--threads", type=int, default=6)
-    parser.add_argument("-m", "--mode", default="good",
-                        help="mini-programs: good | bad-fs | bad-ma")
-    parser.add_argument("-n", "--size", type=int, default=0,
-                        help="problem size (mini-programs; 0 = default)")
-    parser.add_argument("--pattern", default="random",
-                        help="bad-ma access pattern (random, strideN)")
-    parser.add_argument("--input", default="",
-                        help="input set (suite programs, e.g. simsmall)")
-    parser.add_argument("--opt", default="-O2",
-                        help="optimization level for suite programs")
+    _add_run_options(parser)
     parser.add_argument("--all", action="store_true",
                         help="predict every registry workload at every "
                              "mode (the baseline sweep)")
@@ -472,17 +454,7 @@ def symbols_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("workload",
                         help="mini-program or suite program name")
-    parser.add_argument("-t", "--threads", type=int, default=6)
-    parser.add_argument("-m", "--mode", default="good",
-                        help="mini-programs: good | bad-fs | bad-ma")
-    parser.add_argument("-n", "--size", type=int, default=0,
-                        help="problem size (mini-programs; 0 = default)")
-    parser.add_argument("--pattern", default="random",
-                        help="bad-ma access pattern (random, strideN)")
-    parser.add_argument("--input", default="",
-                        help="input set (suite programs, e.g. simsmall)")
-    parser.add_argument("--opt", default="-O2",
-                        help="optimization level for suite programs")
+    _add_run_options(parser)
     parser.add_argument("--line", default="",
                         help="resolve one cache-line index (decimal or "
                              "0x-hex) to its owning objects")

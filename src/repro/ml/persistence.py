@@ -79,23 +79,30 @@ def classifier_to_dict(clf: C45Classifier) -> Dict:
 
 
 def classifier_from_dict(d: Dict) -> C45Classifier:
-    """Rebuild a classifier from :func:`classifier_to_dict` output."""
-    if d.get("format") != FORMAT:
+    """Rebuild a classifier from :func:`classifier_to_dict` output.
+
+    Anything else, including a document of the right format with a
+    missing or mistyped field, raises :class:`DatasetError`.
+    """
+    if not isinstance(d, dict) or d.get("format") != FORMAT:
         raise DatasetError(f"not a {FORMAT} document")
-    if int(d.get("version", -1)) > VERSION:
-        raise DatasetError(
-            f"model version {d['version']} is newer than supported "
-            f"({VERSION})"
+    try:
+        version = int(d.get("version", -1))
+        if version > VERSION:
+            raise DatasetError(f"model version {version} is newer than "
+                               f"supported ({VERSION})")
+        params = d.get("params", {})
+        clf = C45Classifier(
+            cf=float(params.get("cf", 0.25)),
+            min_leaf=int(params.get("min_leaf", 2)),
+            prune=bool(params.get("prune", True)),
         )
-    params = d.get("params", {})
-    clf = C45Classifier(
-        cf=float(params.get("cf", 0.25)),
-        min_leaf=int(params.get("min_leaf", 2)),
-        prune=bool(params.get("prune", True)),
-    )
-    clf.classes_ = list(d["classes"])
-    clf.feature_names_ = list(d["feature_names"])
-    clf.root_ = _node_from_dict(d["tree"])
+        clf.classes_ = list(d["classes"])
+        clf.feature_names_ = list(d["feature_names"])
+        tree = d["tree"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"malformed {FORMAT} document: {exc!r}") from exc
+    clf.root_ = _node_from_dict(tree)
     return clf
 
 

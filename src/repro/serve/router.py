@@ -47,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import bisect
 import contextlib
+import functools
 import hashlib
 import json
 import re
@@ -59,7 +60,7 @@ from repro.errors import ServeError
 from repro.serve.admission import AdmissionController
 from repro.serve.aggregate import VerdictAggregator
 from repro.serve.loopthread import LoopThread
-from repro.serve.server import OVERSIZED_LINE, STREAM_LIMIT, discard_input
+from repro.serve.server import STREAM_LIMIT, serve_lines
 from repro.telemetry.core import TELEMETRY
 
 __all__ = ["HashRing", "DetectionRouter", "RouterThread"]
@@ -256,7 +257,8 @@ class DetectionRouter:
         if self._server is not None:
             raise ServeError("router already started")
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port, limit=STREAM_LIMIT
+            functools.partial(serve_lines, self), self.host, self.port,
+            limit=STREAM_LIMIT,
         )
         self._accepting = True
         sock = self._server.sockets[0]
@@ -441,79 +443,19 @@ class DetectionRouter:
 
     # ------------------------------------------------------------- clients
 
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
+    def _connect(self, replies: asyncio.Queue):
+        """The per-line handler of ``serve_lines``: :meth:`_dispatch` with
+        this connection's default ``source``."""
         self._conn_seq += 1
         default_source = f"conn-{self._conn_seq}"
-        responses: asyncio.Queue = asyncio.Queue()
-        writer_task = asyncio.create_task(self._write_loop(responses, writer))
-        owed: Optional[int] = None
-        try:
-            owed = await self._read_requests(reader, default_source,
-                                             responses)
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
-        finally:
-            # At EOF the writer stays open until every reply owed to this
-            # client is written (a half-closed client still waits for
-            # them), and unread input is dropped so the close is not a
-            # reset; after an error the writer stops at once.
-            await responses.put(owed)
-            with contextlib.suppress(Exception):
-                await writer_task
-            if owed is not None:
-                await discard_input(reader, writer)
-            self._writers.discard(writer)
-            with contextlib.suppress(Exception):
-                writer.close()
+        return lambda line: self._dispatch(line, default_source, replies)
 
-    async def _read_requests(self, reader: asyncio.StreamReader,
-                             default_source: str,
-                             responses: asyncio.Queue) -> int:
-        """Dispatch a client's lines until EOF; returns the replies owed.
-
-        Every dispatched line is owed exactly one reply.  A final line
-        cut off by EOF gets its newline here, so its bytes can never glue
-        onto the next line forwarded to the same worker.
-        """
-        owed = 0
-        while True:
-            try:
-                line = await reader.readline()
-            except ValueError:  # longer than STREAM_LIMIT
-                await responses.put(OVERSIZED_LINE)
-                return owed + 1
-            if not line:
-                return owed
-            if not line.strip():
-                continue
-            if not line.endswith(b"\n"):
-                line += b"\n"
-            owed += 1
-            await self._dispatch(line, default_source, responses)
-
-    async def _write_loop(self, responses: asyncio.Queue,
-                          writer: asyncio.StreamWriter) -> None:
-        """Write replies until ``None``, or until the count of replies
-        owed (an ``int``) has been written."""
-        written = 0
-        owed: Optional[int] = None
-        while owed is None or written < owed:
-            item = await responses.get()
-            if item is None:
-                return
-            if isinstance(item, int):
-                owed = item
-                continue
-            if isinstance(item, dict):
-                item = json.dumps(item).encode() + b"\n"
-            try:
-                writer.write(item)
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                return
-            written += 1
+    @staticmethod
+    async def _render(item) -> bytes:
+        """Worker reply lines pass through; the router's own are dicts."""
+        if type(item) is dict:
+            return json.dumps(item).encode() + b"\n"
+        return item
 
     # ------------------------------------------------------------ dispatch
 
@@ -658,14 +600,19 @@ class DetectionRouter:
         link.inflight.append(_InFlight(responses, source, n, id_token))
         link.forwarded_lines += 1
         link.forwarded_vectors += n
+        await self._send(link, line)
+        TELEMETRY.gauge(f"router.worker.{worker}.inflight",
+                        len(link.inflight))
+
+    async def _send(self, link: _WorkerLink, line: bytes) -> None:
+        """Write one line to a worker; a dead link fails its inflight."""
+        assert link.writer is not None
         try:
             link.writer.write(line)
             await link.writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
+        except OSError:  # reset, broken pipe
             link.up = False
             self._fail_inflight(link, "worker connection lost")
-        TELEMETRY.gauge(f"router.worker.{worker}.inflight",
-                        len(link.inflight))
 
     async def _broadcast_reload(self, line: bytes, rid,
                                 responses: asyncio.Queue) -> None:
@@ -676,9 +623,8 @@ class DetectionRouter:
                 continue
             fut: asyncio.Future = loop.create_future()
             link.inflight.append(_InFlight(None, "", 0, None, future=fut))
-            link.writer.write(line)
-            await link.writer.drain()
             futures[name] = fut
+            await self._send(link, line)
         if not futures:
             await responses.put({"id": rid, "error": "unavailable",
                                  "detail": "no live workers"})

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import math
 from typing import Any, Dict, List, Optional, Tuple
@@ -78,17 +79,72 @@ OVERSIZED_LINE = {"error": "bad_request",
                   "detail": f"request line longer than {STREAM_LIMIT} bytes"}
 
 
-async def discard_input(reader: asyncio.StreamReader,
-                        writer: asyncio.StreamWriter) -> None:
-    """Half-close ``writer``, then read and drop input until the peer's EOF.
+async def serve_lines(owner, reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
+    """One JSON-lines client connection, for the server and the router.
 
-    Closing a socket that still has unread input makes the kernel send a
-    reset, which can destroy a reply the peer has not read yet.
+    ``owner._connect(replies)`` gives the connection's line handler, which
+    puts one reply per line on ``replies``, now or later; ``await
+    owner._render(reply)`` gives its bytes; ``owner._writers`` is what
+    ``stop()`` closes.  The contract is stated in docs/SERVING.md: blank
+    lines are skipped, a line cut off by EOF gets its newline, and once
+    every owed reply is written the connection half-closes, drains its
+    input and closes.  A reset, a cancel or a failing handler closes it
+    at once.
     """
-    with contextlib.suppress(Exception):
-        writer.write_eof()
-        while await reader.read(1 << 16):
-            pass
+    replies: asyncio.Queue = asyncio.Queue()
+    on_line = owner._connect(replies)
+
+    async def write_replies() -> None:
+        written = 0
+        due: Optional[int] = None
+        while due is None or written < due:
+            item = await replies.get()
+            if type(item) is int:  # reading ended: the replies owed
+                due = item
+                continue
+            writer.write(await owner._render(item))
+            await writer.drain()
+            written += 1
+        # Half-close, then drop input until the peer's EOF: closing with
+        # unread input sends a reset, which can destroy unread replies.
+        with contextlib.suppress(Exception):
+            writer.write_eof()
+            while await reader.read(1 << 16):
+                pass
+
+    replier = asyncio.create_task(write_replies())
+    # Closes however the replier ends, even if cancelled before it started.
+    replier.add_done_callback(lambda _: writer.close())
+    owner._writers.add(writer)
+    owed = 0
+    try:
+        while True:
+            try:
+                line = await reader.readline()
+            except ValueError:  # longer than STREAM_LIMIT
+                replies.put_nowait(OVERSIZED_LINE)
+                owed += 1
+                break
+            if not line:
+                break
+            if line.isspace():
+                continue
+            if not line.endswith(b"\n"):
+                line += b"\n"
+            owed += 1
+            await on_line(line)
+    except (ConnectionResetError, asyncio.CancelledError):
+        replier.cancel()
+    except BaseException:  # a failing handler: close, and let it be logged
+        replier.cancel()
+        raise
+    else:
+        replies.put_nowait(owed)
+    finally:
+        with contextlib.suppress(asyncio.CancelledError, Exception):
+            await replier
+        owner._writers.discard(writer)
 
 
 #: Sentinel queued by ``stop`` so the batcher exits after draining
@@ -181,7 +237,7 @@ class DetectionServer:
         # Batch-framed lines (hundreds of float vectors) far exceed the
         # asyncio default 64 KiB line limit.
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
+            functools.partial(serve_lines, self), self.host, self.port,
             limit=STREAM_LIMIT,
         )
         # Only after a successful bind: a failed start must not leave an
@@ -203,7 +259,6 @@ class DetectionServer:
             return
         self._accepting = False
         self._server.close()
-        await self._server.wait_closed()
         assert self._queue is not None and self._batch_task is not None
         if drain:
             self._resume.set()  # a paused batcher must still drain
@@ -219,6 +274,9 @@ class DetectionServer:
                     item.future.set_exception(ServeError("server shut down"))
         for writer in list(self._writers):
             writer.close()
+        # Only after the writers close: from Python 3.12 on, wait_closed
+        # also waits for every open connection.
+        await self._server.wait_closed()
         self._server = None
         self._batch_task = None
 
@@ -389,75 +447,24 @@ class DetectionServer:
 
     # ----------------------------------------------------------- connections
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        # Responses go through a per-connection FIFO drained by one writer
-        # task: the read loop never blocks on classification (so one
-        # connection can keep a whole batch in flight) while responses stay
-        # in request order.
-        responses: asyncio.Queue = asyncio.Queue()
-        writer_task = asyncio.create_task(
-            self._write_loop(responses, writer)
-        )
-        oversized = False
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:  # longer than STREAM_LIMIT
-                    await responses.put(OVERSIZED_LINE)
-                    oversized = True
-                    break
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                await responses.put(self._dispatch(line))
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
-        finally:
-            await responses.put(None)
-            with contextlib.suppress(Exception):
-                await writer_task
-            if oversized:
-                await discard_input(reader, writer)
-            self._writers.discard(writer)
-            with contextlib.suppress(Exception):
-                writer.close()
+    def _connect(self, replies: asyncio.Queue):
+        """Line handler; :meth:`_render` awaits its futures in FIFO order."""
+        return lambda line: replies.put(self._dispatch(line))
 
-    async def _write_loop(
-        self, responses: asyncio.Queue, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            item = await responses.get()
-            if item is None:
-                return
-            if isinstance(item, tuple):  # (request id, future, source)
-                rid, fut, source = item
-                try:
-                    result = await fut
-                    if isinstance(result, list):
-                        payload = {"id": rid, "labels": result,
-                                   "n": len(result)}
-                        if source is not None:
-                            payload["source"] = source
-                    else:
-                        payload = {"id": rid, "label": result}
-                except ServeError as exc:
-                    payload = {"id": rid, "error": "shutdown",
-                               "detail": str(exc)}
-                except asyncio.CancelledError:
-                    payload = {"id": rid, "error": "shutdown"}
-            else:
-                payload = item
+    async def _render(self, item) -> bytes:
+        if type(item) is tuple:  # (request id, future, source)
+            rid, fut, source = item
             try:
-                writer.write(json.dumps(payload).encode() + b"\n")
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                return
+                result = await fut
+                if isinstance(result, list):
+                    item = {"id": rid, "labels": result, "n": len(result)}
+                    if source is not None:
+                        item["source"] = source
+                else:
+                    item = {"id": rid, "label": result}
+            except ServeError as exc:
+                item = {"id": rid, "error": "shutdown", "detail": str(exc)}
+        return json.dumps(item).encode() + b"\n"
 
     # -------------------------------------------------------------- protocol
 

@@ -125,49 +125,6 @@ class ThreadTrace:
             return 0
         return int(np.unique(line_of(self.addrs)).size)
 
-    # ------------------------------------------------------------ store IO
-
-    def to_file(self, path: Union[str, Path]) -> str:
-        """Write this thread as a binary trace store; returns the digest."""
-        from repro.trace.store import write_store
-
-        return write_store(path, [
-            ("addr", self.addrs),
-            ("is_write", self.is_write.view(np.uint8)),
-        ], meta={
-            "kind": "thread",
-            "instr_per_access": float(self.instr_per_access),
-            "extra_instructions": int(self.extra_instructions),
-        })
-
-    @classmethod
-    def open_mmap(cls, path: Union[str, Path]) -> "ThreadTrace":
-        """Open a thread store as read-only memmap views (zero-copy)."""
-        from repro.trace.store import open_store
-
-        return cls._from_store(open_store(path))
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "ThreadTrace":
-        """Load a thread store into private writable arrays."""
-        from repro.trace.store import read_store
-
-        return cls._from_store(read_store(path))
-
-    @classmethod
-    def _from_store(cls, store) -> "ThreadTrace":
-        meta = store.meta
-        if meta.get("kind") != "thread":
-            raise TraceError(
-                f"store {store.path} is not a thread store "
-                f"(kind={meta.get('kind')!r})")
-        return cls(
-            store["addr"],
-            store["is_write"],
-            instr_per_access=float(meta.get("instr_per_access", 3.0)),
-            extra_instructions=int(meta.get("extra_instructions", 0)),
-        )
-
     def concat(self, other: "ThreadTrace") -> "ThreadTrace":
         """Append another phase executed by the same thread.
 

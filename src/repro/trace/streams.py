@@ -10,8 +10,7 @@ mean finer interleaving and more cache-line ping-pong under false sharing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -41,43 +40,6 @@ class MergedTrace:
 
     def __len__(self) -> int:
         return int(self.core.size)
-
-    # ------------------------------------------------------------ store IO
-
-    def to_file(self, path: Union[str, Path]) -> str:
-        """Write the merged order as a binary trace store; returns digest."""
-        from repro.trace.store import write_store
-
-        return write_store(path, [
-            ("core", np.asarray(self.core, dtype=np.int32)),
-            ("addr", np.asarray(self.addr, dtype=np.int64)),
-            ("is_write", np.asarray(self.is_write).view(np.uint8)
-             if np.asarray(self.is_write).dtype == np.bool_
-             else np.asarray(self.is_write, dtype=np.uint8)),
-        ], meta={"kind": "merged"})
-
-    @classmethod
-    def open_mmap(cls, path: Union[str, Path]) -> "MergedTrace":
-        """Open a merged store as read-only memmap views (zero-copy)."""
-        from repro.trace.store import open_store
-
-        return cls._from_store(open_store(path))
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "MergedTrace":
-        """Load a merged store into private writable arrays."""
-        from repro.trace.store import read_store
-
-        return cls._from_store(read_store(path))
-
-    @classmethod
-    def _from_store(cls, store) -> "MergedTrace":
-        if store.meta.get("kind") != "merged":
-            raise TraceError(
-                f"store {store.path} is not a merged-trace store "
-                f"(kind={store.meta.get('kind')!r})")
-        return cls(store["core"], store["addr"],
-                   store["is_write"].view(np.bool_))
 
 
 def _merge(threads, lo: int, hi: int, chunk: int) -> MergedTrace:

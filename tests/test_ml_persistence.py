@@ -85,6 +85,15 @@ class TestErrors:
         with pytest.raises((DatasetError, KeyError)):
             classifier_from_dict(doc)
 
+    @pytest.mark.parametrize("doc", [[], 7, "repro-c45",
+                                     {"format": "repro-c45"},
+                                     {"format": "repro-c45", "params": 1,
+                                      "classes": [], "feature_names": [],
+                                      "tree": {}}])
+    def test_non_object_or_incomplete_document_rejected(self, doc):
+        with pytest.raises(DatasetError):
+            classifier_from_dict(doc)
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

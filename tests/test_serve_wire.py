@@ -6,13 +6,19 @@
   on well-formed classify lines;
 * ``orjson.loads(json.dumps(X.tolist()))`` gives back ``X`` bit for bit;
 * a line cut off by EOF, a half-closed client and a line over
-  ``STREAM_LIMIT`` each get their replies, and the ledgers stay exact.
+  ``STREAM_LIMIT`` each get their replies, and the ledgers stay exact;
+* blank, whitespace-only and ``\\r\\n``-terminated lines get no reply of
+  their own, and a client that resets its connection does not stop the
+  endpoint serving the next one;
+* a reload of a malformed model file is answered ``reload_failed``, and a
+  line handler that raises closes only its own connection.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import struct
 import time
 
 import numpy as np
@@ -44,7 +50,8 @@ def endpoint(request, clf):
     """(host, port, ledger) of a direct server or a router over one worker.
 
     ``ledger()`` gives (vectors classified, vectors errored) and asserts
-    the router's balance where there is one.
+    the router's balance where there is one; ``ledger.owner`` is the
+    server or router that accepts the client connections.
     """
     worker = ServerThread(clf)
     whost, wport = worker.start()
@@ -52,6 +59,7 @@ def endpoint(request, clf):
         def ledger():
             return worker.server.classified, None
 
+        ledger.owner = worker.server
         try:
             yield whost, wport, ledger
         finally:
@@ -69,6 +77,7 @@ def endpoint(request, clf):
             assert v["shed"] == 0
             return v["completed"], v["errors"]
 
+        ledger.owner = rt.router
         yield host, port, ledger
     finally:
         rt.stop()
@@ -157,6 +166,125 @@ def test_oversized_line_is_bad_request_then_close(endpoint):
                         "detail": f"request line longer than "
                                   f"{STREAM_LIMIT} bytes"}]
     assert ledger()[0] == 0
+
+
+def test_blank_and_crlf_lines_get_no_reply_of_their_own(endpoint, clf):
+    host, port, ledger = endpoint
+    rows = {1: [1.0] + [0.5] * (N_FEATURES - 1),
+            2: [-1.0] + [0.5] * (N_FEATURES - 1),
+            4: [2.0] + [-0.5] * (N_FEATURES - 1)}
+    expected = dict(zip(rows, clf.predict(np.array(list(rows.values())))))
+    assert len(set(expected.values())) == 2  # a shifted reply would show
+
+    def line(rid):
+        return _classify_line(rid, ", ".join(map(str, rows[rid])))
+
+    payload = (b"\n" + line(1) + b"   \n\t\r\n"
+               + line(2).replace(b"\n", b"\r\n") + b"\r\n"
+               + b'{"op": "ping", "id": 3}\r\n' + b" \n" + line(4))
+    with socket.create_connection((host, port), timeout=10.0) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        replies = [json.loads(raw) for raw in rfile]
+    # Four request lines, four replies; a router answers the ping itself,
+    # so only the classify replies keep their relative order everywhere.
+    assert len(replies) == 4
+    labelled = [r for r in replies if "label" in r]
+    assert [r["id"] for r in labelled] == [1, 2, 4]
+    assert all(r["label"] == expected[r["id"]] for r in labelled)
+    assert [r["id"] for r in replies if r.get("ok")] == [3]
+    assert ledger()[0] == 3
+
+
+def test_reset_client_does_not_stop_the_endpoint(endpoint):
+    host, port, ledger = endpoint
+    good = ", ".join(["0.5"] * N_FEATURES)
+    sock = socket.create_connection((host, port), timeout=10.0)
+    try:
+        sock.sendall(b"".join(_classify_line(i, good) for i in range(500)))
+        with sock.makefile("rb") as rfile:
+            assert "label" in json.loads(rfile.readline())
+        # Linger 0: close sends a reset while replies are still in flight.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+    finally:
+        sock.close()
+    with socket.create_connection((host, port), timeout=10.0) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(_classify_line(1, good) + b'{"op": "ping", "id": 2}\n'
+                     + _classify_line(3, good))
+        sock.shutdown(socket.SHUT_WR)
+        replies = [json.loads(raw) for raw in rfile]
+    assert sorted(r["id"] for r in replies) == [1, 2, 3]
+    assert sum("label" in r for r in replies) == 2
+    # The router's balance holds whatever of the reset connection's work
+    # is still in flight; none of it is an error.
+    completed, errors = ledger()
+    assert completed >= 3
+    assert errors in (None, 0)
+
+
+def _serves_next_client(host, port):
+    good = ", ".join(["0.5"] * N_FEATURES)
+    with socket.create_connection((host, port), timeout=10.0) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(_classify_line(1, good) + b'{"op": "ping", "id": 2}\n')
+        sock.shutdown(socket.SHUT_WR)
+        replies = [json.loads(raw) for raw in rfile]
+    return sorted(r["id"] for r in replies) == [1, 2] and any(
+        "label" in r for r in replies)
+
+
+@pytest.mark.parametrize("document", [b"[]", b"7", b'{"format": "repro-c45"}'])
+def test_malformed_model_reload_is_answered(endpoint, tmp_path, document):
+    host, port, ledger = endpoint
+    path = tmp_path / "model.json"
+    path.write_bytes(document)
+    good = ", ".join(["0.5"] * N_FEATURES)
+    reload = json.dumps({"op": "reload", "id": 1, "path": str(path)})
+    with socket.create_connection((host, port), timeout=10.0) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(reload.encode() + b"\n" + _classify_line(2, good))
+        sock.shutdown(socket.SHUT_WR)
+        replies = {r["id"]: r for r in map(json.loads, rfile)}
+    # A server answers reload_failed itself; a router reports each worker's.
+    failed = replies[1].get("workers", {"self": replies[1]}).values()
+    assert replies[1].get("reloaded") in (None, False)
+    assert [r["error"] for r in failed] == ["reload_failed"]
+    assert "label" in replies[2]
+    assert _serves_next_client(host, port)
+    assert ledger()[0] == 2
+
+
+def test_failing_line_handler_closes_only_its_connection(
+        endpoint, monkeypatch):
+    host, port, ledger = endpoint
+    dispatch = ledger.owner._dispatch
+
+    def failing(line, *rest):
+        if b'"boom"' in line:
+            raise RuntimeError("line handler failed")
+        return dispatch(line, *rest)
+
+    monkeypatch.setattr(ledger.owner, "_dispatch", failing)
+    good = ", ".join(["0.5"] * N_FEATURES)
+    with socket.create_connection((host, port), timeout=10.0) as sock, \
+            sock.makefile("rb") as rfile:
+        # No half-close: the endpoint must close the connection itself
+        # (a read that times out here raises).
+        sock.sendall(_classify_line(1, good) + b'{"op": "boom", "id": 2}\n'
+                     + _classify_line(3, good))
+        replies = [json.loads(raw) for raw in rfile]
+    assert all(r["id"] == 1 for r in replies)
+    monkeypatch.undo()
+    assert _serves_next_client(host, port)
+    # Every connection, the failed one too, leaves the owner's writer set.
+    deadline = time.monotonic() + 10.0
+    while ledger.owner._writers:
+        assert time.monotonic() < deadline, "a closed connection is kept"
+        time.sleep(0.01)
+    ledger()
 
 
 # ------------------------------------------------- peek == orjson.loads

@@ -20,7 +20,6 @@ import pytest
 from repro.coherence.machine import MulticoreMachine
 from repro.errors import TraceError
 from repro.trace import (
-    MergedTrace,
     ProgramTrace,
     ThreadTrace,
     interleave,
@@ -107,36 +106,13 @@ def test_program_store_records_digest_and_kind(tmp_path, rng):
     assert back.name == "rand"
 
 
-def test_thread_round_trip(tmp_path, rng):
-    t = ThreadTrace(rng.integers(0, 1 << 20, size=128, dtype=np.int64),
-                    rng.random(128) < 0.5, instr_per_access=4.5,
-                    extra_instructions=7)
-    t.to_file(tmp_path / "t.rtrc")
-    back = ThreadTrace.open_mmap(tmp_path / "t.rtrc")
-    assert np.array_equal(back.addrs, t.addrs)
-    assert np.array_equal(back.is_write, t.is_write)
-    assert back.instr_per_access == 4.5
-    assert back.extra_instructions == 7
-
-
-def test_merged_round_trip(tmp_path, rng):
-    prog = _random_program(rng)
-    merged = interleave(prog)
-    merged.to_file(tmp_path / "m.rtrc")
-    back = MergedTrace.open_mmap(tmp_path / "m.rtrc")
-    assert np.array_equal(back.core, merged.core)
-    assert np.array_equal(back.addr, merged.addr)
-    assert np.array_equal(back.is_write, merged.is_write)
-
-
 def test_wrong_kind_is_a_trace_error(tmp_path, rng):
-    prog = _random_program(rng, nthreads=2)
-    path = tmp_path / "p.rtrc"
-    prog.to_file(path)
+    path = tmp_path / "other.rtrc"
+    write_store(path, [("addr", rng.integers(0, 1 << 20, size=8,
+                                             dtype=np.int64))],
+                meta={"kind": "other"})
     with pytest.raises(TraceError, match="kind"):
-        ThreadTrace.open_mmap(path)
-    with pytest.raises(TraceError, match="kind"):
-        MergedTrace.open_mmap(path)
+        open_program(path)
 
 
 # ------------------------------------------------------- zero-copy post_init
@@ -145,7 +121,7 @@ def test_wrong_kind_is_a_trace_error(tmp_path, rng):
 def test_post_init_does_not_copy_contiguous_columns(tmp_path, rng):
     t = ThreadTrace(rng.integers(0, 1 << 20, size=64, dtype=np.int64),
                     rng.random(64) < 0.5)
-    t.to_file(tmp_path / "t.rtrc")
+    save_program(ProgramTrace([t]), tmp_path / "t.rtrc")
     st = open_store(tmp_path / "t.rtrc")
     addr = st["addr"]
     wr = st["is_write"]
