@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.errors import BaselineError
 from repro.trace.access import ProgramTrace
-from repro.trace.streams import DEFAULT_CHUNK, interleave
+from repro.trace.streams import (DEFAULT_CHUNK, DEFAULT_SEGMENT,
+                                 interleave_stream)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel import ExecutionEngine
@@ -110,6 +111,11 @@ class ShadowMemoryDetector:
 
     Every miss-classification decision therefore survives unchanged, so the
     filtered run is bit-identical to the reference one.
+
+    Both paths walk :func:`~repro.trace.streams.interleave_stream` windows
+    of ``DEFAULT_SEGMENT`` rows; shadow state and the repeated-word
+    filter's predecessor carry over each window edge, so the report does
+    not depend on the window size.
     """
 
     def __init__(self, max_threads: int = MAX_THREADS,
@@ -130,92 +136,101 @@ class ShadowMemoryDetector:
                 f"shadow tool handles at most {self.max_threads} threads; "
                 f"program has {nt} (same limitation as [33])"
             )
-        merged = interleave(program, chunk=chunk)
-        cores_a = merged.core
-        addrs_a = merged.addr
-        writes_a = merged.is_write
-        cold_private = 0
-        if self.fast and cores_a.size:
+        shared: Optional[np.ndarray] = None
+        cold = 0
+        if self.fast:
             # Drop every access to a line only one thread ever touches: it
             # yields exactly one cold miss and cannot affect shared lines.
-            lines = addrs_a >> 6
-            uniq, inv = np.unique(lines, return_inverse=True)
-            touched = np.zeros(uniq.size * nt, dtype=bool)
-            touched[inv * nt + cores_a] = True
-            n_threads = touched.reshape(uniq.size, nt).sum(axis=1)
-            shared_line = n_threads > 1
-            cold_private = int(uniq.size - np.count_nonzero(shared_line))
-            keep = shared_line[inv]
-            cores_a = cores_a[keep]
-            addrs_a = addrs_a[keep]
-            writes_a = writes_a[keep]
-            if cores_a.size:
-                # Drop repeated same-thread same-word touches (reads, or
-                # writes directly after a write).
-                words = addrs_a >> 2
-                skip = np.zeros(cores_a.size, dtype=bool)
-                skip[1:] = (
-                    (cores_a[1:] == cores_a[:-1])
-                    & (words[1:] == words[:-1])
-                    & (~writes_a[1:] | writes_a[:-1])
-                )
-                keep = ~skip
-                cores_a = cores_a[keep]
-                addrs_a = addrs_a[keep]
-                writes_a = writes_a[keep]
-        cores = cores_a.tolist()
-        addrs = addrs_a.tolist()
-        writes = writes_a.tolist()
+            # Per-thread line sets decide this without merging the threads
+            # (sorted, since a bare np.unique hashes, several times slower).
+            sorted_lines = (np.sort(t.addrs >> 6) for t in program.threads)
+            lines, n_threads = np.unique(np.concatenate(
+                [s[np.diff(s, prepend=s[:1] - 1) != 0] for s in sorted_lines]),
+                return_counts=True)
+            shared = lines[n_threads > 1]
+            cold = int(lines.size - shared.size)
+        # The previous private-filtered (core, word, is_write), carried
+        # across window edges for the repeated-word filter.
+        last: Optional[Tuple[int, int, bool]] = None
 
         holders: Dict[int, int] = {}       # line -> bitmask of holding threads
         tmasks: Dict[int, list] = {}       # line -> per-thread touched-slot mask
         invalmask: Dict[int, list] = {}    # line -> per-thread invalidator slots
         fs = ts = 0
-        cold = cold_private
         all_zero = [0] * nt
         per_line: Dict[int, list] = {} if self.track_lines else None
 
-        for t, addr, w in zip(cores, addrs, writes):
-            line = addr >> 6
-            slot = 1 << ((addr >> 2) & 15)
-            bit = 1 << t
-            held = holders.get(line, 0)
-            masks = tmasks.get(line)
-            if masks is None:
-                masks = list(all_zero)
-                tmasks[line] = masks
-            if not held & bit:
-                # This thread does not hold the line: a miss.
-                inv = invalmask.get(line)
-                if inv is not None and inv[t]:
-                    # Invalidation-induced: false or true sharing?
-                    if inv[t] & (masks[t] | slot):
-                        ts += 1
-                        if per_line is not None:
-                            per_line.setdefault(line, [0, 0])[1] += 1
-                    else:
-                        fs += 1
-                        if per_line is not None:
-                            per_line.setdefault(line, [0, 0])[0] += 1
-                    inv[t] = 0
-                    masks[t] = 0  # new holding period
-                else:
-                    cold += 1
-                held |= bit
-            masks[t] |= slot
-            if w:
-                # Invalidate all other holders, recording what we wrote.
-                others = held & ~bit
-                if others:
+        for window in interleave_stream(program, chunk=chunk,
+                                        max_accesses=DEFAULT_SEGMENT):
+            cores_a = window.core
+            addrs_a = window.addr
+            writes_a = window.is_write
+            if shared is not None:
+                keep = np.isin(addrs_a >> 6, shared)
+                cores_a = cores_a[keep]
+                addrs_a = addrs_a[keep]
+                writes_a = writes_a[keep]
+                if not cores_a.size:
+                    continue
+                # Drop repeated same-thread same-word touches (reads, or
+                # writes directly after a write).
+                words = addrs_a >> 2
+                skip = np.empty(cores_a.size, dtype=bool)
+                skip[0] = last is not None and (
+                    last[0] == cores_a[0] and last[1] == words[0]
+                    and (last[2] or not writes_a[0]))
+                skip[1:] = (
+                    (cores_a[1:] == cores_a[:-1])
+                    & (words[1:] == words[:-1])
+                    & (~writes_a[1:] | writes_a[:-1])
+                )
+                last = (int(cores_a[-1]), int(words[-1]), bool(writes_a[-1]))
+                keep = ~skip
+                cores_a = cores_a[keep]
+                addrs_a = addrs_a[keep]
+                writes_a = writes_a[keep]
+            for t, addr, w in zip(cores_a.tolist(), addrs_a.tolist(),
+                                  writes_a.tolist()):
+                line = addr >> 6
+                slot = 1 << ((addr >> 2) & 15)
+                bit = 1 << t
+                held = holders.get(line, 0)
+                masks = tmasks.get(line)
+                if masks is None:
+                    masks = list(all_zero)
+                    tmasks[line] = masks
+                if not held & bit:
+                    # This thread does not hold the line: a miss.
                     inv = invalmask.get(line)
-                    if inv is None:
-                        inv = list(all_zero)
-                        invalmask[line] = inv
-                    for u in range(nt):
-                        if others & (1 << u):
-                            inv[u] |= slot
-                    held = bit
-            holders[line] = held
+                    if inv is not None and inv[t]:
+                        # Invalidation-induced: false or true sharing?
+                        if inv[t] & (masks[t] | slot):
+                            ts += 1
+                            if per_line is not None:
+                                per_line.setdefault(line, [0, 0])[1] += 1
+                        else:
+                            fs += 1
+                            if per_line is not None:
+                                per_line.setdefault(line, [0, 0])[0] += 1
+                        inv[t] = 0
+                        masks[t] = 0  # new holding period
+                    else:
+                        cold += 1
+                    held |= bit
+                masks[t] |= slot
+                if w:
+                    # Invalidate all other holders, recording what we wrote.
+                    others = held & ~bit
+                    if others:
+                        inv = invalmask.get(line)
+                        if inv is None:
+                            inv = list(all_zero)
+                            invalmask[line] = inv
+                        for u in range(nt):
+                            if others & (1 << u):
+                                inv[u] |= slot
+                        held = bit
+                holders[line] = held
         return ShadowReport(
             fs_misses=fs,
             ts_misses=ts,
@@ -230,12 +245,9 @@ class ShadowMemoryDetector:
     def run_store(self, path, chunk: int = DEFAULT_CHUNK) -> ShadowReport:
         """Shadow a program persisted as a binary trace store.
 
-        The store is opened as read-only memmap views (zero-copy), but
-        :meth:`run` then calls
-        :func:`~repro.trace.streams.interleave`, which builds the whole
-        merged order in memory; unlike the simulator's windowed drive,
-        the oracle is not streamed.  Results are identical to :meth:`run`
-        on the in-memory program the store was written from.
+        The store is opened as read-only memmap views (zero-copy) and
+        walked in bounded windows like any program, so the merged order is
+        never resident as a whole.  Results are identical to :meth:`run`.
         """
         from repro.trace.store import open_program
 

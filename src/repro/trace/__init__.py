@@ -21,7 +21,6 @@ from repro.trace.streams import (
     DEFAULT_CHUNK,
     DEFAULT_SEGMENT,
     MergedTrace,
-    interleave,
     interleave_stream,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "DEFAULT_CHUNK",
     "DEFAULT_SEGMENT",
     "MergedTrace",
-    "interleave",
     "interleave_stream",
     "TraceStore",
     "open_program",

@@ -17,9 +17,9 @@ import numpy as np
 from repro.errors import TraceError
 from repro.trace.access import ProgramTrace
 
-#: Default segment size (accesses) for :func:`interleave_stream`.  Large
-#: enough that the per-segment numpy/lexsort overhead vanishes and the
-#: drive strategies see the same routing signal as a monolithic merge,
+#: Default window size (accesses) for :func:`interleave_stream`.  Large
+#: enough that the per-window numpy/lexsort overhead vanishes and the
+#: drive strategies see the same routing signal as one whole-trace window,
 #: small enough that a GB-scale trace streams in tens-of-MB working sets.
 DEFAULT_SEGMENT = 4_194_304
 
@@ -73,34 +73,23 @@ def _merge(threads, lo: int, hi: int, chunk: int) -> MergedTrace:
     return MergedTrace(core_col[order], addr_col[order], wr_col[order])
 
 
-def interleave(program: ProgramTrace, chunk: int = DEFAULT_CHUNK) -> MergedTrace:
-    """Merge a program's thread traces into chunked round-robin order.
-
-    Threads of unequal length simply finish early: remaining threads keep
-    rotating.  The merge is stable within each thread (program order is
-    preserved per thread — the property coherence simulation depends on).
-    """
-    if chunk <= 0:
-        raise TraceError("chunk must be positive")
-    longest = max(t.n_accesses for t in program.threads)
-    return _merge(program.threads, 0, longest, chunk)
-
-
 def interleave_stream(
     program: ProgramTrace,
     chunk: int = DEFAULT_CHUNK,
     max_accesses: int = DEFAULT_SEGMENT,
 ) -> Iterator[MergedTrace]:
-    """:func:`interleave`, streamed: bounded-memory windows, exact order.
+    """Merge a program's thread traces into chunked round-robin order.
+
+    Threads of unequal length simply finish early: remaining threads keep
+    rotating.  The merge is stable within each thread (program order is
+    preserved per thread — the property coherence simulation depends on).
 
     Yields consecutive :class:`MergedTrace` windows whose concatenation is
-    bit-identical to ``interleave(program, chunk)`` without ever
-    materializing the full merged columns.  Each window is a stretch of
-    whole interleaving rounds, so it only touches a
-    ``len(threads) * chunk * rounds`` slice of every per-thread column.
-
-    ``max_accesses`` bounds the window size; every window holds at least
-    one round.
+    the global order, without ever materializing the full merged columns.
+    Each window is a stretch of whole interleaving rounds, so it only
+    touches a ``len(threads) * chunk * rounds`` slice of every per-thread
+    column.  ``max_accesses`` bounds the window size; every window holds
+    at least one round.
     """
     if chunk <= 0:
         raise TraceError("chunk must be positive")

@@ -3,19 +3,21 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import shadow
 from repro.baselines.shadow import ShadowMemoryDetector
 from repro.baselines.sheriff import SheriffDetector
 from repro.trace.access import ProgramTrace, make_thread
 
 
 @st.composite
-def shared_region_programs(draw, max_threads=4, max_len=200):
+def shared_region_programs(draw, max_threads=4, max_len=200, n_words=256):
     """Threads touching a small shared region: plenty of real contention."""
     nt = draw(st.integers(1, max_threads))
     threads = []
     for _ in range(nt):
         n = draw(st.integers(1, max_len))
-        addrs = draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
+        addrs = draw(st.lists(st.integers(0, n_words - 1),
+                              min_size=n, max_size=n))
         writes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         threads.append(make_thread(
             (np.array(addrs, dtype=np.int64) * 4) + 4096,
@@ -101,3 +103,24 @@ class TestSheriffProperties:
         sheriff = SheriffDetector(epoch_accesses=64).run(prog)
         if shadow.fs_misses > 50:
             assert sheriff.interleaved_writes > 0
+
+
+class TestShadowWindowInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(shared_region_programs(n_words=40), st.sampled_from([1, 7, 64]),
+           st.booleans(), st.booleans(), st.integers(1, 8))
+    def test_report_independent_of_window_size(
+            self, prog, window, fast, track_lines, chunk):
+        """The oracle walks ``interleave_stream`` windows; state and the
+        repeated-word filter's predecessor carry over each window edge, so
+        no window size changes a count or a line's attribution."""
+        det = ShadowMemoryDetector(fast=fast, track_lines=track_lines)
+        whole = det.run(prog, chunk=chunk)
+        saved = shadow.DEFAULT_SEGMENT
+        shadow.DEFAULT_SEGMENT = window
+        try:
+            windowed = det.run(prog, chunk=chunk)
+        finally:
+            shadow.DEFAULT_SEGMENT = saved
+        assert windowed.counts == whole.counts
+        assert windowed.per_line == whole.per_line

@@ -20,9 +20,9 @@ import pytest
 from repro.coherence.machine import MulticoreMachine
 from repro.errors import TraceError
 from repro.trace import (
+    DEFAULT_CHUNK,
     ProgramTrace,
     ThreadTrace,
-    interleave,
     interleave_stream,
     open_program,
     open_store,
@@ -220,6 +220,15 @@ def _window_cases(rng):
     return [_random_program(rng), _random_program(rng, nthreads=1), empty]
 
 
+def _whole_order(prog):
+    """The merged order as at most one window covering the whole trace."""
+    longest = max(t.n_accesses for t in prog.threads)
+    pieces = list(interleave_stream(
+        prog, max_accesses=prog.nthreads * (longest + DEFAULT_CHUNK)))
+    assert len(pieces) == (1 if longest else 0)
+    return pieces
+
+
 def _assert_same_result(a, b):
     assert a.counts == b.counts
     assert a.cycles_per_core == b.cycles_per_core
@@ -232,14 +241,14 @@ def _assert_same_result(a, b):
 @pytest.mark.parametrize("max_accesses", [64, 333, 1 << 20])
 def test_interleave_stream_matches_monolithic(tmp_path, rng, max_accesses):
     for prog in _window_cases(rng):
-        mono = interleave(prog)
+        whole = _whole_order(prog)
         pieces = list(interleave_stream(prog, max_accesses=max_accesses))
-        assert sum(len(p) for p in pieces) == len(mono)
+        assert sum(len(p) for p in pieces) == prog.total_accesses
         for col in ("core", "addr", "is_write"):
             joined = [getattr(p, col) for p in pieces]
             assert np.array_equal(
                 np.concatenate(joined) if joined else joined,
-                getattr(mono, col))
+                getattr(whole[0], col) if whole else [])
         # The drive is window-size invariant: whole runs, and time slices
         # whose bounds fall inside windows (3 slices over ~900 accesses
         # against 60- and 324-access windows).
@@ -262,9 +271,11 @@ def test_interleave_stream_single_thread(rng):
     prog = ProgramTrace([ThreadTrace(
         rng.integers(0, 1 << 12, size=500, dtype=np.int64),
         rng.random(500) < 0.3)])
-    mono = interleave(prog)
+    (whole,) = _whole_order(prog)
     pieces = list(interleave_stream(prog, max_accesses=128))
-    assert np.array_equal(np.concatenate([p.addr for p in pieces]), mono.addr)
+    assert len(pieces) == 4
+    assert np.array_equal(np.concatenate([p.addr for p in pieces]), whole.addr)
+    assert np.array_equal(whole.addr, prog.threads[0].addrs)
     _assert_same_result(
         MulticoreMachine(SMALL_SPEC).run(prog, max_accesses=128),
         MulticoreMachine(SMALL_SPEC).run(prog))
@@ -337,17 +348,23 @@ def test_engine_simulate_stores_reports_worker_rss(tmp_path, rng):
         assert isinstance(rss_kib, int) and rss_kib > 0
 
 
-def test_shadow_run_store_matches_in_memory(tmp_path, rng):
+def test_shadow_run_store_matches_in_memory(tmp_path, rng, monkeypatch):
+    from repro.baselines import shadow
     from repro.baselines.shadow import ShadowMemoryDetector
 
     prog = _random_program(rng, nthreads=3, max_len=800)
     path = tmp_path / "p.rtrc"
     prog.to_file(path)
-    det = ShadowMemoryDetector()
+    det = ShadowMemoryDetector(track_lines=True)
     mem = det.run(prog)
     st = det.run_store(path)
-    assert (st.fs_misses, st.ts_misses, st.cold_misses, st.instructions) == \
-        (mem.fs_misses, mem.ts_misses, mem.cold_misses, mem.instructions)
+    assert st.counts == mem.counts
+    assert st.per_line == mem.per_line
+    # A 64-row window streams the store in dozens of windows, same report.
+    monkeypatch.setattr(shadow, "DEFAULT_SEGMENT", 64)
+    small = det.run_store(path)
+    assert small.counts == mem.counts
+    assert small.per_line == mem.per_line
 
 
 def test_context_shadow_report_store_caches_by_digest(tmp_path, rng):
