@@ -15,11 +15,11 @@ attributes, matching Weka J48's defaults:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.errors import DatasetError, NotFittedError
 from repro.ml.dataset import Dataset
@@ -45,6 +45,11 @@ class C45Classifier:
     Parameters mirror Weka: ``cf`` is the pruning confidence factor
     (smaller prunes more), ``min_leaf`` the minimum instances per leaf,
     ``prune=False`` gives the unpruned tree.
+
+    The pruning constant ``z = norm.ppf(1 - cf)`` is computed (and scipy
+    imported) the first time pruning needs it, inside ``fit``; a tree
+    that is never fitted with pruning — e.g. one rebuilt from a model
+    document for serving — never computes it.
     """
 
     def __init__(
@@ -67,8 +72,6 @@ class C45Classifier:
         self.feature_names_: Optional[list] = None
         #: Lazily compiled flat-array form of ``root_`` (see ``compiled``).
         self._compiled_cache: Optional[tuple] = None
-        # z for the one-sided upper confidence bound used in pruning.
-        self._z = float(norm.ppf(1.0 - cf))
 
     # ------------------------------------------------------------------ fit
 
@@ -199,6 +202,18 @@ class C45Classifier:
     def _pessimistic_errors(self, node: TreeNode) -> float:
         """Upper-confidence-bound error count for a node treated as a leaf."""
         return node.n * self._ucb(node.errors, node.n)
+
+    @functools.cached_property
+    def _z(self) -> float:
+        """z for the one-sided upper confidence bound used in pruning.
+
+        Computed on first use, so scipy is a fit-time dependency only: a
+        tree rebuilt from a model document (a serving worker) never
+        prunes and never imports it.
+        """
+        from scipy.stats import norm
+
+        return float(norm.ppf(1.0 - self.cf))
 
     def _ucb(self, e: int, n: int) -> float:
         """C4.5's upper confidence bound on the error rate (Witten & Frank)."""

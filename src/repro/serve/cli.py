@@ -372,7 +372,8 @@ def _cmd_fleet(args) -> int:
     stats = fleet_thread.stats()
     sup = stats["supervisor"]
     print(f"repro-serve fleet listening on {host}:{port} "
-          f"({sup['alive']}/{sup['workers']} workers, "
+          f"({sup['alive']}/{sup['workers']} workers "
+          f"started in {sup['start_s']:.2f}s, "
           f"batch<= {args.max_batch}, "
           f"admission {'on' if args.admit_rate or args.source_rate else 'off'})")
     try:

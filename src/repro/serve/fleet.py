@@ -29,6 +29,8 @@ import asyncio
 import json
 import multiprocessing as mp
 import signal
+import time
+from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -113,15 +115,21 @@ def _worker_main(model_doc: Dict[str, Any], host: str, conn,
 
 
 class _Worker:
-    """One supervised worker process and its bound address."""
+    """One supervised worker process: its handshake pipe, launch time and,
+    once ready, its bound address."""
 
-    __slots__ = ("name", "process", "host", "port")
+    __slots__ = ("name", "process", "conn", "launched", "host", "port",
+                 "ready_s")
 
-    def __init__(self, name: str, process, host: str, port: int) -> None:
+    def __init__(self, name: str, process, conn, launched: float) -> None:
         self.name = name
         self.process = process
-        self.host = host
-        self.port = port
+        self.conn = conn
+        self.launched = launched
+        self.host = ""
+        self.port = 0
+        #: Seconds from launch to the ready handshake.
+        self.ready_s = 0.0
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -152,6 +160,8 @@ class FleetSupervisor:
         self._ctx = mp.get_context("spawn")
         self._workers: Dict[str, _Worker] = {}
         self.restarts = 0
+        #: Wall time of the last successful ``start``.
+        self.start_s = 0.0
 
     # ------------------------------------------------------------ lifecycle
 
@@ -159,16 +169,33 @@ class FleetSupervisor:
         """Spawn every worker; returns ``[(name, host, port), ...]``."""
         if self._workers:
             raise ServeError("fleet already started")
-        try:
-            for i in range(self.n_workers):
-                self._spawn(f"w{i}")
-        except BaseException:
-            self.stop()  # no half-started fleet outlives the failure
-            raise
-        return [(w.name, w.host, w.port)
-                for w in self._workers.values()]
+        began = time.monotonic()
+        workers = self._spawn(*(f"w{i}" for i in range(self.n_workers)))
+        self.start_s = time.monotonic() - began
+        return [(w.name, w.host, w.port) for w in workers]
 
-    def _spawn(self, name: str) -> _Worker:
+    def _spawn(self, *names: str) -> List[_Worker]:
+        """Launch every named worker, then await every ready handshake.
+
+        The workers boot concurrently.  If any of them fails, every
+        launched process is terminated and joined and every pipe closed
+        before the error propagates: no half-started pool outlives it.
+        """
+        launched: List[_Worker] = []
+        try:
+            for name in names:
+                launched.append(self._launch(name))
+            self._await_ready(launched)
+        except BaseException:
+            for worker in launched:
+                worker.conn.close()
+                self._terminate(worker.process)
+            raise
+        for worker in launched:
+            self._workers[worker.name] = worker
+        return launched
+
+    def _launch(self, name: str) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
@@ -177,21 +204,41 @@ class FleetSupervisor:
             name=f"repro-serve-{name}",
             daemon=True,
         )
-        process.start()
-        child_conn.close()
-        with parent_conn:
-            try:
-                ready = parent_conn.poll(self.start_timeout_s)
-                status, host, port = parent_conn.recv() if ready else (
-                    "error", f"did not start within {self.start_timeout_s}s", 0)
-            except EOFError:
-                status, host, port = "error", "exited before it was ready", 0
-        if status != "ready":
-            self._terminate(process)
-            raise ServeError(f"worker {name} failed to start: {host}")
-        worker = _Worker(name, process, host, int(port))
-        self._workers[name] = worker
-        return worker
+        launched = time.monotonic()
+        try:
+            process.start()
+        except BaseException:
+            parent_conn.close()
+            raise
+        finally:
+            child_conn.close()
+        return _Worker(name, process, parent_conn, launched)
+
+    def _await_ready(self, launched: List[_Worker]) -> None:
+        """Read each worker's ready handshake as it arrives; each has
+        ``start_timeout_s`` counted from its own launch."""
+        waiting = {worker.conn: worker for worker in launched}
+        while waiting:
+            first = min(waiting.values(), key=lambda w: w.launched)
+            timeout = first.launched + self.start_timeout_s - time.monotonic()
+            ready = mp_connection.wait(list(waiting), max(timeout, 0.0))
+            if not ready:
+                raise ServeError(
+                    f"worker {first.name} failed to start: "
+                    f"did not start within {self.start_timeout_s}s")
+            for conn in ready:
+                worker = waiting.pop(conn)
+                with conn:
+                    try:
+                        status, host, port = conn.recv()
+                    except EOFError:
+                        status, host, port = (
+                            "error", "exited before it was ready", 0)
+                if status != "ready":
+                    raise ServeError(
+                        f"worker {worker.name} failed to start: {host}")
+                worker.host, worker.port = host, int(port)
+                worker.ready_s = time.monotonic() - worker.launched
 
     def restart(self, name: str) -> Tuple[str, int]:
         """Kill ``name`` and spawn a replacement; returns its new address."""
@@ -200,7 +247,7 @@ class FleetSupervisor:
             raise ServeError(f"unknown worker {name!r}")
         self._terminate(worker.process)
         self.restarts += 1
-        fresh = self._spawn(name)
+        fresh, = self._spawn(name)
         return fresh.host, fresh.port
 
     def stop(self) -> None:
@@ -232,6 +279,8 @@ class FleetSupervisor:
             "workers": self.n_workers,
             "alive": sum(1 for w in self._workers.values() if w.alive()),
             "restarts": self.restarts,
+            "start_s": self.start_s,
+            "ready_s": {w.name: w.ready_s for w in self._workers.values()},
             "config": {
                 "max_batch": self.max_batch,
                 "max_wait_ms": self.max_wait_s * 1e3,

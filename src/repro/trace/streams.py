@@ -87,9 +87,14 @@ def interleave_stream(
     Yields consecutive :class:`MergedTrace` windows whose concatenation is
     the global order, without ever materializing the full merged columns.
     Each window is a stretch of whole interleaving rounds, so it only
-    touches a ``len(threads) * chunk * rounds`` slice of every per-thread
-    column.  ``max_accesses`` bounds the window size; every window holds
-    at least one round.
+    touches a ``chunk * rounds`` slice of every per-thread column.
+
+    A window starting at per-thread position ``lo`` spans
+    ``max_accesses // (live * chunk)`` rounds (at least one), where
+    ``live`` counts the threads with accesses left at ``lo``.  Threads
+    only finish, so a window holds at most ``max_accesses`` rows (or one
+    round, if that is more), and once the short threads are done the
+    long ones stream in windows sized for them alone.
     """
     if chunk <= 0:
         raise TraceError("chunk must be positive")
@@ -97,6 +102,9 @@ def interleave_stream(
         raise TraceError("max_accesses must be positive")
     threads = program.threads
     longest = max(t.n_accesses for t in threads)
-    step = max(1, max_accesses // (len(threads) * chunk)) * chunk
-    for lo in range(0, longest, step):
-        yield _merge(threads, lo, min(lo + step, longest), chunk)
+    lo = 0
+    while lo < longest:
+        live = sum(1 for t in threads if t.n_accesses > lo)
+        hi = min(lo + max(1, max_accesses // (live * chunk)) * chunk, longest)
+        yield _merge(threads, lo, hi, chunk)
+        lo = hi

@@ -237,18 +237,41 @@ def test_workers_exit_when_supervisor_is_killed(model_doc, tmp_path):
                 os.kill(pid, signal.SIGKILL)
 
 
+_WORKER_IMPORTS = """
+import json, sys
+from repro.ml.persistence import classifier_from_dict
+from repro.serve.inference import CompiledTree
+from repro.serve.server import DetectionServer
+with open(sys.argv[1]) as fh:
+    CompiledTree.from_classifier(classifier_from_dict(json.load(fh)))
+print(json.dumps("scipy" in sys.modules))
+"""
+
+
+def test_worker_boot_does_not_import_scipy():
+    """A serving worker imports what ``_worker_main`` imports and rebuilds
+    a fitted tree; scipy (pruning only) must stay out of that start-up."""
+    src = Path(repro.__file__).resolve().parents[1]
+    model = src.parent / "models" / "detector.json"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", _WORKER_IMPORTS, str(model)],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert json.loads(out.stdout) is False
+
+
 def test_failed_start_reaps_started_workers(model_doc, monkeypatch):
     started = []
-    real_spawn = FleetSupervisor._spawn
+    real_launch = FleetSupervisor._launch
 
-    def flaky_spawn(self, name):
+    def flaky_launch(self, name):
         if started:
             raise ServeError("second worker failed")
-        worker = real_spawn(self, name)
+        worker = real_launch(self, name)
         started.append(worker.process)
         return worker
 
-    monkeypatch.setattr(FleetSupervisor, "_spawn", flaky_spawn)
+    monkeypatch.setattr(FleetSupervisor, "_launch", flaky_launch)
     sup = FleetSupervisor(model_doc, workers=3)
     with pytest.raises(ServeError, match="second worker failed"):
         sup.start()
@@ -264,3 +287,49 @@ def test_start_timeout_joins_the_worker(model_doc):
     with pytest.raises(ServeError, match="did not start"):
         sup.start()
     assert set(multiprocessing.active_children()) <= before
+
+
+def test_failed_handshake_reaps_every_launched_worker(model_doc, monkeypatch):
+    """Worker 1 dies before its handshake while worker 0 boots alongside
+    it: start raises and neither process nor pipe outlives the failure."""
+    launched = []
+    real_launch = FleetSupervisor._launch
+
+    def launch_then_kill_w1(self, name):
+        worker = real_launch(self, name)
+        launched.append(worker)
+        if name == "w1":
+            worker.process.kill()
+        return worker
+
+    monkeypatch.setattr(FleetSupervisor, "_launch", launch_then_kill_w1)
+    before = set(multiprocessing.active_children())  # the module's fleet
+    sup = FleetSupervisor(model_doc, workers=2)
+    with pytest.raises(ServeError, match="worker w1 failed to start"):
+        sup.start()
+    assert [w.name for w in launched] == ["w0", "w1"]
+    assert sup.workers == {}
+    assert set(multiprocessing.active_children()) <= before
+    assert all(w.process.exitcode is not None for w in launched)
+    assert all(w.conn.closed for w in launched)
+
+
+def test_stats_report_start_and_ready_times(fleet):
+    sup = fleet[0].stats()["supervisor"]
+    assert sup["start_s"] > 0
+    assert sorted(sup["ready_s"]) == ["w0", "w1"]
+    assert all(t > 0 for t in sup["ready_s"].values())
+
+
+def test_restart_refreshes_ready_time(model_doc):
+    sup = FleetSupervisor(model_doc, workers=1)
+    try:
+        sup.start()
+        first = sup._workers["w0"]
+        sup.restart("w0")
+        fresh = sup._workers["w0"]
+        assert fresh is not first
+        assert fresh.launched > first.launched
+        assert sup.stats()["ready_s"]["w0"] == fresh.ready_s > 0
+    finally:
+        sup.stop()

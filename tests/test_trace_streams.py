@@ -74,6 +74,18 @@ class TestInterleave:
         with pytest.raises(TraceError):
             list(interleave_stream(_prog([2, 2]), chunk=0))
 
+    def test_windows_sized_from_live_threads(self):
+        # One long thread outlives seven short ones: once they finish, its
+        # windows fill max_accesses on their own instead of 1/8 of it.
+        prog = _prog([1_000_000] + [1_000] * 7, base_step=2_000_000)
+        pieces = list(interleave_stream(prog, chunk=4, max_accesses=100_000))
+        assert len(pieces) <= 12
+        assert all(len(p) <= 100_000 for p in pieces)
+        whole, = interleave_stream(prog, chunk=4, max_accesses=8_000_000)
+        for col in ("core", "addr", "is_write"):
+            joined = np.concatenate([getattr(p, col) for p in pieces])
+            assert np.array_equal(joined, getattr(whole, col))
+
     def test_empty_threads(self):
         prog = ProgramTrace([make_thread(np.array([], dtype=np.int64)),
                              make_thread(np.array([], dtype=np.int64))])
