@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.sharing import (
     PredictiveAnalyzer,
     SharingReport,
-    StaticSharingAnalyzer,
+    analyze_trace,
 )
 from repro.baselines.shadow import (
     FS_RATE_THRESHOLD,
@@ -261,12 +261,10 @@ class CrossChecker:
         self,
         detector: "FalseSharingDetector",
         shadow: Optional[ShadowMemoryDetector] = None,
-        analyzer: Optional[StaticSharingAnalyzer] = None,
         engine: Optional["ExecutionEngine"] = None,
     ) -> None:
         self.detector = detector
         self.shadow = shadow or ShadowMemoryDetector()
-        self.analyzer = analyzer or StaticSharingAnalyzer()
         self.predictor = PredictiveAnalyzer()
         if engine is None:
             from repro.parallel import ExecutionEngine
@@ -276,7 +274,7 @@ class CrossChecker:
 
     def static_report(self, workload: Workload,
                       cfg: RunConfig) -> SharingReport:
-        return self.analyzer.analyze(workload.trace(cfg))
+        return analyze_trace(workload.trace(cfg))
 
     def predict_label(self, workload: Workload, cfg: RunConfig) -> str:
         """Symbolic verdict, or "" for plan-less workloads."""

@@ -4,9 +4,8 @@ Each rule turns :class:`~repro.analysis.sharing.SharingReport` facts into
 structured :class:`Finding`s a developer can act on:
 
 * **FS001** — a contended false-shared line (the bug itself), with a
-  padding fix sized by replaying
-  :meth:`~repro.core.advisor.FalseSharingAdvisor.pad_trace`'s layout
-  transformation;
+  padding fix sized in private lines: one per (line, writer) pair, the
+  layout :func:`repro.core.advisor.pad_trace` replays;
 * **FS002** — adjacent-line near-miss: two threads' write regions abut a
   line boundary closely enough that a small layout change (one more field,
   a different allocator) would fuse them onto one line — the kind of
@@ -47,9 +46,8 @@ from repro.analysis.sharing import (
     NEAR_MISS_MARGIN,
     SIGNIFICANCE_THRESHOLD,
     SharingReport,
-    StaticSharingAnalyzer,
+    analyze_trace,
 )
-from repro.core.advisor import ContendedLine, FalseSharingAdvisor
 from repro.memory.layout import LINE_SIZE
 from repro.trace.access import ProgramTrace
 from repro.utils.tables import render_table
@@ -137,19 +135,12 @@ class SharingLinter:
     RULES = ("FS001", "FS002", "FS003", "FS004",
              "FS005", "FS006", "FS007", "FS008")
 
-    def __init__(self, analyzer: Optional[StaticSharingAnalyzer] = None,
-                 advisor: Optional[FalseSharingAdvisor] = None) -> None:
-        self.analyzer = analyzer or StaticSharingAnalyzer()
-        #: pad_trace's layout transformation is all we use; no detector
-        #: is needed to *suggest* a fix, only to price one dynamically.
-        self.advisor = advisor or FalseSharingAdvisor(detector=None)
-
     def lint(self, program: ProgramTrace,
              report: Optional[SharingReport] = None,
              symbols=None, scope: str = "") -> List[Finding]:
-        report = report or self.analyzer.analyze(program)
+        report = report or analyze_trace(program)
         findings: List[Finding] = []
-        findings += self._fs001(program, report)
+        findings += self._fs001(report)
         findings += self._fs002(report)
         findings += self._fs003(report)
         findings += self._fs004(report)
@@ -186,29 +177,11 @@ class SharingLinter:
 
     # ------------------------------------------------------------- FS001
 
-    def _fs001(self, program: ProgramTrace,
-               report: SharingReport) -> List[Finding]:
+    @staticmethod
+    def _fs001(report: SharingReport) -> List[Finding]:
         hot = report.false_shared(min_significance=SIGNIFICANCE_THRESHOLD)
-        if not hot:
-            return []
-        contended = [
-            ContendedLine(
-                line=ls.line,
-                writers=sorted(ls.writers),
-                writes_per_thread={u.tid: int(u.writes) for u in ls.uses
-                                   if u.writes},
-                # Spans are per-thread disjoint, so span word counts add up.
-                distinct_words=sum(
-                    hi // 4 - lo // 4 + 1
-                    for lo, hi in ls.evidence().values()
-                ),
-            )
-            for ls in hot
-        ]
-        # Size the fix exactly the way the advisor replays it: each
-        # (line, writer) pair moves to a fresh private line.
-        padded = self.advisor.pad_trace(program, contended)
-        extra_lines = sum(len(cl.writers) for cl in contended)
+        # Padding moves each (line, writer) pair to a fresh private line.
+        extra_lines = sum(len(ls.writers) for ls in hot)
         out = []
         for ls in hot:
             sev = ("error" if ls.significance >= ERROR_SIGNIFICANCE
@@ -227,10 +200,9 @@ class SharingLinter:
                 threads=sorted(ls.threads),
                 suggestion=(
                     "give each thread's data its own cache line — padding "
-                    f"the {len(contended)} contended line(s) adds "
+                    f"the {len(hot)} contended line(s) adds "
                     f"{extra_lines} private line(s) "
-                    f"({extra_lines * LINE_SIZE} bytes, replayed layout "
-                    f"'{padded.name}')"
+                    f"({extra_lines * LINE_SIZE} bytes)"
                 ),
                 data={"significance": ls.significance,
                       "evidence": {str(t): list(sp) for t, sp

@@ -294,7 +294,7 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
         import json as _json
 
         from repro.analysis.lint import SharingLinter, render_findings
-        from repro.analysis.sharing import StaticSharingAnalyzer
+        from repro.analysis.sharing import analyze_trace
 
         _apply_jobs(args)
         if args.crosscheck:
@@ -315,9 +315,8 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
         target, kind = _resolve_target(args.workload)
         cfg = _build_config(target, kind, args)
         program = target.trace(cfg)
-        analyzer = StaticSharingAnalyzer()
-        rep = analyzer.analyze(program)
-        findings = SharingLinter(analyzer).lint(program, rep)
+        rep = analyze_trace(program)
+        findings = SharingLinter().lint(program, rep)
         if args.json:
             print(_json.dumps(
                 {"report": rep.to_dict(),

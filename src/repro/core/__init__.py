@@ -1,6 +1,6 @@
 """The paper's methodology: event selection, training, the detector."""
 
-from repro.core.advisor import ContendedLine, Diagnosis, FalseSharingAdvisor
+from repro.core.advisor import Diagnosis, FalseSharingAdvisor
 from repro.core.detector import CaseResult, FalseSharingDetector, detects_false_sharing
 from repro.core.event_selection import (
     MIN_RATIO,
@@ -26,7 +26,6 @@ from repro.core.training import (
 )
 
 __all__ = [
-    "ContendedLine",
     "Diagnosis",
     "FalseSharingAdvisor",
     "SlicedDetector",

@@ -1,46 +1,29 @@
 """Diagnosis beyond the verdict: which lines, which threads, what fix.
 
 The detector says *that* a run falsely shares; a developer needs to know
-*where*.  This advisor combines the classifier's verdict with a
-shadow-memory pass over the same trace to name the contended cache lines,
-the threads fighting over them, and the byte layout that causes it — and
-estimates the benefit of padding by replaying the trace with the contended
-lines spread out (SHERIFF's mitigation idea [21], here as advice instead of
-runtime patching).
+*where*.  This advisor pairs the classifier's verdict with the static
+sharing analyzer's contended false-shared lines
+(:meth:`~repro.analysis.sharing.SharingReport.false_shared` of the same
+trace) — the threads fighting over each line and the byte spans each one
+writes — and estimates the benefit of padding by replaying the trace with
+those lines spread out (SHERIFF's mitigation idea [21], here as advice
+instead of runtime patching).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.analysis.sharing import LineSharing, analyze_trace
 from repro.core.detector import FalseSharingDetector
-from repro.errors import NotFittedError
-from repro.memory.layout import LINE_SIZE
+from repro.memory.layout import LINE_SIZE, line_of
 from repro.pmu.events import TABLE2_EVENTS
 from repro.trace.access import ProgramTrace, ThreadTrace
 from repro.utils.tables import render_table
 
-
-@dataclass
-class ContendedLine:
-    """One falsely-shared cache line."""
-
-    line: int
-    writers: List[int]
-    writes_per_thread: Dict[int, int]
-    distinct_words: int
-
-    @property
-    def address(self) -> int:
-        return self.line * LINE_SIZE
-
-    @property
-    def total_writes(self) -> int:
-        return sum(self.writes_per_thread.values())
+#: A diagnosis names (and pads) at most this many lines, hottest first.
+TOP_LINES = 8
 
 
 @dataclass
@@ -49,7 +32,7 @@ class Diagnosis:
 
     label: str
     seconds: float
-    contended: List[ContendedLine]
+    contended: List[LineSharing]
     padded_seconds: Optional[float] = None
 
     @property
@@ -64,16 +47,21 @@ class Diagnosis:
         if self.label != "bad-fs":
             lines.append("no false sharing to fix.")
             return "\n".join(lines)
+        if not self.contended:
+            lines.append("the trace shows no contended false-shared line "
+                         "behind this verdict; nothing to pad.")
+            return "\n".join(lines)
         rows = [
-            [f"0x{cl.address:x}", len(cl.writers), cl.distinct_words,
-             cl.total_writes,
-             ", ".join(f"T{t}:{n}" for t, n in
-                       sorted(cl.writes_per_thread.items()))]
-            for cl in self.contended
+            [f"0x{ls.address:x}", len(ls.writers), int(ls.total_writes),
+             ", ".join(f"T{u.tid}:{int(u.writes)}"
+                       for u in ls.uses if u.writes),
+             "; ".join(f"T{t}:[{lo},{hi}]"
+                       for t, (lo, hi) in sorted(ls.evidence().items()))]
+            for ls in self.contended
         ]
         lines.append(render_table(
-            ["line addr", "writer threads", "distinct words", "writes",
-             "writes by thread"],
+            ["line addr", "writer threads", "writes", "writes by thread",
+             "written byte spans"],
             rows, title="Falsely shared cache lines (hottest first)",
         ))
         lines.append(
@@ -89,109 +77,56 @@ class Diagnosis:
         return "\n".join(lines)
 
 
-class FalseSharingAdvisor:
-    """Names the contended lines behind a bad-fs verdict and sizes the fix.
+def pad_trace(program: ProgramTrace,
+              lines: Sequence[LineSharing]) -> ProgramTrace:
+    """Replay layout: move each writer's accesses to each of ``lines`` onto
+    a fresh private line (what a padding fix does to the address stream).
 
-    The trace-level helpers (:meth:`find_contended_lines`,
-    :meth:`pad_trace`) are purely structural and work with
-    ``detector=None``; only :meth:`diagnose` needs a fitted detector to
-    produce the verdict (the static lint reuses the helpers this way).
+    Fresh lines start two lines above the highest address and are numbered
+    in ``lines`` order, writers ascending within a line.
     """
+    if not lines:
+        return program
+    base = max(int(t.addrs.max(initial=0)) for t in program.threads)
+    fresh = int(line_of(base)) + 2
+    moves: List[List[Tuple[int, int]]] = [[] for _ in program.threads]
+    for ls in lines:
+        for tid in ls.writers:
+            moves[tid].append((ls.line, fresh))
+            fresh += 1
+    threads = []
+    for t, pairs in zip(program.threads, moves):
+        addrs = t.addrs.copy()
+        old = line_of(t.addrs)
+        for line, new in pairs:
+            hit = old == line
+            addrs[hit] = new * LINE_SIZE + (addrs[hit] & (LINE_SIZE - 1))
+        threads.append(ThreadTrace(addrs, t.is_write.copy(),
+                                   t.instr_per_access,
+                                   t.extra_instructions))
+    return ProgramTrace(threads, name=f"{program.name}+padded",
+                        meta=dict(program.meta))
 
-    def __init__(self, detector: Optional[FalseSharingDetector] = None,
-                 top_lines: int = 8) -> None:
+
+class FalseSharingAdvisor:
+    """Names the contended lines behind a bad-fs verdict and sizes the fix."""
+
+    def __init__(self, detector: FalseSharingDetector) -> None:
         self.detector = detector
-        self.top_lines = top_lines
-
-    # ------------------------------------------------------------ analysis
-
-    def find_contended_lines(self, program: ProgramTrace) -> List[ContendedLine]:
-        """Cache lines written by 2+ threads on disjoint words.
-
-        Word-disjointness is what separates false from true sharing — the
-        same rule the shadow-memory oracle applies, here aggregated per line.
-        """
-        writes_by: Dict[int, Dict[int, int]] = defaultdict(dict)
-        words_by: Dict[int, Dict[int, set]] = defaultdict(dict)
-        for tid, t in enumerate(program.threads):
-            w_addr = t.addrs[t.is_write]
-            lines = (w_addr >> 6).astype(np.int64)
-            words = ((w_addr >> 2) & 15).astype(np.int64)
-            for line, word in zip(lines.tolist(), words.tolist()):
-                per = writes_by[line]
-                per[tid] = per.get(tid, 0) + 1
-                words_by[line].setdefault(tid, set()).add(word)
-        out = []
-        for line, per in writes_by.items():
-            if len(per) < 2:
-                continue
-            word_sets = list(words_by[line].values())
-            union = set().union(*word_sets)
-            # false sharing: each thread writes its own words
-            if sum(len(ws) for ws in word_sets) == len(union):
-                out.append(ContendedLine(
-                    line=line,
-                    writers=sorted(per),
-                    writes_per_thread=dict(per),
-                    distinct_words=len(union),
-                ))
-        out.sort(key=lambda cl: cl.total_writes, reverse=True)
-        return out[: self.top_lines]
-
-    def pad_trace(self, program: ProgramTrace,
-                  contended: List[ContendedLine]) -> ProgramTrace:
-        """Replay layout: spread each contended line's per-thread words onto
-        private lines (what a padding fix does to the address stream)."""
-        if not contended:
-            return program
-        # address translation: (line, thread) -> fresh private line
-        base = max(int(t.addrs.max(initial=0)) for t in program.threads)
-        base = ((base >> 6) + 2) << 6
-        remap: Dict[Tuple[int, int], int] = {}
-        next_line = base >> 6
-        for cl in contended:
-            for tid in cl.writers:
-                remap[(cl.line, tid)] = next_line
-                next_line += 1
-        hot = {cl.line for cl in contended}
-        threads = []
-        for tid, t in enumerate(program.threads):
-            addrs = t.addrs.copy()
-            lines = addrs >> 6
-            mask = np.isin(lines, list(hot))
-            if mask.any():
-                idx = np.flatnonzero(mask)
-                for i in idx.tolist():
-                    key = (int(lines[i]), tid)
-                    new_line = remap.get(key)
-                    if new_line is not None:
-                        addrs[i] = (new_line << 6) | (addrs[i] & 63)
-            threads.append(ThreadTrace(addrs, t.is_write.copy(),
-                                       t.instr_per_access,
-                                       t.extra_instructions))
-        return ProgramTrace(threads, name=f"{program.name}+padded",
-                            meta=dict(program.meta))
-
-    # ------------------------------------------------------------ frontend
 
     def diagnose_trace(self, program: ProgramTrace,
                        run_id: str = "") -> Diagnosis:
-        if self.detector is None:
-            raise NotFittedError(
-                "diagnosis needs a fitted detector; construct the advisor "
-                "with FalseSharingAdvisor(detector)"
-            )
         lab = self.detector.lab
         machine = lab.machine
         res = machine.run(program, chunk=lab.chunk)
         vec = lab.sampler.measure(res, list(TABLE2_EVENTS), run_id=run_id)
         label = self.detector.classify_vector(vec)
-        contended: List[ContendedLine] = []
+        contended: List[LineSharing] = []
         padded_seconds = None
         if label == "bad-fs":
-            contended = self.find_contended_lines(program)
+            contended = analyze_trace(program).false_shared()[:TOP_LINES]
             if contended:
-                fixed = self.pad_trace(program, contended)
+                fixed = pad_trace(program, contended)
                 padded_seconds = machine.run(fixed, chunk=lab.chunk).seconds
         return Diagnosis(
             label=label,

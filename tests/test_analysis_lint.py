@@ -10,7 +10,7 @@ from repro.analysis.lint import (
     findings_table,
     render_findings,
 )
-from repro.analysis.sharing import predict_plan
+from repro.analysis.sharing import analyze_trace, predict_plan
 from repro.analysis.symbols import Symbol
 from repro.trace.access import ProgramTrace, make_thread
 from repro.workloads.base import RunConfig
@@ -43,7 +43,7 @@ class TestFS001:
         assert f.lines == [64]
         assert f.threads == [0, 1]
         assert "padding" in f.suggestion
-        assert "+padded" in f.suggestion
+        assert "2 private line(s) (128 bytes)" in f.suggestion
 
     def test_warning_below_error_threshold(self, linter):
         # contended line carries ~0.4% of instructions: above the report
@@ -130,7 +130,7 @@ class TestLinterFrontend:
 
     def test_precomputed_report_reused(self, linter):
         prog = ProgramTrace([rmw_thread(4096, 200), rmw_thread(4104, 200)])
-        rep = linter.analyzer.analyze(prog)
+        rep = analyze_trace(prog)
         assert rules(linter.lint(prog, rep)) == rules(linter.lint(prog))
 
     def test_mini_program_bad_fs(self, linter):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.advisor import FalseSharingAdvisor
+from repro.analysis.sharing import analyze_trace
+from repro.core.advisor import (
+    TOP_LINES,
+    Diagnosis,
+    FalseSharingAdvisor,
+    pad_trace,
+)
 from repro.trace.access import ProgramTrace, make_thread
 from repro.workloads.base import RunConfig
 from repro.workloads.registry import get_workload
@@ -18,122 +24,189 @@ def rmw_thread(addr, n):
     return make_thread(addrs, writes)
 
 
+def false_shared(prog):
+    return analyze_trace(prog).false_shared()
+
+
+def packed_lines(n_lines, n):
+    """Two threads, each owning 8 bytes of every one of ``n_lines`` lines."""
+    threads = []
+    for tid in range(2):
+        t = rmw_thread(4096 + 8 * tid, n)
+        for k in range(1, n_lines):
+            t = t.concat(rmw_thread(4096 + 64 * k + 8 * tid, n))
+        threads.append(t)
+    return ProgramTrace(threads)
+
+
 @pytest.fixture
 def advisor(fitted):
     return FalseSharingAdvisor(fitted)
 
 
-class TestFindContendedLines:
-    def test_finds_packed_line(self, advisor):
-        prog = ProgramTrace([rmw_thread(4096, 200), rmw_thread(4104, 200)])
-        found = advisor.find_contended_lines(prog)
-        assert len(found) == 1
-        cl = found[0]
-        assert cl.line == 64
-        assert cl.writers == [0, 1]
-        assert cl.distinct_words == 2
-        assert cl.writes_per_thread == {0: 200, 1: 200}
+@pytest.fixture
+def forced_bad_fs(advisor, monkeypatch):
+    """The advisor with the verdict pinned to bad-fs, so the line choice is
+    tested on synthetic traces independent of the tree."""
+    monkeypatch.setattr(advisor.detector, "classify_vector",
+                        lambda vec: "bad-fs")
+    return advisor
 
-    def test_true_sharing_excluded(self, advisor):
+
+class TestFalseSharedLines:
+    def test_finds_packed_line(self):
+        prog = ProgramTrace([rmw_thread(4096, 200), rmw_thread(4104, 200)])
+        found = false_shared(prog)
+        assert len(found) == 1
+        ls = found[0]
+        assert ls.line == 64
+        assert ls.writers == [0, 1]
+        assert ls.evidence() == {0: (0, 0), 1: (8, 8)}
+        assert {u.tid: u.writes for u in ls.uses} == {0: 200, 1: 200}
+
+    def test_true_sharing_excluded(self):
         # both threads write the same word: true sharing, not advice fodder
         prog = ProgramTrace([rmw_thread(4096, 200), rmw_thread(4096, 200)])
-        assert advisor.find_contended_lines(prog) == []
+        assert false_shared(prog) == []
 
-    def test_private_lines_excluded(self, advisor):
+    def test_private_lines_excluded(self):
         prog = ProgramTrace([rmw_thread(4096, 200), rmw_thread(4160, 200)])
-        assert advisor.find_contended_lines(prog) == []
+        assert false_shared(prog) == []
 
-    def test_hottest_lines_first(self, advisor):
+    def test_hottest_lines_first(self):
         prog = ProgramTrace([
             rmw_thread(4096, 50).concat(rmw_thread(8192, 500)),
             rmw_thread(4104, 50).concat(rmw_thread(8200, 500)),
         ])
-        found = advisor.find_contended_lines(prog)
-        assert [cl.line for cl in found] == [128, 64]
+        assert [ls.line for ls in false_shared(prog)] == [128, 64]
 
-    def test_top_lines_cap(self, fitted):
-        adv = FalseSharingAdvisor(fitted, top_lines=2)
-        threads = []
-        for tid in range(2):
-            parts = [rmw_thread(4096 + 64 * k + 8 * tid, 30)
-                     for k in range(5)]
-            t = parts[0]
-            for p in parts[1:]:
-                t = t.concat(p)
-            threads.append(t)
-        found = adv.find_contended_lines(ProgramTrace(threads))
-        assert len(found) == 2
+    def test_top_lines_cap(self, forced_bad_fs):
+        prog = packed_lines(TOP_LINES + 2, 30)
+        assert len(false_shared(prog)) == TOP_LINES + 2
+        d = forced_bad_fs.diagnose_trace(prog)
+        assert len(d.contended) == TOP_LINES
+
+    def test_handoff_not_named(self, forced_bad_fs):
+        # T0 is done with line 64 before T1 first touches it: the writers
+        # never overlap in time, so the line cannot ping-pong
+        t0 = rmw_thread(4096, 10).concat(rmw_thread(8192, 500))
+        t1 = rmw_thread(12288, 500).concat(rmw_thread(4104, 10))
+        d = forced_bad_fs.diagnose_trace(ProgramTrace([t0, t1]))
+        assert d.contended == []
+        assert d.padded_seconds is None
 
 
 class TestPadTrace:
-    def test_padding_separates_writers(self, advisor):
+    def test_padding_separates_writers(self):
         prog = ProgramTrace([rmw_thread(4096, 200), rmw_thread(4104, 200)])
-        found = advisor.find_contended_lines(prog)
-        fixed = advisor.pad_trace(prog, found)
+        fixed = pad_trace(prog, false_shared(prog))
         lines0 = set((fixed.threads[0].addrs >> 6).tolist())
         lines1 = set((fixed.threads[1].addrs >> 6).tolist())
         assert not (lines0 & lines1)
 
-    def test_padding_preserves_access_counts(self, advisor):
+    def test_padding_preserves_access_counts(self):
         prog = ProgramTrace([rmw_thread(4096, 200), rmw_thread(4104, 200)])
-        fixed = advisor.pad_trace(prog, advisor.find_contended_lines(prog))
+        fixed = pad_trace(prog, false_shared(prog))
         assert fixed.total_accesses == prog.total_accesses
         assert fixed.total_instructions == prog.total_instructions
 
-    def test_no_contention_returns_same_program(self, advisor):
+    def test_no_contention_returns_same_program(self):
         prog = ProgramTrace([rmw_thread(4096, 10)])
-        assert advisor.pad_trace(prog, []) is prog
+        assert pad_trace(prog, []) is prog
+
+    def test_fresh_lines_numbered_in_line_order(self):
+        # highest address 4200 is on line 65, so fresh lines start at 67:
+        # line 65 (hottest) gets 67/68, then line 64 gets 69/70, writers
+        # ascending; byte offsets within the line are kept
+        prog = ProgramTrace([
+            rmw_thread(4096, 50).concat(rmw_thread(4160, 500)),
+            rmw_thread(4104, 50).concat(rmw_thread(4200, 500)),
+        ])
+        found = false_shared(prog)
+        assert [ls.line for ls in found] == [65, 64]
+        fixed = pad_trace(prog, found)
+        a0, a1 = (t.addrs for t in fixed.threads)
+        assert set(a0[:100].tolist()) == {69 * 64}
+        assert set(a0[100:].tolist()) == {67 * 64}
+        assert set(a1[:100].tolist()) == {70 * 64 + 8}
+        assert set(a1[100:].tolist()) == {68 * 64 + 40}
+        for t, f in zip(prog.threads, fixed.threads):
+            assert (t.is_write == f.is_write).all()
+
+
+def reference_pad(program, lines):
+    """The per-access remap loop pad_trace vectorises."""
+    fresh = (max(int(t.addrs.max()) for t in program.threads) >> 6) + 2
+    remap = {}
+    for ls in lines:
+        for tid in ls.writers:
+            remap[(ls.line, tid)] = fresh
+            fresh += 1
+    out = []
+    for tid, t in enumerate(program.threads):
+        addrs = t.addrs.copy()
+        for i, a in enumerate(addrs.tolist()):
+            new = remap.get((a >> 6, tid))
+            if new is not None:
+                addrs[i] = (new << 6) | (a & 63)
+        out.append(addrs)
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: get_workload("psums").trace(
+        RunConfig(threads=6, mode="bad-fs", size=2000)),
+    lambda: get_workload("pdot").trace(
+        RunConfig(threads=4, mode="bad-fs", size=4096)),
+    lambda: packed_lines(TOP_LINES + 2, 30),
+], ids=["psums", "pdot", "packed"])
+def test_pad_trace_matches_per_access_reference(make):
+    prog = make()
+    found = false_shared(prog)
+    assert found
+    fixed = pad_trace(prog, found)
+    for got, want in zip(fixed.threads, reference_pad(prog, found)):
+        assert (got.addrs == want).all()
 
 
 class TestPadTraceEdgeCases:
     """pad_trace is purely structural — no detector needed."""
 
-    @pytest.fixture
-    def bare(self):
-        return FalseSharingAdvisor(detector=None)
-
-    def test_single_thread_program_never_contended(self, bare):
+    def test_single_thread_program_never_contended(self):
         prog = ProgramTrace([rmw_thread(4096, 100)])
-        assert bare.find_contended_lines(prog) == []
-        assert bare.pad_trace(prog, []) is prog
+        assert false_shared(prog) == []
+        assert pad_trace(prog, []) is prog
 
-    def test_sole_writer_line_untouched(self, bare):
-        # T1 only reads line 64; padding the contended line must not move
+    def test_sole_writer_line_untouched(self):
+        # T1 only reads line 65; padding the contended line must not move
         # accesses of threads that never wrote it.
         reads = make_thread(np.full(50, 4160, dtype=np.int64))
         prog = ProgramTrace([
             rmw_thread(4096, 100).concat(rmw_thread(4160, 100)),
             rmw_thread(4104, 100).concat(reads),
         ])
-        found = bare.find_contended_lines(prog)
-        assert [cl.line for cl in found] == [64]
-        fixed = bare.pad_trace(prog, found)
+        found = false_shared(prog)
+        assert [ls.line for ls in found] == [64]
+        fixed = pad_trace(prog, found)
         # T1's reads of line 65 stay where they were
         assert (fixed.threads[1].addrs[-50:] == 4160).all()
         # and line 65, written only by T0, is not remapped either
         assert 65 in set((fixed.threads[0].addrs >> 6).tolist())
 
-    def test_idempotent(self, bare):
+    def test_idempotent(self):
         prog = ProgramTrace([rmw_thread(4096, 200), rmw_thread(4104, 200)])
-        once = bare.pad_trace(prog, bare.find_contended_lines(prog))
+        once = pad_trace(prog, false_shared(prog))
         # after padding there is nothing left to find, so a second pass
         # is the identity
-        assert bare.find_contended_lines(once) == []
-        twice = bare.pad_trace(once, bare.find_contended_lines(once))
+        assert false_shared(once) == []
+        twice = pad_trace(once, false_shared(once))
         assert twice is once
 
-    def test_padded_name_suffix(self, bare):
+    def test_padded_name_suffix(self):
         prog = ProgramTrace([rmw_thread(4096, 200), rmw_thread(4104, 200)],
                             name="demo")
-        fixed = bare.pad_trace(prog, bare.find_contended_lines(prog))
+        fixed = pad_trace(prog, false_shared(prog))
         assert fixed.name == "demo+padded"
-
-    def test_diagnose_without_detector_raises(self, bare):
-        from repro.errors import NotFittedError
-
-        prog = ProgramTrace([rmw_thread(4096, 10)])
-        with pytest.raises(NotFittedError):
-            bare.diagnose_trace(prog)
 
 
 class TestDiagnose:
@@ -147,6 +220,7 @@ class TestDiagnose:
         assert d.estimated_speedup > 2.0
         out = d.render()
         assert "Falsely shared cache lines" in out
+        assert "written byte spans" in out
         assert "estimated effect of padding" in out
 
     def test_good_run_no_advice(self, advisor):
@@ -163,3 +237,9 @@ class TestDiagnose:
         d = advisor.diagnose(pdot, RunConfig(threads=6, mode="bad-fs",
                                              size=98_304))
         assert d.padded_seconds < d.seconds
+
+    def test_bad_fs_without_lines_renders_no_table(self):
+        out = Diagnosis("bad-fs", 1e-3, []).render()
+        assert "no contended false-shared line" in out
+        assert "Falsely shared cache lines" not in out
+        assert "fix:" not in out
