@@ -21,48 +21,55 @@ rules, cross-detector harness),
 ``experiments`` (one entry per paper table/figure).
 """
 
-from repro.analysis import SharingLinter, StaticSharingAnalyzer, analyze_trace
-
-from repro.coherence import MachineSpec, MulticoreMachine, SimulationResult
-from repro.coherence.machine import SCALED_WESTMERE, WESTMERE_SPEC
-from repro.core import FalseSharingDetector, Lab, collect_training_data, select_events
-from repro.errors import ReproError
-from repro.ml import C45Classifier, ConfusionMatrix, Dataset
-from repro.parallel import ExecutionEngine, default_jobs, set_default_jobs
-from repro.pmu import TABLE2_EVENTS, Event, EventVector
-from repro.trace import ProgramTrace, ThreadTrace
-from repro.workloads import Mode, RunConfig, Workload, get_workload
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MachineSpec",
-    "MulticoreMachine",
-    "SimulationResult",
-    "SCALED_WESTMERE",
-    "WESTMERE_SPEC",
-    "FalseSharingDetector",
-    "Lab",
-    "collect_training_data",
-    "select_events",
-    "ReproError",
-    "ExecutionEngine",
-    "default_jobs",
-    "set_default_jobs",
-    "C45Classifier",
-    "ConfusionMatrix",
-    "Dataset",
-    "TABLE2_EVENTS",
-    "Event",
-    "EventVector",
-    "ProgramTrace",
-    "ThreadTrace",
-    "Mode",
-    "RunConfig",
-    "Workload",
-    "get_workload",
-    "SharingLinter",
-    "StaticSharingAnalyzer",
-    "analyze_trace",
-    "__version__",
-]
+#: Public name -> defining module.  Resolved on first attribute access
+#: (PEP 562), so ``import repro.serve.server`` in a serving worker does not
+#: load the simulator, the analyzers or the training stack.
+_EXPORTS = {
+    "MachineSpec": "repro.coherence",
+    "MulticoreMachine": "repro.coherence",
+    "SimulationResult": "repro.coherence",
+    "SCALED_WESTMERE": "repro.coherence.machine",
+    "WESTMERE_SPEC": "repro.coherence.machine",
+    "FalseSharingDetector": "repro.core",
+    "Lab": "repro.core",
+    "collect_training_data": "repro.core",
+    "select_events": "repro.core",
+    "ReproError": "repro.errors",
+    "ExecutionEngine": "repro.parallel",
+    "default_jobs": "repro.parallel",
+    "set_default_jobs": "repro.parallel",
+    "C45Classifier": "repro.ml",
+    "ConfusionMatrix": "repro.ml",
+    "Dataset": "repro.ml",
+    "TABLE2_EVENTS": "repro.pmu",
+    "Event": "repro.pmu",
+    "EventVector": "repro.pmu",
+    "ProgramTrace": "repro.trace",
+    "ThreadTrace": "repro.trace",
+    "Mode": "repro.workloads",
+    "RunConfig": "repro.workloads",
+    "Workload": "repro.workloads",
+    "get_workload": "repro.workloads",
+    "SharingLinter": "repro.analysis",
+    "StaticSharingAnalyzer": "repro.analysis",
+    "analyze_trace": "repro.analysis",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

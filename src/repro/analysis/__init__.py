@@ -17,11 +17,11 @@ to the dynamic shadow-memory oracle and the trained classifier:
   carrying a stable fingerprint;
 * :mod:`repro.analysis.baseline` — committed finding baselines so CI
   fails only on *new* findings;
-* :mod:`repro.analysis.validate` — line-level precision/recall of the
-  plan front-end against the shadow oracle's per-line attribution;
-* :mod:`repro.analysis.crosscheck` — disagreement harness fanning the
-  mini-program grid through both front-ends, the shadow oracle and the
-  trained tree, and reporting where they diverge.
+* :mod:`repro.analysis.crosscheck` — one harness fanning a case grid
+  (mini-programs or the suite's canonical cases) through both
+  front-ends, the shadow oracle and the trained tree: verdict confusion
+  plus line-level precision/recall of the plan front-end against the
+  oracle's per-line attribution, with every disagreement explained.
 """
 
 from repro.analysis.baseline import (
@@ -50,10 +50,6 @@ from repro.analysis.sharing import (
     predict_plan,
 )
 from repro.analysis.symbols import Symbol, SymbolTable
-from repro.analysis.validate import (
-    PredictionValidator,
-    ValidationReport,
-)
 
 __all__ = [
     "BaselineDiff",
@@ -78,6 +74,4 @@ __all__ = [
     "predict_plan",
     "Symbol",
     "SymbolTable",
-    "PredictionValidator",
-    "ValidationReport",
 ]

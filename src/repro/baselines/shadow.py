@@ -264,16 +264,15 @@ class ShadowMemoryDetector:
 
         Oracle runs are independent and deterministic, so fanning them over
         worker processes returns the exact reports a serial sweep would, in
-        input order.  Line-level tracking is not collected in batch mode.
+        input order, with ``per_line`` when this detector tracks lines.
         """
         if engine is None:
             from repro.parallel import ExecutionEngine
 
             engine = ExecutionEngine(jobs)
-        counts = engine.shadow_batch(list(cases), chunk, self.max_threads,
-                                     fast=self.fast)
-        return [ShadowReport(*c, nthreads=case.threads)
-                for (_, case), c in zip(cases, counts)]
+        return engine.shadow_batch(list(cases), chunk, self.max_threads,
+                                   fast=self.fast,
+                                   track_lines=self.track_lines)
 
 
 def false_sharing_rate(

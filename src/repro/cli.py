@@ -303,10 +303,14 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
 
             threads = tuple(int(x) for x in
                             args.grid_threads.split(",") if x.strip())
+            try:
+                grid = default_grid(threads=threads)
+            except ValueError as exc:  # the oracle's thread cap
+                parser.error(str(exc))
             ctx = default_context()
             checker = CrossChecker(ctx.detector, shadow=ctx.shadow,
                                    engine=ctx.engine)
-            report = checker.run(default_grid(threads=threads))
+            report = checker.run(grid)
             print(report.to_json(indent=2) if args.json
                   else report.render())
             return 0 if not report.disagreements() else 1
@@ -356,7 +360,7 @@ def predict_main(argv: Optional[Sequence[str]] = None) -> int:
                         help="predict every registry workload at every "
                              "mode (the baseline sweep)")
     parser.add_argument("--grid-threads", type=int, default=4,
-                        help="thread count for the --all sweep")
+                        help="thread count for the --all sweep (1-8)")
     parser.add_argument("--baseline", default="",
                         help="baseline JSON to suppress known findings "
                              "(e.g. analysis-baseline.json)")
@@ -383,10 +387,13 @@ def predict_main(argv: Optional[Sequence[str]] = None) -> int:
 
         linter = SharingLinter()
         if args.all:
-            from repro.analysis.validate import registry_grid
+            from repro.analysis.crosscheck import default_grid
 
-            grid = registry_grid(threads=args.grid_threads,
-                                 pattern=args.pattern)
+            try:
+                grid = default_grid(threads=(args.grid_threads,),
+                                    pattern=args.pattern)
+            except ValueError as exc:  # the oracle's thread cap
+                parser.error(str(exc))
             plans = [w.plan(cfg) for w, cfg in grid]
         else:
             if not args.workload:

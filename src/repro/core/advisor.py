@@ -13,7 +13,7 @@ instead of runtime patching).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.sharing import LineSharing, analyze_trace
 from repro.core.detector import FalseSharingDetector
@@ -116,24 +116,37 @@ class FalseSharingAdvisor:
 
     def diagnose_trace(self, program: ProgramTrace,
                        run_id: str = "") -> Diagnosis:
+        """Diagnose a bare trace: it has no cache key, so it is simulated
+        here."""
         lab = self.detector.lab
-        machine = lab.machine
-        res = machine.run(program, chunk=lab.chunk)
+        res = lab.machine.run(program, chunk=lab.chunk)
         vec = lab.sampler.measure(res, list(TABLE2_EVENTS), run_id=run_id)
-        label = self.detector.classify_vector(vec)
+        return self._advise(self.detector.classify_vector(vec), res.seconds,
+                            lambda: program)
+
+    def diagnose(self, workload, cfg) -> Diagnosis:
+        """Diagnose one configuration; the unpadded run comes from the
+        lab's simulation cache (the run ``detector.classify`` reads)."""
+        res = self.detector.classify(workload, cfg)
+        return self._advise(res.label, res.seconds,
+                            lambda: workload.trace(cfg))
+
+    def _advise(self, label: str, seconds: float,
+                trace: Callable[[], ProgramTrace]) -> Diagnosis:
+        """Name the contended lines behind a bad-fs verdict and replay the
+        padded trace (the only simulation a cached diagnosis pays for)."""
         contended: List[LineSharing] = []
         padded_seconds = None
         if label == "bad-fs":
+            program = trace()
             contended = analyze_trace(program).false_shared()[:TOP_LINES]
             if contended:
-                fixed = pad_trace(program, contended)
-                padded_seconds = machine.run(fixed, chunk=lab.chunk).seconds
+                lab = self.detector.lab
+                padded_seconds = lab.machine.run(
+                    pad_trace(program, contended), chunk=lab.chunk).seconds
         return Diagnosis(
             label=label,
-            seconds=res.seconds,
+            seconds=seconds,
             contended=contended,
             padded_seconds=padded_seconds,
         )
-
-    def diagnose(self, workload, cfg) -> Diagnosis:
-        return self.diagnose_trace(workload.trace(cfg), run_id=cfg.run_id())

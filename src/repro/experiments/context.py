@@ -198,10 +198,10 @@ class PipelineContext:
         if self.engine.jobs <= 1 or len(keys) <= 1:
             return
         TELEMETRY.count("shadow.prefetch.dispatched", len(keys))
-        counts = self.engine.shadow_batch(
+        reports = self.engine.shadow_batch(
             [cases[k] for k in keys], self.lab.chunk,
             self.shadow.max_threads, fast=self.shadow.fast)
-        self.shadow_cache.update(zip(keys, counts))
+        self.shadow_cache.update(zip(keys, (r.counts for r in reports)))
         self.shadow_cache.flush()
 
     # ------------------------------------------------------------ verification

@@ -11,30 +11,26 @@ up in EXPERIMENTS.md instead of going unnoticed.
 
 from __future__ import annotations
 
-from repro.analysis.crosscheck import CrossChecker
-from repro.analysis.validate import PredictionValidator
+from repro.analysis.crosscheck import CrossChecker, default_grid, suite_grid
 from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.context import PipelineContext
+
+
+def _checker(ctx: PipelineContext) -> CrossChecker:
+    return CrossChecker(ctx.detector, shadow=ctx.shadow, engine=ctx.engine)
 
 
 @experiment("crosscheck",
             "Predict × static × shadow × tree disagreement matrix")
 def crosscheck(ctx: PipelineContext) -> ExperimentResult:
-    checker = CrossChecker(ctx.detector, shadow=ctx.shadow,
-                           engine=ctx.engine)
-    report = checker.run()
+    report = _checker(ctx).run(default_grid())
     return ExperimentResult(
         exp_id="crosscheck",
         title="Predict × static × shadow × tree disagreement matrix",
         text=report.render(),
         # The "report" tag makes this document self-describing so the
         # durable run store (repro.results) can classify and ingest it.
-        data={
-            "report": "crosscheck",
-            "cases": [r.to_dict() for r in report.records],
-            "pairwise_fs_agreement": report.pairwise_fs_agreement(),
-            "disagreements": [r.case_id for r in report.disagreements()],
-        },
+        data={"report": "crosscheck", **report.to_dict()},
         paper="beyond the paper: the SC'13 pipeline validates the tree "
               "against the shadow oracle only (Table 10); the static "
               "analyzer and the trace-free predictive analyzer add a "
@@ -45,9 +41,9 @@ def crosscheck(ctx: PipelineContext) -> ExperimentResult:
 @experiment("predict-validation",
             "Predicted false-shared lines vs shadow-oracle attribution")
 def predict_validation(ctx: PipelineContext) -> ExperimentResult:
-    validator = PredictionValidator()
-    registry = validator.validate_registry()
-    suite = validator.validate_suite()
+    checker = _checker(ctx)
+    registry = checker.run(default_grid(threads=(4,)))
+    suite = checker.run(suite_grid())
     text = ("— registry sweep —\n" + registry.render()
             + "\n\n— benchmark suite (canonical cases) —\n"
             + suite.render())

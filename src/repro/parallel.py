@@ -33,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.telemetry.core import TELEMETRY, Telemetry
+from repro.telemetry.core import TELEMETRY
 
 __all__ = [
     "ExecutionEngine",
@@ -115,23 +115,23 @@ def _simulate_store_task(task: Tuple) -> Tuple[object, int]:
     return result, rss_kib
 
 
-def _shadow_task(task: Tuple) -> Tuple[int, int, int, int]:
-    """Worker: run the shadow-memory oracle on one suite case."""
-    name, case, chunk, max_threads, fast = task
+def _shadow_task(task: Tuple) -> object:
+    """Worker: run the shadow-memory oracle on one case; its ShadowReport."""
+    name, case, chunk, max_threads, fast, track_lines = task
     from repro.baselines.shadow import ShadowMemoryDetector
 
     program = resolve_target(name)
-    return ShadowMemoryDetector(max_threads=max_threads, fast=fast).run(
-        program.trace(case), chunk=chunk
-    ).counts
+    return ShadowMemoryDetector(max_threads=max_threads, fast=fast,
+                                track_lines=track_lines).run(
+        program.trace(case), chunk=chunk)
 
 
 def _timed_call(payload: Tuple) -> Tuple[float, object]:
     """Worker wrapper: ``(fn, task) -> (exec_seconds, fn(task))``.
 
-    Used when telemetry is enabled so the parent can account per-case
+    Every dispatch goes through it, so the parent can account per-case
     execution time and worker utilization; ``fn`` is a module-level task
-    function, so the pair pickles by reference exactly as before.
+    function, so the pair pickles by reference.
     """
     fn, task = payload
     t0 = time.perf_counter()
@@ -175,29 +175,17 @@ class ExecutionEngine:
     def map(self, fn: Callable, tasks: Iterable) -> List:
         """``[fn(t) for t in tasks]``, possibly across processes, in order.
 
-        With telemetry enabled, the dispatch is additionally timed per case
-        (workers ship execution seconds back alongside each result) and the
-        whole call is recorded as an ``engine.map`` span with queue/exec
-        statistics and worker utilization.
+        Workers ship each case's execution seconds back alongside its
+        result; with telemetry enabled the whole call is recorded as an
+        ``engine.map`` span with queue/exec statistics and worker
+        utilization.
         """
         tasks = list(tasks)
-        tel = TELEMETRY
-        if tel.enabled:
-            return self._map_instrumented(fn, tasks, tel)
-        if self.jobs <= 1 or len(tasks) <= 1:
-            return [fn(t) for t in tasks]
-        workers = min(self.jobs, len(tasks))
-        chunksize = self._chunksize(len(tasks), workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunksize))
-
-    def _map_instrumented(self, fn: Callable, tasks: List,
-                          tel: Telemetry) -> List:
-        """``map`` with per-case timing and utilization accounting."""
         serial = self.jobs <= 1 or len(tasks) <= 1
         workers = 1 if serial else min(self.jobs, len(tasks))
         chunksize = 1 if serial else self._chunksize(len(tasks), workers)
         payloads = [(fn, t) for t in tasks]
+        tel = TELEMETRY
         with tel.span("engine.map", fn=getattr(fn, "__name__", str(fn)),
                       tasks=len(tasks), workers=workers,
                       chunksize=chunksize) as sp:
@@ -209,19 +197,20 @@ class ExecutionEngine:
                     timed = list(pool.map(_timed_call, payloads,
                                           chunksize=chunksize))
             wall = time.perf_counter() - t0
-        busy = sum(s for s, _ in timed)
-        util = busy / (workers * wall) if wall > 0 else 0.0
-        if timed:
-            secs = [s for s, _ in timed]
-            sp.set(wall_s=round(wall, 6), busy_s=round(busy, 6),
-                   utilization=round(util, 4),
-                   task_min_s=round(min(secs), 6),
-                   task_max_s=round(max(secs), 6),
-                   task_mean_s=round(busy / len(secs), 6))
-        tel.count("engine.maps")
-        tel.count("engine.tasks", len(tasks))
-        tel.count("engine.task_seconds", busy)
-        tel.gauge("engine.worker_utilization", round(util, 4))
+        if tel.enabled:
+            busy = sum(s for s, _ in timed)
+            util = busy / (workers * wall) if wall > 0 else 0.0
+            if timed:
+                secs = [s for s, _ in timed]
+                sp.set(wall_s=round(wall, 6), busy_s=round(busy, 6),
+                       utilization=round(util, 4),
+                       task_min_s=round(min(secs), 6),
+                       task_max_s=round(max(secs), 6),
+                       task_mean_s=round(busy / len(secs), 6))
+            tel.count("engine.maps")
+            tel.count("engine.tasks", len(tasks))
+            tel.count("engine.task_seconds", busy)
+            tel.gauge("engine.worker_utilization", round(util, 4))
         return [r for _, r in timed]
 
     # ------------------------------------------------------------- prefetch
@@ -288,13 +277,16 @@ class ExecutionEngine:
         chunk: int,
         max_threads: int,
         fast: bool = True,
-    ) -> List[Tuple[int, int, int, int]]:
-        """Oracle counts for ``(program_name, case)`` pairs, in order.
+        track_lines: bool = False,
+    ) -> List:
+        """Oracle :class:`~repro.baselines.shadow.ShadowReport` objects for
+        ``(program_name, case)`` pairs, in order.
 
-        ``fast`` toggles the oracle's numpy prefilter and must be a bool.
+        ``fast`` toggles the oracle's numpy prefilter and must be a bool;
+        ``track_lines`` collects each report's ``per_line`` attribution.
         """
         if not isinstance(fast, bool):
             raise ReproError(f"fast must be a bool, got {fast!r}")
-        tasks = [(name, case, chunk, max_threads, fast)
+        tasks = [(name, case, chunk, max_threads, fast, track_lines)
                  for name, case in cases]
         return self.map(_shadow_task, tasks)

@@ -15,15 +15,17 @@ the paper leans on:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.coherence.machine import SimulationResult
 from repro.errors import PMUError
 from repro.pmu.counters import EventVector
 from repro.pmu.events import Event
 from repro.utils.rng import rng_for
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.coherence.machine import SimulationResult
 
 #: Programmable general-purpose counters per core on Westmere.
 PROGRAMMABLE_COUNTERS = 4
@@ -73,28 +75,10 @@ class PMUSampler:
             raise PMUError("duplicate events in request")
 
         rng = rng_for("pmu", self.seed, result.name, run_id or "")
-        mux_groups = self._rotation_groups(events)
-        values = {}
-        loads = result.counts.get("MEM_INST_RETIRED.LOADS", 0.0)
-        for event, group in zip(events, mux_groups):
-            true = result.counts.get(event.raw_key, 0.0)
-            if event.erratic:
-                # Erratum model: the counter mostly counts unrelated loads;
-                # only a sliver of the architectural event leaks through, so
-                # good-vs-bad ratios collapse toward 1 and the 2x selection
-                # rejects it (paper Section 2.3's negative finding).
-                true = 0.001 * true + 1.5e-3 * loads
-            if self.noisy:
-                sigma = event.noise + (_MUX_NOISE * group if group else 0.0)
-                factor = float(np.exp(rng.normal(0.0, sigma)))
-                # Additive floor: idle-loop and kernel activity leak a few
-                # counts into every event, so zero never measures as zero.
-                floor = rng.uniform(0.0, 2e-7) * max(
-                    result.counts.get("INST_RETIRED.ANY", 0.0), 1.0
-                )
-                values[event.name] = true * factor + floor
-            else:
-                values[event.name] = true
+        values = {
+            event.name: self._read(result, event, group, 1, rng)
+            for event, group in zip(events, self._rotation_groups(events))
+        }
         overhead = self.overhead_fraction(events)
         return EventVector(values, overhead=overhead,
                            meta={"run": result.name, **result.meta})
@@ -137,24 +121,13 @@ class PMUSampler:
         seconds = max(float(getattr(result, "seconds", 0.0)), 0.0)
         dt = (seconds / windows) if seconds > 0 else 1.0 / windows
         src = source if source is not None else result.name
-        loads = result.counts.get("MEM_INST_RETIRED.LOADS", 0.0)
-        instr = max(result.counts.get("INST_RETIRED.ANY", 0.0), 1.0)
         for w in range(windows):
             rng = rng_for("pmu-stream", self.seed, result.name,
                           run_id or "", w)
-            values = {}
-            for event, group in zip(events, mux_groups):
-                true = result.counts.get(event.raw_key, 0.0)
-                if event.erratic:
-                    true = 0.001 * true + 1.5e-3 * loads
-                true /= windows
-                if self.noisy:
-                    sigma = event.noise + (_MUX_NOISE * group if group else 0.0)
-                    factor = float(np.exp(rng.normal(0.0, sigma)))
-                    floor = rng.uniform(0.0, 2e-7) * instr / windows
-                    values[event.name] = true * factor + floor
-                else:
-                    values[event.name] = true
+            values = {
+                event.name: self._read(result, event, group, windows, rng)
+                for event, group in zip(events, mux_groups)
+            }
             yield EventVector(
                 values,
                 overhead=overhead,
@@ -168,6 +141,31 @@ class PMUSampler:
                     **result.meta,
                 },
             )
+
+    def _read(self, result: SimulationResult, event: Event, group: int,
+              windows: int, rng: np.random.Generator) -> float:
+        """One event's reading over a ``1 / windows`` slice of the run.
+
+        The one reading model both :meth:`measure` (``windows=1``; the
+        divisions by 1 are exact) and :meth:`measure_stream` use.
+        """
+        true = result.counts.get(event.raw_key, 0.0)
+        if event.erratic:
+            # Erratum model: the counter mostly counts unrelated loads;
+            # only a sliver of the architectural event leaks through, so
+            # good-vs-bad ratios collapse toward 1 and the 2x selection
+            # rejects it (paper Section 2.3's negative finding).
+            true = 0.001 * true + 1.5e-3 * result.counts.get(
+                "MEM_INST_RETIRED.LOADS", 0.0)
+        true /= windows
+        if not self.noisy:
+            return true
+        sigma = event.noise + (_MUX_NOISE * group if group else 0.0)
+        factor = float(np.exp(rng.normal(0.0, sigma)))
+        # Additive floor: idle-loop and kernel activity leak a few counts
+        # into every event, so zero never measures as zero.
+        instr = max(result.counts.get("INST_RETIRED.ANY", 0.0), 1.0)
+        return true * factor + rng.uniform(0.0, 2e-7) * instr / windows
 
     def overhead_fraction(self, events: Sequence[Event]) -> float:
         """Fraction of run time added by counting these events."""

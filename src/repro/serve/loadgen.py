@@ -24,13 +24,15 @@ import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from orjson import loads
 
-from repro.core.lab import Lab
 from repro.errors import ServeError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.lab import Lab
 
 __all__ = ["LoadResult", "Rung", "RUNGS", "generate_stream", "run_loadgen",
            "measure_predict_batch", "bench_payload", "SHED_CEILING",
@@ -82,6 +84,7 @@ def generate_stream(
     keys the draw), so up to ``distinct`` genuinely different measurements
     are produced and then tiled to length ``n`` — a replayed stream.
     """
+    from repro.core.lab import Lab
     from repro.core.training import FEATURES
     from repro.pmu.events import TABLE2_EVENTS
 

@@ -1,6 +1,7 @@
 """Tests for the cross-detector disagreement harness."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,9 +9,15 @@ from repro.analysis.crosscheck import (
     CaseRecord,
     CrossChecker,
     CrossCheckReport,
+    _case_label,
+    canonical_case,
     default_grid,
 )
+from repro.baselines.shadow import ShadowMemoryDetector
+from repro.experiments import exp_crosscheck
 from repro.parallel import ExecutionEngine
+from repro.results.schema import classify_payload, extract_metrics
+from repro.suites import get_program
 from repro.workloads.base import Mode, RunConfig
 from repro.workloads.registry import get_workload
 
@@ -18,8 +25,7 @@ from tests.test_core_detector import fitted  # noqa: F401  (reuse fixture)
 
 
 def rec(**kw):
-    base = dict(workload="w", mode="good", threads=2, size=100,
-                pattern="random", static_label="good",
+    base = dict(workload="w", case="t2-good-n100-random", static_label="good",
                 static_significance=0.0, shadow_fs=False,
                 shadow_rate=0.0, tree_label="good")
     base.update(kw)
@@ -61,9 +67,20 @@ class TestCaseRecord:
         assert r.unanimous_fs
 
     def test_case_id_and_dict(self):
-        r = rec(workload="psums", mode="bad-fs", threads=4, size=10)
+        cfg = RunConfig(threads=4, mode="bad-fs", size=10)
+        r = rec(workload="psums", case=_case_label(cfg))
         assert r.case_id == "psums[t4-bad-fs-n10-random]"
         assert r.to_dict()["shadow"] == "no-fs"
+        p = get_program("fluidanimate")
+        assert _case_label(canonical_case(p)) == "simsmall-O1-t8"
+
+    def test_line_sets(self):
+        r = rec(predict_label="bad-fs", predicted_lines=[1, 2, 5],
+                oracle_lines=[2, 5, 9])
+        assert (r.matched, r.predicted_only, r.oracle_only) == \
+            ([2, 5], [1], [9])
+        assert r.precision == r.recall == pytest.approx(2 / 3)
+        assert r.to_dict()["lines"]["matched"] == 2
 
 
 class TestCrossCheckReport:
@@ -138,9 +155,53 @@ class TestCrossChecker:
 
     def test_bad_fs_case_unanimous(self, result):
         r = result.records[1]
-        assert r.mode == "bad-fs"
+        assert r.case == "t2-bad-fs-n2000-random"
         assert r.static_fs and r.shadow_fs and r.tree_fs
 
     def test_good_cases_unanimous(self, result):
         for r in (result.records[0], result.records[2]):
             assert not (r.static_fs or r.shadow_fs or r.tree_fs)
+
+    def test_line_sets_on_planned_cases(self, result):
+        good, bad, _ = result.records
+        assert bad.predict_label == "bad-fs"
+        assert bad.oracle_lines and bad.matched == bad.predicted_lines
+        assert not good.predicted_lines and not good.oracle_lines
+
+
+class TestPayloadContract:
+    """Both experiments' ``data`` still classify and trend as before."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self, fitted):  # noqa: F811
+        return SimpleNamespace(detector=fitted, shadow=ShadowMemoryDetector(),
+                               engine=ExecutionEngine(1))
+
+    @pytest.fixture(autouse=True)
+    def small_grids(self, monkeypatch):
+        psums = get_workload("psums")
+        grid = [(psums, RunConfig(threads=t, mode="bad-fs", size=2000))
+                for t in (2, 4)]
+        fluid = get_program("fluidanimate")
+        monkeypatch.setattr(exp_crosscheck, "default_grid",
+                            lambda threads=(2, 6): grid[:len(threads)])
+        monkeypatch.setattr(exp_crosscheck, "suite_grid",
+                            lambda: [(fluid, canonical_case(fluid))])
+
+    def test_crosscheck_payload(self, ctx):
+        data = exp_crosscheck.crosscheck(ctx).data
+        assert classify_payload(data) == "crosscheck"
+        names = [m.name for m in extract_metrics("crosscheck", data)]
+        assert names == [f"agreement.{p}" for p in (
+            "predict-vs-shadow", "predict-vs-static", "predict-vs-tree",
+            "static-vs-shadow", "static-vs-tree", "tree-vs-shadow")] + [
+            "disagreements"]
+
+    def test_validation_payload(self, ctx):
+        data = exp_crosscheck.predict_validation(ctx).data
+        assert classify_payload(data) == "validate"
+        names = [m.name for m in extract_metrics("validate", data)]
+        assert names == [f"{sweep}.{key}" for sweep in ("registry", "suite")
+                         for key in ("line_precision", "line_recall",
+                                     "verdict_agreement")]
+        assert data["suite"]["n_cases"] == 1

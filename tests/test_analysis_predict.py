@@ -7,7 +7,7 @@ from repro.analysis.sharing import (
     StaticSharingAnalyzer,
     predict_plan,
 )
-from repro.analysis.validate import registry_grid
+from repro.analysis.crosscheck import default_grid
 from repro.workloads.base import RunConfig
 from repro.workloads.plan import PlanBuilder
 from repro.workloads.registry import all_workloads, get_workload
@@ -144,7 +144,8 @@ class TestWordConflictReference:
     """The vectorised word-conflict test against the per-element loop."""
 
     def test_matches_loop(self):
-        plans = [w.plan(cfg) for w, cfg in registry_grid()] + [mixed_plan()]
+        plans = ([w.plan(cfg) for w, cfg in default_grid(threads=(4,))]
+                 + [mixed_plan()])
         for plan in plans:
             pred = predict_plan(plan)
             got = {ls.line for ls in pred.shared

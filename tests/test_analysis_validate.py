@@ -1,23 +1,27 @@
-"""Tests for prediction validation against the shadow oracle."""
+"""Tests for the line-level half of the cross-detector harness: predicted
+false-shared lines against the shadow oracle's per-line attribution."""
 
 import pytest
 
-from repro.analysis.validate import (
+from repro.analysis.crosscheck import (
     MIN_ORACLE_MISSES,
-    PredictionValidator,
+    CrossChecker,
     canonical_case,
-    registry_grid,
+    default_grid,
     suite_grid,
 )
 from repro.baselines.shadow import MAX_THREADS
+from repro.parallel import ExecutionEngine
 from repro.suites import all_programs
 from repro.workloads.base import RunConfig
 from repro.workloads.registry import get_workload
 
+from tests.test_core_detector import fitted  # noqa: F401  (reuse fixture)
+
 
 @pytest.fixture(scope="module")
-def validator():
-    return PredictionValidator()
+def checker(fitted):  # noqa: F811
+    return CrossChecker(fitted, engine=ExecutionEngine(1))
 
 
 def small_grid(names=("psums", "false1", "seq_rmw")):
@@ -33,15 +37,15 @@ def small_grid(names=("psums", "false1", "seq_rmw")):
 
 
 class TestGrids:
-    def test_registry_grid_covers_every_mode(self):
-        grid = registry_grid()
+    def test_t4_grid_covers_every_mode(self):
+        grid = default_grid(threads=(4,))
         seen = {(w.name, cfg.mode.value) for w, cfg in grid}
         w = get_workload("psums")
         for mode in w.modes:
             assert ("psums", mode.value) in seen
 
-    def test_registry_grid_seq_single_threaded(self):
-        for w, cfg in registry_grid():
+    def test_t4_grid_seq_single_threaded(self):
+        for w, cfg in default_grid(threads=(4,)):
             if w.kind == "seq":
                 assert cfg.threads == 1
 
@@ -58,12 +62,12 @@ class TestGrids:
 
 class TestRegistryValidation:
     @pytest.fixture(scope="class")
-    def report(self):
-        return PredictionValidator().validate_registry(small_grid())
+    def report(self, checker):
+        return checker.run(small_grid())
 
     def test_perfect_line_metrics_on_subset(self, report):
-        assert report.micro_precision == 1.0
-        assert report.micro_recall == 1.0
+        assert report.line_precision == 1.0
+        assert report.line_recall == 1.0
 
     def test_verdict_agreement(self, report):
         assert report.verdict_agreement == 1.0
@@ -77,18 +81,18 @@ class TestRegistryValidation:
         assert report.all_explained()
 
     def test_case_surface(self, report):
-        bad = [c for c in report.cases if "bad-fs" in c.scope]
+        bad = [r for r in report.records if "-bad-fs-" in r.case]
         assert bad
-        for c in bad:
-            assert c.predict_verdict == "bad-fs"
-            assert c.shadow_fs
-            assert c.matched  # oracle attributes misses to predicted lines
+        for r in bad:
+            assert r.predict_label == "bad-fs"
+            assert r.shadow_fs
+            assert r.matched  # oracle attributes misses to predicted lines
 
     def test_render_and_dict(self, report):
         out = report.render()
         assert "precision" in out and "recall" in out
         d = report.to_dict()
-        assert d["n_cases"] == len(report.cases)
+        assert d["n_cases"] == len(report.records)
         assert d["line_precision"] == 1.0
         assert d["unambiguous_agreement"]["agree"] == \
             d["unambiguous_agreement"]["total"]
@@ -99,14 +103,15 @@ class TestFullSweeps:
     summary figures: a change to either front-end or the shared core that
     moves a single line-level call shows up here."""
 
-    @staticmethod
-    def summary(report):
-        d = report.to_dict()
-        del d["cases"]
-        return d
+    KEYS = ("n_cases", "line_precision", "line_recall", "verdict_agreement",
+            "unambiguous_agreement", "all_disagreements_explained")
 
-    def test_registry_summary(self, validator):
-        assert self.summary(validator.validate_registry()) == {
+    def summary(self, report):
+        d = report.to_dict()
+        return {k: d[k] for k in self.KEYS}
+
+    def test_registry_summary(self, checker):
+        assert self.summary(checker.run(default_grid(threads=(4,)))) == {
             "n_cases": 29,
             "line_precision": 1.0,
             "line_recall": 1.0,
@@ -115,8 +120,8 @@ class TestFullSweeps:
             "all_disagreements_explained": True,
         }
 
-    def test_suite_summary(self, validator):
-        assert self.summary(validator.validate_suite()) == {
+    def test_suite_summary(self, checker):
+        assert self.summary(checker.run(suite_grid())) == {
             "n_cases": 19,
             "line_precision": 0.7894736842105263,
             "line_recall": 1.0,
@@ -130,16 +135,16 @@ class TestExplanations:
     def test_oracle_floor_is_positive(self):
         assert MIN_ORACLE_MISSES >= 1
 
-    def test_suite_case_explained(self, validator):
+    def test_suite_case_explained(self, checker):
         # fluidanimate's boundary lines realize as hand-offs: predicted
         # contention stays below significance, and the harness must
         # explain (not just count) the line-level gap.
         (pair,) = [(p, canonical_case(p)) for p in all_programs()
                    if p.name == "fluidanimate"]
-        report = validator.validate_suite([pair])
-        (case,) = report.cases
+        report = checker.run([pair])
+        (case,) = report.records
         assert case.recall == 1.0
-        assert case.fs_agreement
+        assert case.predict_agrees
         assert not case.unexplained
         if case.predicted_only:
             assert case.explanations

@@ -97,6 +97,19 @@ class TestAnalyzeCLI:
         with pytest.raises(SystemExit):
             analyze_main([])
 
+    @pytest.mark.parametrize("argv", [
+        ["--crosscheck", "--grid-threads", "2,9"],
+        ["predict", "--all", "--grid-threads", "12"],
+    ])
+    def test_grid_threads_beyond_oracle_cap_is_usage_error(self, argv,
+                                                           capsys):
+        # Refused before any training or simulation starts.
+        with pytest.raises(SystemExit) as exc:
+            analyze_main(argv)
+        assert exc.value.code == 2
+        assert "grid thread counts must be in [1, 8]" in \
+            capsys.readouterr().err
+
     def test_unknown_workload_fails_cleanly(self, capsys):
         rc = analyze_main(["nonesuch"])
         assert rc == 2

@@ -238,6 +238,27 @@ class TestDiagnose:
                                              size=98_304))
         assert d.padded_seconds < d.seconds
 
+    def test_diagnose_reuses_cached_run(self, advisor, monkeypatch):
+        pdot = get_workload("pdot")
+        cfg = RunConfig(threads=4, mode="bad-fs", size=65_536)
+        classified = advisor.detector.classify(pdot, cfg)
+        machine = advisor.detector.lab.machine
+        real_run, runs = machine.run, []
+
+        def counting_run(program, **kw):
+            runs.append(program.name)
+            return real_run(program, **kw)
+
+        monkeypatch.setattr(machine, "run", counting_run)
+        d = advisor.diagnose(pdot, cfg)
+        # Only the padded replay is new work; the unpadded run is the one
+        # classify already simulated.
+        assert len(runs) == 1 and runs[0].endswith("+padded")
+        assert (d.label, d.seconds) == (classified.label, classified.seconds)
+        bare = advisor.diagnose_trace(pdot.trace(cfg), run_id=cfg.run_id())
+        assert (bare.label, bare.seconds, bare.padded_seconds) == \
+            (d.label, d.seconds, d.padded_seconds)
+
     def test_bad_fs_without_lines_renders_no_table(self):
         out = Diagnosis("bad-fs", 1e-3, []).render()
         assert "no contended false-shared line" in out

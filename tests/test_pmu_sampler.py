@@ -112,3 +112,32 @@ class TestOverheadAndMux:
     def test_counters_param_validated(self):
         with pytest.raises(PMUError):
             PMUSampler(counters=0)
+
+
+class TestPinnedReadings:
+    """Both readers share one reading model; these exact noisy values
+    (fixed counter, multiplexed groups 0-2, the erratic counter) pin it."""
+
+    KEYS = ("INST_RETIRED.ANY", "DTLB_MISSES.ANY", "SNOOP_RESPONSE.HITM",
+            "MEM_UNCORE_RETIRED.OTHER_CORE_L2_HITM")
+
+    @pytest.fixture
+    def reading(self):
+        events = [event_by_raw_key(k) for k in self.KEYS]
+        return PMUSampler(counters=1, seed=3), fake_result(name="pinned"), \
+            events
+
+    def test_measure_vector(self, reading):
+        sampler, result, events = reading
+        vec = sampler.measure(result, events, run_id="r1")
+        assert list(vec.values.values()) == [
+            1002293.9039796822, 99.81543459725333, 5056.379651534077,
+            311.35368118583193]
+
+    def test_measure_stream_vector(self, reading):
+        sampler, result, events = reading
+        vec = list(sampler.measure_stream(result, events, windows=4,
+                                          run_id="r1"))[2]
+        assert list(vec.values.values()) == [
+            250318.27357177166, 24.448590232805717, 1047.691088617451,
+            85.33759494009975]
