@@ -10,8 +10,6 @@ to the dynamic shadow-memory oracle and the trained classifier:
   :class:`PredictiveAnalyzer` over a symbolic
   :class:`~repro.workloads.plan.AccessPlan`, before any trace exists.
   Both return a :class:`SharingReport`;
-* :mod:`repro.analysis.symbols` — interval-indexed map from address
-  ranges to named workload objects (``objects_on_line`` / ``line_owners``);
 * :mod:`repro.analysis.lint` — rule engine (FS001..FS008) turning sharing
   reports into actionable findings with padding suggestions, each
   carrying a stable fingerprint;
@@ -49,7 +47,7 @@ from repro.analysis.sharing import (
     analyze_trace,
     predict_plan,
 )
-from repro.analysis.symbols import Symbol, SymbolTable
+from repro.memory.symbols import Symbol, SymbolTable
 
 __all__ = [
     "BaselineDiff",

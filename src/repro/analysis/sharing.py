@@ -43,7 +43,7 @@ Two front-ends only build the group arrays and the per-thread profiles:
   model, so borderline hand-off and refetch-rate calls can differ from the
   trace front-end (:mod:`repro.analysis.crosscheck` measures that gap).
   Lines and near misses carry the names of the objects on them, looked up
-  in the plan's :class:`~repro.analysis.symbols.SymbolTable` the way
+  in the plan's :class:`~repro.memory.symbols.SymbolTable` the way
   mtrace's ``objects_on_cline`` does.
 """
 

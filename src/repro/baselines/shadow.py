@@ -79,12 +79,6 @@ class ShadowReport:
         return self.fs_misses / self.instructions
 
     @property
-    def contention_rate(self) -> float:
-        if self.instructions <= 0:
-            raise BaselineError("no instructions executed")
-        return (self.fs_misses + self.ts_misses) / self.instructions
-
-    @property
     def has_false_sharing(self) -> bool:
         """[33]'s verdict: rate above 1e-3."""
         return self.fs_rate > FS_RATE_THRESHOLD

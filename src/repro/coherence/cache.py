@@ -45,10 +45,6 @@ class SetAssociativeCache:
 
     # -- reference interface -------------------------------------------------
 
-    def set_for(self, line: int) -> OrderedDict:
-        """The OrderedDict backing the set this line maps to."""
-        return self.sets[self.index(line)]
-
     def lookup(self, line: int) -> Optional[int]:
         """State of the line, or None if absent.  Does not update LRU."""
         return self.sets[self.index(line)].get(line)

@@ -80,31 +80,12 @@ __all__ = ["drive_lines"]
 _SENT = -1
 
 
-def _fits_without_eviction(cache, touched: np.ndarray) -> bool:
-    """True when ``touched`` lines can all live in ``cache`` alongside its
-    current residents without any set exceeding its associativity."""
-    nsets = cache.nsets
-    si = (touched & cache.mask) if cache.mask else (touched % nsets)
-    occ = np.bincount(si, minlength=nsets)
-    assoc = cache.assoc
-    if occ.size and int(occ.max()) > assoc:
-        return False
-    tset = set(touched.tolist())
-    for idx, s in enumerate(cache.sets):
-        if s:
-            extra = sum(1 for ln in s if ln not in tset)
-            if extra and int(occ[idx]) + extra > assoc:
-                return False
-    return True
-
-
 def _overfull_sets(cache, touched: np.ndarray) -> Optional[np.ndarray]:
     """Boolean mask of sets that would evict, or ``None`` when none would.
 
     A set is overfull when its touched lines plus its untouched residents
-    exceed the associativity — the same per-set budget
-    :func:`_fits_without_eviction` checks, reported per set instead of as a
-    single verdict so the kernel can switch just those sets to dict replay.
+    exceed the associativity.  The kernel switches just those L2 sets to
+    dict replay; for the L3 any overfull set refuses the segment.
     """
     nsets = cache.nsets
     si = (touched & cache.mask) if cache.mask else (touched % nsets)
@@ -193,7 +174,7 @@ def drive_lines(machine, cores_a, addrs_a, writes_a, state, seg) -> bool:
     l3_budget = uniq_all
     if evict_residents:
         l3_budget = np.unique(np.concatenate([uniq_all] + evict_residents))
-    if not _fits_without_eviction(machine._l3, l3_budget):
+    if _overfull_sets(machine._l3, l3_budget) is not None:
         return False
 
     # Replay-owned lines: touched by exactly one core, mapping to one of

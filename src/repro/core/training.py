@@ -214,10 +214,6 @@ class ScreeningReport:
     removed: List[Instance]
     removed_by_mode: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def n_removed(self) -> int:
-        return len(self.removed)
-
 
 def _group_key(inst: Instance) -> Tuple:
     return (

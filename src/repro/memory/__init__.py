@@ -1,4 +1,4 @@
-"""Simulated memory layout: line/page geometry, allocation, TLB."""
+"""Simulated memory layout: line/page geometry, allocation, symbols, TLB."""
 
 from repro.memory.allocator import BumpAllocator
 from repro.memory.layout import (
@@ -11,6 +11,7 @@ from repro.memory.layout import (
     page_of,
     shares_line,
 )
+from repro.memory.symbols import Symbol, SymbolTable
 from repro.memory.tlb import TLB
 
 __all__ = [
@@ -23,5 +24,7 @@ __all__ = [
     "page_of",
     "shares_line",
     "BumpAllocator",
+    "Symbol",
+    "SymbolTable",
     "TLB",
 ]

@@ -13,8 +13,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import NotFittedError
-
 
 @dataclass
 class TreeNode:
@@ -135,8 +133,3 @@ class TreeNode:
 #: (``TreeModel.predict`` / ``TreeModel.predict_one``).
 TreeModel = TreeNode
 
-
-def require_fitted(model) -> None:
-    """Raise NotFittedError unless the model has been trained."""
-    if getattr(model, "root_", None) is None and not getattr(model, "fitted_", False):
-        raise NotFittedError(f"{type(model).__name__} has not been fitted")

@@ -279,15 +279,6 @@ class ResultsStore:
                     "FROM metrics WHERE run_id = ? ORDER BY rowid",
                     (run_id,))]
 
-    def metric_names(self, kind: Optional[str] = None) -> List[str]:
-        sql = ("SELECT m.name FROM metrics m JOIN runs r ON r.id = m.run_id")
-        params: List[Any] = []
-        if kind is not None:
-            sql += " WHERE r.kind = ?"
-            params.append(kind)
-        sql += " GROUP BY m.name ORDER BY MIN(m.rowid)"
-        return [r[0] for r in self._query(sql, params)]
-
     def series(
         self,
         name: str,

@@ -65,21 +65,28 @@ from repro.telemetry.core import TELEMETRY
 
 __all__ = ["HashRing", "DetectionRouter", "RouterThread"]
 
+#: Points each ring member owns.
+VNODES = 64
+#: Router-side backlog cap: in-flight lines per worker link before
+#: ``overloaded`` is returned.
+MAX_WORKER_INFLIGHT = 4096
+#: Connection attempts to a (re)started worker, and the first back-off
+#: between them (doubling, capped at 1 s).
+CONNECT_RETRIES = 20
+CONNECT_BACKOFF_S = 0.05
+
 
 class HashRing:
     """Consistent hashing of string keys onto named members.
 
-    Each member owns ``vnodes`` points on a 64-bit ring (blake2b of
+    Each member owns ``VNODES`` points on a 64-bit ring (blake2b of
     ``"name#i"`` — stable across processes and Python hash
     randomization); a key goes to the member owning the first point at
     or after the key's hash.  Removing a member moves only the keys it
     owned; re-adding it restores the exact previous assignment.
     """
 
-    def __init__(self, members: Tuple[str, ...] = (), vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise ServeError("vnodes must be >= 1")
-        self.vnodes = vnodes
+    def __init__(self, members: Tuple[str, ...] = ()) -> None:
         self._points: List[int] = []
         self._owners: List[str] = []
         self._members: Dict[str, List[int]] = {}
@@ -101,7 +108,7 @@ class HashRing:
     def add(self, member: str) -> None:
         if member in self._members:
             raise ServeError(f"ring member {member!r} already present")
-        points = [self._hash(f"{member}#{i}") for i in range(self.vnodes)]
+        points = [self._hash(f"{member}#{i}") for i in range(VNODES)]
         self._members[member] = points
         for point in points:
             idx = bisect.bisect_left(self._points, point)
@@ -221,21 +228,12 @@ class DetectionRouter:
         port: int = 0,
         admission: Optional[AdmissionController] = None,
         aggregator: Optional[VerdictAggregator] = None,
-        vnodes: int = 64,
-        max_worker_inflight: int = 4096,
-        connect_retries: int = 20,
-        connect_backoff_s: float = 0.05,
     ) -> None:
-        if max_worker_inflight < 1:
-            raise ServeError("max_worker_inflight must be >= 1")
         self.host = host
         self.port = port
         self.admission = admission or AdmissionController()
         self.aggregator = aggregator or VerdictAggregator()
-        self.ring = HashRing(vnodes=vnodes)
-        self.max_worker_inflight = max_worker_inflight
-        self.connect_retries = connect_retries
-        self.connect_backoff_s = connect_backoff_s
+        self.ring = HashRing()
         self._links: Dict[str, _WorkerLink] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._writers: set = set()
@@ -297,13 +295,6 @@ class DetectionRouter:
             self.ring.remove(name)
             raise
 
-    async def remove_worker(self, name: str) -> None:
-        """Drop ``name`` from the pool; its sources redistribute."""
-        self.ring.remove(name)
-        link = self._links.pop(name, None)
-        if link is not None:
-            await self._down_link(link, detail="worker removed from pool")
-
     async def set_worker_address(self, name: str, host: str,
                                  port: int) -> None:
         """(Re)connect ``name`` at a new address — ring membership (and
@@ -330,9 +321,9 @@ class DetectionRouter:
             await self._down_link(link, detail="worker going down")
 
     async def _connect_link(self, link: _WorkerLink) -> None:
-        delay = self.connect_backoff_s
+        delay = CONNECT_BACKOFF_S
         last: Optional[Exception] = None
-        for _ in range(max(1, self.connect_retries)):
+        for _ in range(CONNECT_RETRIES):
             try:
                 link.reader, link.writer = await asyncio.open_connection(
                     link.host, link.port, limit=STREAM_LIMIT
@@ -591,7 +582,7 @@ class DetectionRouter:
             ))
             self._shed(source, n, "unavailable")
             return
-        if len(link.inflight) >= self.max_worker_inflight:
+        if len(link.inflight) >= MAX_WORKER_INFLIGHT:
             await responses.put(_error_line(
                 id_token, "overloaded", "worker backlog full; back off"
             ))
@@ -669,10 +660,9 @@ class DetectionRouter:
             "shed_by_source": shed_by_source,
             "workers": {name: link.stats()
                         for name, link in sorted(self._links.items())},
-            "ring": {"members": self.ring.members,
-                     "vnodes": self.ring.vnodes},
+            "ring": {"members": self.ring.members, "vnodes": VNODES},
             "admission": admission,
-            "config": {"max_worker_inflight": self.max_worker_inflight},
+            "config": {"max_worker_inflight": MAX_WORKER_INFLIGHT},
         }
 
 

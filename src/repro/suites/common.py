@@ -22,9 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.symbols import Symbol
-from repro.memory.allocator import BumpAllocator
 from repro.memory.layout import LINE_SIZE
+from repro.memory.symbols import Symbol
 from repro.suites.base import SuiteCase, SuiteProgram, opt_effects
 from repro.trace.access import ThreadTrace
 from repro.workloads.builders import with_sync
@@ -108,53 +107,80 @@ class ParamModel(SuiteProgram):
         """
         return 0
 
-    # ---- trace construction ----------------------------------------------
+    # ---- layout, trace and plan -------------------------------------------
 
-    def _generate(self, case: SuiteCase) -> Sequence[ThreadTrace]:
-        eff = opt_effects(case.opt)
+    def _layout(self, case: SuiteCase):
+        """Allocate and name every object; ``dims`` gets the loop sizes."""
         nt = case.threads
-        iters = max(1, self.p_iters(case))
-        alloc = BumpAllocator()
-        sync_word = alloc.alloc_line_aligned(64)
+        pb = PlanBuilder(self.name, nt)
+        sync = pb.line_region("sync", 64, size=8, kind="sync")
 
         fields = max(1, self.p_acc_fields(case))
         stride = self.p_acc_stride(case)
         struct_bytes = max(8 * fields, 8)
         if stride is None:
             stride = ((struct_bytes + LINE_SIZE - 1) // LINE_SIZE) * LINE_SIZE
-        acc_base = alloc.alloc(max(stride * nt, struct_bytes * nt), align=64)
-        merge_base = alloc.alloc(8 * nt, align=64)  # packed: 8 slots/line
+        acc_base = pb.alloc.alloc(max(stride * nt, struct_bytes * nt),
+                                  align=64)
+        acc_syms = [
+            pb.symbols.add(Symbol(
+                f"acc[t{t}]", acc_base + t * stride, struct_bytes,
+                kind="struct", tid=t, elem_size=8, group="acc",
+            ))
+            for t in range(nt)
+        ]
+        merge_base = pb.alloc.alloc(8 * nt, align=64)  # packed: 8 slots/line
+        merge_syms = [
+            pb.symbols.add(Symbol(
+                f"merge[t{t}]", merge_base + 8 * t, 8,
+                kind="merge", tid=t, elem_size=8, group="merge",
+            ))
+            for t in range(nt)
+        ]
 
         in_bytes = max(self.p_input_bytes(case), 4 * nt)
-        input_arr = alloc.alloc_array(4, in_bytes // 4, align=64)
+        input_sym = pb.array("input", 4, in_bytes // 4)
 
-        gather_shared = self.p_gather_shared(case)
-        g_bytes = max(self.p_gather_bytes(case), 64)
-        if gather_shared:
-            shared_table = alloc.alloc_array(8, g_bytes // 8, align=64)
+        g_len = max(self.p_gather_bytes(case), 64) // 8
+        shared = (pb.array("gather", 8, g_len, kind="table", group="gather")
+                  if self.p_gather_shared(case) else None)
+        tables, stacks = [], []
+        for tid in range(nt):
+            if shared is not None:
+                tables.append(shared)
+            else:
+                tables.append(pb.array(f"gather[t{tid}]", 8, g_len,
+                                       kind="table", tid=tid, group="gather"))
+            stacks.append(pb.line_region(f"stack[t{tid}]", 64, size=8,
+                                         kind="stack", tid=tid, group="stack"))
+        pb.dims.update(iters=max(1, self.p_iters(case)), fields=fields,
+                       chunk=max(1, input_sym.length // nt))
+        return pb, sync, acc_syms, merge_syms, input_sym, tables, stacks
 
+    def _ipa(self, case: SuiteCase) -> float:
+        eff = opt_effects(case.opt)
+        return max(1.0, self.p_ipa(case) * float(eff["instr_scale"]))
+
+    def _generate(self, case: SuiteCase) -> Sequence[ThreadTrace]:
+        pb, sync, acc_syms, merge_syms, input_sym, tables, stacks = (
+            self._layout(case))
+        iters, fields, chunk_elems = (
+            pb.dims["iters"], pb.dims["fields"], pb.dims["chunk"])
+        input_arr = input_sym.layout()
         acc_period = self.p_acc_period(case)
         gather_period = self.p_gather_period(case)
-        ipa = self.p_ipa(case) * float(eff["instr_scale"])
-        if not eff["registerized"]:
-            # Unoptimized code spills scalars: a touch more memory traffic is
-            # already captured by instr_scale; nothing extra needed here.
-            pass
-
         stack_every = self.p_stack_every(case)
-        chunk_elems = max(1, (in_bytes // 4) // nt)
+        n_merge = self.p_merge_rmws(case)
+        ipa = self._ipa(case)
         threads = []
-        for tid in range(nt):
+        for tid in range(case.threads):
             rng = self.rng(case, tid)
-            if gather_shared:
-                table = shared_table
-            else:
-                table = alloc.alloc_array(8, g_bytes // 8, align=64)
-            stack_slot = alloc.alloc_line_aligned(64)
+            table = tables[tid].layout()
+            stack_slot = stacks[tid].base
 
             base_elem = tid * chunk_elems
             stream_idx = base_elem + (np.arange(iters) % chunk_elems)
-            stream = input_arr.addr(stream_idx % (in_bytes // 4))
+            stream = input_arr.addr(stream_idx % input_arr.length)
 
             it = np.arange(iters, dtype=np.int64)
             do_gather = (
@@ -193,90 +219,43 @@ class ParamModel(SuiteProgram):
             writes[ss + 1] = True
             pos = pos + 2 * do_stack.astype(np.int64)
             accs = pos[do_acc]
-            acc_addr = acc_base + tid * stride
+            acc_addr = acc_syms[tid].base
             for f in range(fields):
                 addrs[accs + 2 * f] = acc_addr + 8 * f
                 addrs[accs + 2 * f + 1] = acc_addr + 8 * f
                 writes[accs + 2 * f + 1] = True
-            n_merge = self.p_merge_rmws(case)
             if n_merge > 0:
-                maddr = merge_base + 8 * tid
+                maddr = merge_syms[tid].base
                 m_a = np.full(2 * n_merge, maddr, dtype=np.int64)
                 m_w = np.zeros(2 * n_merge, dtype=bool)
                 m_w[1::2] = True
                 addrs = np.concatenate([addrs, m_a])
                 writes = np.concatenate([writes, m_w])
             addrs, writes = with_sync(
-                addrs, writes, sync_word, self.p_sync_every(case)
+                addrs, writes, sync.base, self.p_sync_every(case)
             )
             threads.append(
                 ThreadTrace(
                     addrs,
                     writes,
-                    instr_per_access=max(1.0, ipa),
+                    instr_per_access=ipa,
                     extra_instructions=max(0, self.p_spin_instr(case, tid)),
                 )
             )
         return threads
 
     def _plan(self, case: SuiteCase):
-        eff = opt_effects(case.opt)
-        nt = case.threads
-        iters = max(1, self.p_iters(case))
-        pb = PlanBuilder(self.name, nt)
-        sync = pb.line_region("sync", 64, size=8, kind="sync")
-
-        fields = max(1, self.p_acc_fields(case))
-        stride = self.p_acc_stride(case)
-        struct_bytes = max(8 * fields, 8)
-        if stride is None:
-            stride = ((struct_bytes + LINE_SIZE - 1) // LINE_SIZE) * LINE_SIZE
-        acc_base = pb.alloc.alloc(max(stride * nt, struct_bytes * nt),
-                                  align=64)
-        acc_syms = [
-            pb.symbols.add(Symbol(
-                f"acc[t{t}]", acc_base + t * stride, struct_bytes,
-                kind="struct", tid=t, elem_size=8, group="acc",
-            ))
-            for t in range(nt)
-        ]
-        merge_base = pb.alloc.alloc(8 * nt, align=64)
-        merge_syms = [
-            pb.symbols.add(Symbol(
-                f"merge[t{t}]", merge_base + 8 * t, 8,
-                kind="merge", tid=t, elem_size=8, group="merge",
-            ))
-            for t in range(nt)
-        ]
-
-        in_bytes = max(self.p_input_bytes(case), 4 * nt)
-        n_total = in_bytes // 4
-        input_sym = pb.array("input", 4, n_total)
-
-        gather_shared = self.p_gather_shared(case)
-        g_bytes = max(self.p_gather_bytes(case), 64)
-        shared_sym = None
-        if gather_shared:
-            shared_sym = pb.array("gather", 8, g_bytes // 8, kind="table",
-                                  group="gather")
-
+        pb, sync, acc_syms, merge_syms, input_sym, tables, stacks = (
+            self._layout(case))
+        iters, fields, chunk = (
+            pb.dims["iters"], pb.dims["fields"], pb.dims["chunk"])
         acc_period = self.p_acc_period(case)
         gather_period = self.p_gather_period(case)
-        ipa = max(1.0, self.p_ipa(case) * float(eff["instr_scale"]))
         stack_every = self.p_stack_every(case)
         sync_every = self.p_sync_every(case)
         n_merge = max(0, self.p_merge_rmws(case))
-        chunk = max(1, n_total // nt)
         extra = []
-        for tid in range(nt):
-            if gather_shared:
-                tsym = shared_sym
-            else:
-                tsym = pb.array(f"gather[t{tid}]", 8, g_bytes // 8,
-                                kind="table", tid=tid, group="gather")
-            ssym = pb.line_region(f"stack[t{tid}]", 64, size=8,
-                                  kind="stack", tid=tid, group="stack")
-
+        for tid in range(case.threads):
             span = min(iters, chunk)
             sweeps = sweeps_of(iters, chunk)
             pb.use(input_sym, tid, reads=iters, start=tid * chunk,
@@ -287,8 +266,8 @@ class ParamModel(SuiteProgram):
 
             g_hits = iters // gather_period if gather_period > 0 else 0
             if g_hits:
-                lines = max(1, g_bytes // LINE_SIZE)
-                pb.use(tsym, tid, reads=g_hits, order="scattered",
+                lines = max(1, tables[tid].size // LINE_SIZE)
+                pb.use(tables[tid], tid, reads=g_hits, order="scattered",
                        bursts=gather_bursts(g_hits, lines,
                                             gather_period * float(lines)))
                 n_body += g_hits
@@ -303,7 +282,7 @@ class ParamModel(SuiteProgram):
             s_hits = ((iters + stack_every - 1) // stack_every
                       if stack_every > 0 else 0)
             if s_hits:
-                pb.use(ssym, tid, reads=s_hits, writes=s_hits,
+                pb.use(stacks[tid], tid, reads=s_hits, writes=s_hits,
                        order="scattered")
                 n_body += 2 * s_hits
 
@@ -314,7 +293,7 @@ class ParamModel(SuiteProgram):
 
             pb.sync_use(sync, tid, n_body, sync_every)
             extra.append(max(0, self.p_spin_instr(case, tid)))
-        return pb.finish(ipa, extra=extra)
+        return pb.finish(self._ipa(case), extra=extra)
 
 
 def mb(n: float) -> int:

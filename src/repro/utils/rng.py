@@ -31,7 +31,12 @@ def stable_hash(*parts: Seedable) -> int:
         elif isinstance(part, str):
             h.update(b"\x02" + part.encode("utf-8"))
         elif isinstance(part, int):
-            h.update(b"\x03" + part.to_bytes(16, "little", signed=True))
+            if -(1 << 127) <= part < (1 << 127):
+                h.update(b"\x03" + part.to_bytes(16, "little", signed=True))
+            else:
+                # Wider than 128 bits: its own tag leaves every narrower
+                # int's hash (and so every derived seed) unchanged.
+                h.update(b"\x04" + str(part).encode("ascii"))
         else:
             raise TypeError(f"unhashable seed part: {part!r}")
         h.update(b"\xff")

@@ -26,10 +26,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.memory.allocator import BumpAllocator
 from repro.memory.layout import LINE_SIZE
+from repro.memory.symbols import Symbol
 from repro.trace.access import ThreadTrace
-from repro.analysis.symbols import Symbol
 from repro.workloads.base import Mode, RunConfig, Workload, ordered_visit, partition
 from repro.workloads.builders import with_sync
 from repro.workloads.plan import (
@@ -82,73 +81,7 @@ class BuiltWorkload(Workload):
         self.train_sizes = (stream.elements,) if stream else (16_384,)
         self.description = f"user-built workload ({threads_hint} threads hint)"
 
-    def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
-        alloc = BumpAllocator()
-        sync_word = alloc.alloc_line_aligned(64)
-
-        acc_bases = []
-        for acc in self._accumulators:
-            struct = acc.field_size * acc.fields
-            if acc.packed and cfg.mode is Mode.BAD_FS:
-                stride = struct
-            else:
-                stride = ((struct + LINE_SIZE - 1) // LINE_SIZE) * LINE_SIZE
-            acc_bases.append(
-                (alloc.alloc(stride * cfg.threads, align=64), stride)
-            )
-
-        stream = self._stream
-        n_elems = cfg.size if stream is None else max(cfg.size, cfg.threads)
-        elem = stream.elem_size if stream else 8
-        input_arr = alloc.alloc_array(elem, n_elems, align=64)
-
-        shared_tables = {}
-        threads = []
-        bounds = partition(n_elems, cfg.threads)
-        for tid, (start, stop) in enumerate(bounds):
-            span = max(stop - start, 1)
-            rng = self.rng(cfg, tid)
-            order = (start % n_elems) + ordered_visit(
-                span, cfg.mode, cfg.pattern, rng
-            )
-            pieces_a: List[np.ndarray] = [input_arr.addr(order % n_elems)]
-            pieces_w: List[np.ndarray] = [np.zeros(span, bool)]
-            it = np.arange(span, dtype=np.int64)
-
-            blocks = [(pieces_a[0], pieces_w[0])]
-            for g_i, g in enumerate(self._gathers):
-                if g.shared:
-                    table = shared_tables.get(g_i)
-                    if table is None:
-                        table = alloc.alloc_array(8, g.table_bytes // 8,
-                                                  align=64)
-                        shared_tables[g_i] = table
-                else:
-                    table = alloc.alloc_array(8, g.table_bytes // 8, align=64)
-                hit = it % g.every == g.every - 1
-                idx = rng.integers(0, table.length, size=int(hit.sum()))
-                g_addr = np.zeros(span, np.int64)
-                g_addr[hit] = table.addr(idx)
-                blocks.append(("gather", g_addr, None, hit))
-
-            for (base, stride), acc in zip(acc_bases, self._accumulators):
-                slot = base + tid * stride
-                hit = it % acc.every == acc.every - 1
-                blocks.append(("acc", slot, acc, hit))
-
-            if self._stack_every:
-                stack = alloc.alloc_line_aligned(64)
-                hit = it % self._stack_every == 0
-                blocks.append(("stack", stack, None, hit))
-
-            addrs, writes = _assemble(span, blocks)
-            addrs, writes = with_sync(addrs, writes, sync_word,
-                                      self._sync_every)
-            threads.append(ThreadTrace(addrs, writes,
-                                       instr_per_access=self._ipa))
-        return threads
-
-    def _plan(self, cfg: RunConfig):
+    def _layout(self, cfg: RunConfig):
         pb = PlanBuilder(self.name, cfg.threads)
         sync = pb.line_region("sync", 64, size=8, kind="sync")
 
@@ -174,27 +107,86 @@ class BuiltWorkload(Workload):
         n_elems = cfg.size if stream is None else max(cfg.size, cfg.threads)
         elem = stream.elem_size if stream else 8
         input_sym = pb.array("input", elem, n_elems)
-        kind = visit_kind(cfg.mode, cfg.pattern)
-        sbursts = hostile_bursts(cfg.mode, cfg.pattern, elems_per_line(elem))
 
+        # Per thread, in allocation order: its gather tables (a shared one
+        # is allocated on first use), then its stack slot.
         shared_tables: dict = {}
+        tables, stacks = [], []
+        for tid in range(cfg.threads):
+            row = []
+            for g_i, g in enumerate(self._gathers):
+                if not g.shared:
+                    row.append(pb.array(f"table{g_i}[t{tid}]", 8,
+                                        g.table_bytes // 8, kind="table",
+                                        tid=tid, group=f"table{g_i}"))
+                    continue
+                if g_i not in shared_tables:
+                    shared_tables[g_i] = pb.array(
+                        f"table{g_i}", 8, g.table_bytes // 8, kind="table",
+                        group=f"table{g_i}")
+                row.append(shared_tables[g_i])
+            tables.append(row)
+            if self._stack_every:
+                stacks.append(pb.line_region(
+                    f"stack[t{tid}]", 64, size=8, kind="stack", tid=tid,
+                    group="stack"))
+        return pb, sync, acc_syms, input_sym, tables, stacks
+
+    def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
+        _, sync, acc_syms, input_sym, tables, stacks = self._layout(cfg)
+        input_arr = input_sym.layout()
+        n_elems = input_arr.length
+
+        threads = []
+        bounds = partition(n_elems, cfg.threads)
+        for tid, (start, stop) in enumerate(bounds):
+            span = max(stop - start, 1)
+            rng = self.rng(cfg, tid)
+            order = (start % n_elems) + ordered_visit(
+                span, cfg.mode, cfg.pattern, rng
+            )
+            pieces_a: List[np.ndarray] = [input_arr.addr(order % n_elems)]
+            pieces_w: List[np.ndarray] = [np.zeros(span, bool)]
+            it = np.arange(span, dtype=np.int64)
+
+            blocks = [(pieces_a[0], pieces_w[0])]
+            for tsym, g in zip(tables[tid], self._gathers):
+                table = tsym.layout()
+                hit = it % g.every == g.every - 1
+                idx = rng.integers(0, table.length, size=int(hit.sum()))
+                g_addr = np.zeros(span, np.int64)
+                g_addr[hit] = table.addr(idx)
+                blocks.append(("gather", g_addr, None, hit))
+
+            for syms, acc in zip(acc_syms, self._accumulators):
+                hit = it % acc.every == acc.every - 1
+                blocks.append(("acc", syms[tid].base, acc, hit))
+
+            if self._stack_every:
+                hit = it % self._stack_every == 0
+                blocks.append(("stack", stacks[tid].base, None, hit))
+
+            addrs, writes = _assemble(span, blocks)
+            addrs, writes = with_sync(addrs, writes, sync.base,
+                                      self._sync_every)
+            threads.append(ThreadTrace(addrs, writes,
+                                       instr_per_access=self._ipa))
+        return threads
+
+    def _plan(self, cfg: RunConfig):
+        pb, sync, acc_syms, input_sym, tables, stacks = self._layout(cfg)
+        n_elems = input_sym.length
+        kind = visit_kind(cfg.mode, cfg.pattern)
+        sbursts = hostile_bursts(cfg.mode, cfg.pattern,
+                                 elems_per_line(input_sym.elem_size))
+
         for tid, (start, stop) in enumerate(partition(n_elems, cfg.threads)):
             span = max(stop - start, 1)
             s0, s1 = clamp_range(start, span, n_elems)
             pb.use(input_sym, tid, reads=span, start=s0, stop=s1,
                    order=kind, bursts=sbursts)
             n_body = span
-            for g_i, g in enumerate(self._gathers):
-                if g.shared:
-                    tsym = shared_tables.get(g_i)
-                    if tsym is None:
-                        tsym = pb.array(f"table{g_i}", 8, g.table_bytes // 8,
-                                        kind="table", group=f"table{g_i}")
-                        shared_tables[g_i] = tsym
-                else:
-                    tsym = pb.array(f"table{g_i}[t{tid}]", 8,
-                                    g.table_bytes // 8, kind="table",
-                                    tid=tid, group=f"table{g_i}")
+            for tsym, g in zip(tables[tid], self._gathers):
                 hits = span // g.every
                 lines = max(1, g.table_bytes // LINE_SIZE)
                 pb.use(tsym, tid, reads=hits, order="scattered",
@@ -208,10 +200,9 @@ class BuiltWorkload(Workload):
                        order="scattered")
                 n_body += 2 * acc.fields * hits
             if self._stack_every:
-                ssym = pb.line_region(f"stack[t{tid}]", 64, size=8,
-                                      kind="stack", tid=tid, group="stack")
                 hits = (span + self._stack_every - 1) // self._stack_every
-                pb.use(ssym, tid, reads=hits, writes=hits, order="scattered")
+                pb.use(stacks[tid], tid, reads=hits, writes=hits,
+                       order="scattered")
                 n_body += 2 * hits
             pb.sync_use(sync, tid, n_body, self._sync_every)
         return pb.finish(self._ipa)

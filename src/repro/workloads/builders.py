@@ -8,12 +8,9 @@ bad-ma) change.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-
-from repro.memory.allocator import BumpAllocator
-from repro.workloads.base import Mode
 
 #: Iterations between touches of the truly-shared synchronization word.
 #: Real pthreads programs are never coherence-silent: progress counters,
@@ -21,15 +18,6 @@ from repro.workloads.base import Mode
 #: floor is what keeps the learned HITM threshold honest — it must separate
 #: false sharing from ordinary synchronization, not from zero.
 SYNC_EVERY = 1024
-
-
-def thread_slots(
-    alloc: BumpAllocator, nthreads: int, mode: Mode, elem_size: int = 8
-) -> List[int]:
-    """Per-thread accumulator addresses: packed iff the mode is bad-fs."""
-    return alloc.per_thread_slots(
-        nthreads, elem_size, padded=(mode is not Mode.BAD_FS)
-    )
 
 
 def rmw(addr: int, n: int) -> Tuple[np.ndarray, np.ndarray]:

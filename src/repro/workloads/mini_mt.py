@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.memory.allocator import BumpAllocator
 from repro.trace.access import ThreadTrace
 from repro.workloads.base import (
     LOOP_IPA,
@@ -23,13 +22,7 @@ from repro.workloads.base import (
     ordered_visit,
     partition,
 )
-from repro.workloads.builders import (
-    loop_body,
-    rmw,
-    stores,
-    thread_slots,
-    with_sync,
-)
+from repro.workloads.builders import loop_body, rmw, stores, with_sync
 from repro.workloads.plan import (
     PlanBuilder,
     clamp_range,
@@ -62,20 +55,25 @@ class _ScalarBase(Workload):
     #: the training set sees a range of benign-sharing floors.
     sync_every = 1024
 
-    def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
-        alloc = BumpAllocator()
-        sync_word = alloc.alloc_line_aligned(64)
-        slots = thread_slots(alloc, cfg.threads, cfg.mode, self.slot_size)
-        threads = []
-        for tid in range(cfg.threads):
-            addrs, writes = self._body(slots[tid], cfg.size)
-            addrs, writes = with_sync(addrs, writes, sync_word, self.sync_every)
-            threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
-        return threads
-
     slot_size = 8
     slot_group = "psum"
     ipa = LOOP_IPA
+
+    def _layout(self, cfg: RunConfig):
+        pb = PlanBuilder(self.name, cfg.threads)
+        sync = pb.line_region("sync", 64, size=8, kind="sync")
+        slots = pb.thread_slots(self.slot_group, cfg.mode,
+                                elem_size=self.slot_size)
+        return pb, sync, slots
+
+    def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
+        _, sync, slots = self._layout(cfg)
+        threads = []
+        for tid in range(cfg.threads):
+            addrs, writes = self._body(slots[tid].base, cfg.size)
+            addrs, writes = with_sync(addrs, writes, sync.base, self.sync_every)
+            threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
+        return threads
 
     def _body(self, slot: int, iters: int):
         raise NotImplementedError
@@ -85,10 +83,7 @@ class _ScalarBase(Workload):
         raise NotImplementedError
 
     def _plan(self, cfg: RunConfig):
-        pb = PlanBuilder(self.name, cfg.threads)
-        sync = pb.line_region("sync", 64, size=8, kind="sync")
-        slots = pb.thread_slots(self.slot_group, cfg.mode,
-                                elem_size=self.slot_size)
+        pb, sync, slots = self._layout(cfg)
         reads, writes, fields = self._slot_plan(cfg.size)
         for tid in range(cfg.threads):
             pb.use(slots[tid], tid, reads=reads, writes=writes,
@@ -172,21 +167,26 @@ class _VectorBase(Workload):
     #: extra problem size used only by some training-plan rows
     extra_size = 393_216
     elem_size = 4
-    n_arrays = 1
+    #: the read-shared input arrays, loaded once per iteration each
+    array_names = ("v",)
+    slot_group = "psum"
     slot_op = "rmw"
     sync_every = 2048
     ipa = LOOP_IPA
 
-    def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
-        alloc = BumpAllocator()
-        sync_word = alloc.alloc_line_aligned(64)
+    def _layout(self, cfg: RunConfig):
+        pb = PlanBuilder(self.name, cfg.threads)
+        sync = pb.line_region("sync", 64, size=8, kind="sync")
         # Figure 1 declares `int psum[MAXTHREADS]`: 4-byte slots, so even 16
         # threads' accumulators share a single 64-byte line when packed.
-        slots = thread_slots(alloc, cfg.threads, cfg.mode, elem_size=4)
-        arrays = [
-            alloc.alloc_array(self.elem_size, cfg.size, align=64)
-            for _ in range(self.n_arrays)
-        ]
+        slots = pb.thread_slots(self.slot_group, cfg.mode, elem_size=4)
+        arrays = [pb.array(name, self.elem_size, cfg.size)
+                  for name in self.array_names]
+        return pb, sync, slots, arrays
+
+    def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
+        _, sync, slots, arrays = self._layout(cfg)
+        layouts = [arr.layout() for arr in arrays]
         threads = []
         for tid, (start, stop) in enumerate(partition(cfg.size, cfg.threads)):
             span = stop - start
@@ -196,26 +196,14 @@ class _VectorBase(Workload):
             order = start + ordered_visit(
                 span, cfg.mode, cfg.pattern, self.rng(cfg, tid)
             )
-            loads = [arr.addr(order) for arr in arrays]
-            addrs, writes = loop_body(loads, slots[tid], self._slot_op(order))
-            addrs, writes = with_sync(addrs, writes, sync_word, self.sync_every)
+            loads = [arr.addr(order) for arr in layouts]
+            addrs, writes = loop_body(loads, slots[tid].base, self.slot_op)
+            addrs, writes = with_sync(addrs, writes, sync.base, self.sync_every)
             threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
         return threads
 
-    def _slot_op(self, order: np.ndarray) -> str:
-        return self.slot_op
-
-    def _array_names(self):
-        if self.n_arrays == 1:
-            return ["v"]
-        return [f"v{i + 1}" for i in range(self.n_arrays)]
-
     def _plan(self, cfg: RunConfig):
-        pb = PlanBuilder(self.name, cfg.threads)
-        sync = pb.line_region("sync", 64, size=8, kind="sync")
-        slots = pb.thread_slots("psum", cfg.mode, elem_size=4)
-        arrays = [pb.array(name, self.elem_size, cfg.size)
-                  for name in self._array_names()]
+        pb, sync, slots, arrays = self._layout(cfg)
         kind = visit_kind(cfg.mode, cfg.pattern)
         bursts = hostile_bursts(cfg.mode, cfg.pattern,
                                 elems_per_line(self.elem_size))
@@ -230,7 +218,7 @@ class _VectorBase(Workload):
                        order=kind, bursts=bursts)
             pb.use(slots[tid], tid, reads=slot_r * span,
                    writes=slot_w * span, order="scattered")
-            n_body = span * (self.n_arrays + slot_r + slot_w)
+            n_body = span * (len(arrays) + slot_r + slot_w)
             pb.sync_use(sync, tid, n_body, self.sync_every)
         return pb.finish(self.ipa)
 
@@ -240,7 +228,6 @@ class PSumV(_VectorBase):
 
     name = "psumv"
     description = "parallel vector sum with per-thread accumulators"
-    n_arrays = 1
     ipa = 3.0
 
 
@@ -249,7 +236,7 @@ class PDot(_VectorBase):
 
     name = "pdot"
     description = "parallel dot product (Figure 1)"
-    n_arrays = 2
+    array_names = ("v1", "v2")
     ipa = 3.0
 
 
@@ -266,14 +253,13 @@ class Count(_VectorBase):
 
     name = "count"
     description = "parallel predicate counting"
-    n_arrays = 1
+    array_names = ("a",)
+    slot_group = "count"
     ipa = 3.5
 
     def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
-        alloc = BumpAllocator()
-        sync_word = alloc.alloc_line_aligned(64)
-        slots = thread_slots(alloc, cfg.threads, cfg.mode, elem_size=4)
-        arr = alloc.alloc_array(self.elem_size, cfg.size, align=64)
+        _, sync, slots, (arr,) = self._layout(cfg)
+        layout = arr.layout()
         threads = []
         for tid, (start, stop) in enumerate(partition(cfg.size, cfg.threads)):
             span = max(stop - start, 1)
@@ -282,7 +268,7 @@ class Count(_VectorBase):
             )
             hit = ((order & 63) == 1)  # predicate: rare (1/64) matches
             # Loads of a[i] for every i; RMW of the slot only where hit.
-            base = arr.addr(order)
+            base = layout.addr(order)
             # Build per-iteration blocks vectorized: 1 load always, +2 on hit.
             counts = 1 + 2 * hit.astype(np.int64)
             total = int(counts.sum())
@@ -292,18 +278,15 @@ class Count(_VectorBase):
             starts = ends - counts
             addrs[starts] = base
             hs = starts[hit]
-            addrs[hs + 1] = slots[tid]
-            addrs[hs + 2] = slots[tid]
+            addrs[hs + 1] = slots[tid].base
+            addrs[hs + 2] = slots[tid].base
             writes[hs + 2] = True
-            addrs, writes = with_sync(addrs, writes, sync_word, self.sync_every)
+            addrs, writes = with_sync(addrs, writes, sync.base, self.sync_every)
             threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
         return threads
 
     def _plan(self, cfg: RunConfig):
-        pb = PlanBuilder(self.name, cfg.threads)
-        sync = pb.line_region("sync", 64, size=8, kind="sync")
-        slots = pb.thread_slots("count", cfg.mode, elem_size=4)
-        arr = pb.array("a", self.elem_size, cfg.size)
+        pb, sync, slots, (arr,) = self._layout(cfg)
         kind = visit_kind(cfg.mode, cfg.pattern)
         bursts = hostile_bursts(cfg.mode, cfg.pattern,
                                 elems_per_line(self.elem_size))
@@ -338,13 +321,17 @@ class PMatMult(Workload):
     ipa = 3.0
     sync_every = 4096
 
+    def _layout(self, cfg: RunConfig):
+        total = cfg.size * cfg.size
+        pb = PlanBuilder(self.name, cfg.threads)
+        sync = pb.line_region("sync", 64, size=8, kind="sync")
+        return (pb, sync, pb.array("A", 8, total), pb.array("B", 8, total),
+                pb.array("C", 8, total))
+
     def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
         n = cfg.size
-        alloc = BumpAllocator()
-        sync_word = alloc.alloc_line_aligned(64)
-        a = alloc.alloc_array(8, n * n, align=64)
-        b = alloc.alloc_array(8, n * n, align=64)
-        c = alloc.alloc_array(8, n * n, align=64)
+        _, sync, *mats = self._layout(cfg)
+        a, b, c = (m.layout() for m in mats)
         total = n * n
         if cfg.mode is Mode.BAD_FS:
             owned = [np.arange(tid, total, cfg.threads, dtype=np.int64)
@@ -377,18 +364,14 @@ class PMatMult(Workload):
             addrs[2::4] = np.repeat(c_addr, nk)
             addrs[3::4] = np.repeat(c_addr, nk)
             writes[3::4] = True
-            addrs, writes = with_sync(addrs, writes, sync_word, self.sync_every)
+            addrs, writes = with_sync(addrs, writes, sync.base, self.sync_every)
             threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
         return threads
 
     def _plan(self, cfg: RunConfig):
         n = cfg.size
-        total = n * n
-        pb = PlanBuilder(self.name, cfg.threads)
-        sync = pb.line_region("sync", 64, size=8, kind="sync")
-        a = pb.array("A", 8, total)
-        b = pb.array("B", 8, total)
-        c = pb.array("C", 8, total)
+        pb, sync, a, b, c = self._layout(cfg)
+        total = a.length
         epl = elems_per_line(8)
         hostile = cfg.mode is Mode.BAD_MA
         for tid in range(cfg.threads):
@@ -407,7 +390,7 @@ class PMatMult(Workload):
                    order="scattered" if hostile else "linear",
                    bursts=float(epl) if hostile else 1.0)
             # B: column walks — every owned cell reads a full column.
-            pb.use(b, tid, reads=m * n, stop=total, order="scattered",
+            pb.use(b, tid, reads=m * n, order="scattered",
                    bursts=max(1.0, m * float(epl) / n))
             # C: the owned cells, RMW n times each, consecutively.
             pb.use(c, tid, reads=m * n, writes=m * n, start=cells[0],
@@ -432,13 +415,17 @@ class PMatCompare(Workload):
     ipa = 3.0
     sync_every = 2048
 
-    def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
+    def _layout(self, cfg: RunConfig):
         n2 = cfg.size * cfg.size
-        alloc = BumpAllocator()
-        sync_word = alloc.alloc_line_aligned(64)
-        slots = thread_slots(alloc, cfg.threads, cfg.mode)
-        a = alloc.alloc_array(8, n2, align=64)
-        b = alloc.alloc_array(8, n2, align=64)
+        pb = PlanBuilder(self.name, cfg.threads)
+        sync = pb.line_region("sync", 64, size=8, kind="sync")
+        slots = pb.thread_slots("mismatch", cfg.mode)
+        return pb, sync, slots, pb.array("A", 8, n2), pb.array("B", 8, n2)
+
+    def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
+        _, sync, slots, a_sym, b_sym = self._layout(cfg)
+        a, b = a_sym.layout(), b_sym.layout()
+        n2 = a.length
         threads = []
         for tid, (start, stop) in enumerate(partition(n2, cfg.threads)):
             span = max(stop - start, 1)
@@ -455,20 +442,16 @@ class PMatCompare(Workload):
             addrs[starts] = a.addr(order)
             addrs[starts + 1] = b.addr(order)
             hs = starts[mismatch]
-            addrs[hs + 2] = slots[tid]
-            addrs[hs + 3] = slots[tid]
+            addrs[hs + 2] = slots[tid].base
+            addrs[hs + 3] = slots[tid].base
             writes[hs + 3] = True
-            addrs, writes = with_sync(addrs, writes, sync_word, self.sync_every)
+            addrs, writes = with_sync(addrs, writes, sync.base, self.sync_every)
             threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
         return threads
 
     def _plan(self, cfg: RunConfig):
-        n2 = cfg.size * cfg.size
-        pb = PlanBuilder(self.name, cfg.threads)
-        sync = pb.line_region("sync", 64, size=8, kind="sync")
-        slots = pb.thread_slots("mismatch", cfg.mode)
-        a = pb.array("A", 8, n2)
-        b = pb.array("B", 8, n2)
+        pb, sync, slots, a, b = self._layout(cfg)
+        n2 = a.length
         kind = visit_kind(cfg.mode, cfg.pattern)
         bursts = hostile_bursts(cfg.mode, cfg.pattern, elems_per_line(8))
         for tid, (start, stop) in enumerate(partition(n2, cfg.threads)):

@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.memory.allocator import BumpAllocator
 from repro.trace.access import ThreadTrace
 from repro.workloads.base import (
     Mode,
@@ -46,9 +45,12 @@ class _SeqArrayBase(Workload):
     ipa = 3.0
     sweeps = 1
 
+    def _layout(self, cfg: RunConfig):
+        pb = PlanBuilder(self.name, 1)
+        return pb, pb.array("a", self.elem_size, cfg.size)
+
     def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
-        alloc = BumpAllocator()
-        arr = alloc.alloc_array(self.elem_size, cfg.size, align=64)
+        arr = self._layout(cfg)[1].layout()
         pieces_a = []
         pieces_w = []
         for s in range(self.sweeps):
@@ -68,14 +70,13 @@ class _SeqArrayBase(Workload):
     visit_rw = (1, 0)
 
     def _plan(self, cfg: RunConfig):
-        pb = PlanBuilder(self.name, 1)
-        arr = pb.array("a", self.elem_size, cfg.size)
+        pb, arr = self._layout(cfg)
         kind = visit_kind(cfg.mode, cfg.pattern)
         per_sweep = hostile_bursts(cfg.mode, cfg.pattern,
                                    elems_per_line(self.elem_size))
         r, w = self.visit_rw
         pb.use(arr, 0, reads=r * cfg.size * self.sweeps,
-               writes=w * cfg.size * self.sweeps, stop=cfg.size,
+               writes=w * cfg.size * self.sweeps,
                order=kind, bursts=per_sweep * self.sweeps)
         return pb.finish(self.ipa)
 
@@ -143,13 +144,17 @@ class SeqMatMul(Workload):
     m_rows = 2
     n_cols = 8
 
+    def _layout(self, cfg: RunConfig):
+        big_k = cfg.size
+        m, n = self.m_rows, self.n_cols
+        pb = PlanBuilder(self.name, 1)
+        return (pb, pb.array("A", 8, m * big_k), pb.array("B", 8, big_k * n),
+                pb.array("C", 8, m * n))
+
     def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
         big_k = cfg.size
         m, n = self.m_rows, self.n_cols
-        alloc = BumpAllocator()
-        a = alloc.alloc_array(8, m * big_k, align=64)
-        b = alloc.alloc_array(8, big_k * n, align=64)
-        c = alloc.alloc_array(8, m * n, align=64)
+        a, b, c = (s.layout() for s in self._layout(cfg)[1:])
         if cfg.mode is Mode.GOOD:
             # (i, k, j): innermost j sweeps a row of B.
             ii, kk, jj = np.meshgrid(
@@ -172,23 +177,19 @@ class SeqMatMul(Workload):
         return [ThreadTrace(addrs, writes, instr_per_access=self.ipa)]
 
     def _plan(self, cfg: RunConfig):
-        big_k = cfg.size
         m, n = self.m_rows, self.n_cols
-        pb = PlanBuilder(self.name, 1)
-        a = pb.array("A", 8, m * big_k)
-        b = pb.array("B", 8, big_k * n)
-        c = pb.array("C", 8, m * n)
-        total = m * n * big_k
+        pb, a, b, c = self._layout(cfg)
+        total = m * n * cfg.size
         hostile = cfg.mode is Mode.BAD_MA
         # good (i,k,j): A rows swept once (hot); B rows re-read per i;
         # C held hot throughout.  bad-ma (i,j,k): A rows re-read per j,
         # B walked column-wise so every line cools between touches.
-        pb.use(a, 0, reads=total, stop=m * big_k,
+        pb.use(a, 0, reads=total,
                order="scattered" if hostile else "linear",
                bursts=float(n) if hostile else 1.0)
-        pb.use(b, 0, reads=total, stop=big_k * n, order="scattered",
+        pb.use(b, 0, reads=total, order="scattered",
                bursts=float(m * n) if hostile else float(m))
-        pb.use(c, 0, reads=total, writes=total, stop=m * n, order="scattered")
+        pb.use(c, 0, reads=total, writes=total, order="scattered")
         return pb.finish(self.ipa)
 
 

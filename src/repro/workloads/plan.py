@@ -2,9 +2,12 @@
 
 A trace generator performs two separable jobs: it lays out named data in a
 simulated address space (deterministically, via :class:`BumpAllocator`), and
-it emits a per-thread access stream over that data.  An
-:class:`AccessPlan` captures both jobs *symbolically*: a
-:class:`~repro.analysis.symbols.SymbolTable` of every allocated object at
+it emits a per-thread access stream over that data.  Each workload does the
+first job once, in a ``_layout`` method that fills a :class:`PlanBuilder`;
+the generator reads its addresses from the builder's symbols and the plan
+records its uses on the same builder.  An :class:`AccessPlan` is then the
+symbolic side of that one layout: the
+:class:`~repro.memory.symbols.SymbolTable` of every allocated object at
 its exact generated address, plus a set of :class:`RegionUse` records —
 "thread 2 performs 40k reads and 40k writes over elements [0, 8) of
 ``acc[t2]``, linearly, during the steady-state loop".
@@ -13,9 +16,9 @@ The predictive analyzer
 (:class:`~repro.analysis.sharing.PredictiveAnalyzer`) walks plans instead
 of traces: per-line thread overlap and write intent fall out of the region
 algebra, so a workload can be classified for false sharing without
-generating a single access.  Plans mirror their generator's allocation
-*order* exactly, which is what makes the symbol addresses — and therefore
-the line-level predictions — match the traced reality byte for byte.
+generating a single access.  Because generator and plan share the layout,
+the symbol addresses — and therefore the line-level predictions — match
+the traced reality byte for byte by construction.
 
 Temporal model: each use lives in a ``phase`` (0 = steady-state loop,
 1 = end/merge phase; phases never overlap in time) and covers a position
@@ -35,10 +38,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.symbols import Symbol, SymbolTable
 from repro.errors import ConfigError
 from repro.memory.allocator import BumpAllocator
 from repro.memory.layout import LINE_SIZE
+from repro.memory.symbols import Symbol, SymbolTable
 from repro.workloads.base import Mode, stride_of
 
 #: Intra-use visit-order kinds.
@@ -79,10 +82,6 @@ class RegionUse:
     @property
     def accesses(self) -> int:
         return self.reads + self.writes
-
-    @property
-    def n_elements(self) -> int:
-        return len(range(self.start, self.stop, self.step))
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -144,9 +143,6 @@ class AccessPlan:
             return (f"{m.get('workload', self.name)}/{m.get('input', '?')}"
                     f"/{m['opt']}/t{self.nthreads}")
         return f"{self.name}/t{self.nthreads}"
-
-    def uses_for(self, tid: int) -> List[RegionUse]:
-        return [u for u in self.uses if u.tid == tid]
 
     def uses_of(self, symbol: str) -> List[RegionUse]:
         return [u for u in self.uses if u.symbol == symbol]
@@ -224,12 +220,13 @@ def sync_inserts(n_body: int, every: int) -> int:
 
 
 class PlanBuilder:
-    """Mirror a generator's allocation sequence while recording symbols.
+    """A workload's one layout pass, then the plan's uses over it.
 
-    Wraps the same :class:`BumpAllocator` the generator uses, so calling
-    the allocation methods in generator order reproduces identical
-    addresses; every allocation is simultaneously registered as a
-    :class:`Symbol`.
+    Every allocation goes through a :class:`BumpAllocator` and is registered
+    as a :class:`Symbol` at once; the trace generator reads its addresses
+    from those symbols, and the plan records its :class:`RegionUse` rows on
+    the same builder.  ``dims`` holds the derived sizes (loop lengths, chunk
+    sizes) the layout computed and both sides read.
     """
 
     def __init__(self, name: str, nthreads: int, base: int = 4096) -> None:
@@ -238,6 +235,7 @@ class PlanBuilder:
         self.alloc = BumpAllocator(base)
         self.symbols = SymbolTable()
         self.uses: List[RegionUse] = []
+        self.dims: Dict[str, int] = {}
 
     # ------------------------------------------------------------ allocation
 
@@ -251,12 +249,12 @@ class PlanBuilder:
 
     def line_region(self, name: str, nbytes: int = LINE_SIZE, *,
                     size: Optional[int] = None, **symkw) -> Symbol:
-        """Mirror ``alloc_line_aligned``: a fresh line-aligned region."""
+        """A fresh line-aligned region (``alloc_line_aligned``)."""
         return self.region(name, nbytes, align=LINE_SIZE, size=size, **symkw)
 
     def array(self, name: str, elem_size: int, length: int, align: int = 64,
               stride: int = 0, **symkw) -> Symbol:
-        """Mirror ``alloc_array`` and register the layout under ``name``."""
+        """Allocate an array and register its layout under ``name``."""
         layout = self.alloc.alloc_array(elem_size, length, align=align,
                                         stride=stride)
         return self.symbols.add_array(name, layout, **symkw)
@@ -264,28 +262,22 @@ class PlanBuilder:
     def thread_slots(self, group: str, mode: Mode, elem_size: int = 8,
                      kind: str = "slot",
                      field_size: Optional[int] = None) -> List[Symbol]:
-        """Mirror ``builders.thread_slots``: packed iff the mode is bad-fs.
+        """One slot per thread: packed iff the mode is bad-fs.
 
-        ``elem_size`` is the allocation pitch (the generator's slot size);
-        ``field_size`` is the granularity the slot is accessed at (defaults
-        to the pitch, capped at 8 — a 16-byte slot holds two 8-byte fields).
+        ``elem_size`` is the allocation pitch (the slot size); ``field_size``
+        is the granularity the slot is accessed at (defaults to the pitch,
+        capped at 8 — a 16-byte slot holds two 8-byte fields).
         """
         fsz = field_size if field_size is not None else min(elem_size, 8)
-        out = []
-        if mode is Mode.BAD_FS:
-            base = self.alloc.alloc(self.nthreads * elem_size, align=LINE_SIZE)
-            bases = [base + t * elem_size for t in range(self.nthreads)]
-        else:
-            bases = [
-                self.alloc.alloc(max(elem_size, LINE_SIZE), align=LINE_SIZE)
-                for _ in range(self.nthreads)
-            ]
-        for t, b in enumerate(bases):
-            out.append(self.symbols.add(Symbol(
+        bases = self.alloc.per_thread_slots(
+            self.nthreads, elem_size, padded=mode is not Mode.BAD_FS)
+        return [
+            self.symbols.add(Symbol(
                 f"{group}[t{t}]", b, elem_size,
                 kind=kind, tid=t, elem_size=fsz, group=group,
-            )))
-        return out
+            ))
+            for t, b in enumerate(bases)
+        ]
 
     # --------------------------------------------------------------- accesses
 

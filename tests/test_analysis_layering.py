@@ -2,8 +2,11 @@
 
 ``repro.core`` (the advisor) builds on ``repro.analysis``; the reverse
 edge would make importing the static analyzer pull in the detector and
-its training stack.  Imports under ``if TYPE_CHECKING:`` and inside
-functions do not run at import time and are allowed.
+its training stack.  More generally, the import-time graph between
+``repro`` subpackages has no cycle: a cycle makes the result of
+``import repro.X`` depend on what was imported before it.  Imports under
+``if TYPE_CHECKING:`` and inside functions do not run at import time and
+are allowed.
 """
 
 import ast
@@ -14,6 +17,7 @@ import pytest
 import repro.analysis
 
 ANALYSIS_DIR = Path(repro.analysis.__file__).parent
+REPRO_DIR = ANALYSIS_DIR.parent
 
 
 def import_time_modules(tree: ast.Module):
@@ -69,3 +73,68 @@ def test_checker_sees_through_type_checking_and_functions():
     found = [mod for _, mod in import_time_modules(tree)
              if _imports_core(mod)]
     assert found == ["repro.core"]
+
+
+def _subpackage(module: str):
+    """``analysis`` for ``repro.analysis.sharing``; None outside ``repro``."""
+    parts = module.split(".")
+    return parts[1] if len(parts) > 1 and parts[0] == "repro" else None
+
+
+def subpackage_graph():
+    """{subpackage: set of other subpackages it imports at import time}."""
+    graph = {}
+    for path in sorted(REPRO_DIR.rglob("*.py")):
+        rel = path.relative_to(REPRO_DIR.parent).with_suffix("")
+        src = _subpackage(".".join(rel.parts))
+        if src is None or src == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        deps = graph.setdefault(src, set())
+        for _, mod in import_time_modules(tree):
+            dst = _subpackage(mod)
+            if dst in (None, src):
+                continue
+            if ((REPRO_DIR / dst).is_dir()
+                    or (REPRO_DIR / f"{dst}.py").exists()):
+                deps.add(dst)
+    return graph
+
+
+def find_cycle(graph):
+    """One cycle as a node list (first node repeated at the end), or None."""
+    state = {}
+
+    def visit(node, stack):
+        state[node] = "open"
+        stack.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == "open":
+                return stack[stack.index(nxt):] + [nxt]
+            if nxt not in state:
+                found = visit(nxt, stack)
+                if found:
+                    return found
+        stack.pop()
+        state[node] = "done"
+        return None
+
+    for node in sorted(graph):
+        if node not in state:
+            found = visit(node, [])
+            if found:
+                return found
+    return None
+
+
+def test_subpackage_import_graph_is_acyclic():
+    graph = subpackage_graph()
+    assert {"analysis", "memory", "suites", "workloads"} <= set(graph)
+    cycle = find_cycle(graph)
+    assert cycle is None, " -> ".join(cycle)
+
+
+def test_cycle_finder_reports_a_cycle():
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == [
+        "a", "b", "c", "a"]
+    assert find_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None

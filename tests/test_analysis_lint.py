@@ -11,7 +11,7 @@ from repro.analysis.lint import (
     render_findings,
 )
 from repro.analysis.sharing import analyze_trace, predict_plan
-from repro.analysis.symbols import Symbol
+from repro.memory.symbols import Symbol
 from repro.trace.access import ProgramTrace, make_thread
 from repro.workloads.base import RunConfig
 from repro.workloads.plan import PlanBuilder

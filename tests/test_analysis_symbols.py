@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis.symbols import SYMBOL_KINDS, Symbol, SymbolTable
+from repro.memory.symbols import SYMBOL_KINDS, Symbol, SymbolTable
+from repro.analysis.crosscheck import canonical_case
 from repro.memory.layout import LINE_SIZE, ArrayLayout, line_of
+from repro.suites import all_programs
 from repro.workloads.base import RunConfig
 from repro.workloads.registry import all_workloads
 
@@ -118,9 +120,20 @@ class TestSymbolTable:
         assert bases == sorted(bases)
 
 
+def _orphan_lines(workload, cfg):
+    """Traced lines of one case that no symbol of its plan owns."""
+    plan = workload.plan(cfg)
+    trace = workload.trace(cfg)
+    traced = np.unique(np.concatenate(
+        [line_of(th.addrs) for th in trace.threads]))
+    return [hex(int(x) * LINE_SIZE) for x in traced.tolist()
+            if not plan.symbols.line_owners(int(x))]
+
+
 class TestRegistryCoverage:
-    """Acceptance: every traced line of every registry workload resolves
-    to at least one named object via the plan's symbol table."""
+    """Acceptance: every traced line of every registry workload and every
+    suite program resolves to at least one named object via the plan's
+    symbol table."""
 
     @pytest.mark.parametrize(
         "workload", all_workloads(), ids=lambda w: w.name)
@@ -129,12 +142,16 @@ class TestRegistryCoverage:
         for mode in sorted(workload.modes, key=lambda m: m.value):
             cfg = RunConfig(threads=t, mode=mode,
                             size=workload.train_sizes[0], pattern="random")
-            plan = workload.plan(cfg)
-            trace = workload.trace(cfg)
-            traced = np.unique(np.concatenate(
-                [line_of(th.addrs) for th in trace.threads]))
-            orphans = [int(x) for x in traced.tolist()
-                       if not plan.symbols.line_owners(int(x))]
+            orphans = _orphan_lines(workload, cfg)
             assert not orphans, (
                 f"{workload.name}/{mode.value}: traced lines without a "
-                f"named object: {[hex(x * LINE_SIZE) for x in orphans]}")
+                f"named object: {orphans}")
+
+    @pytest.mark.parametrize(
+        "program", all_programs(), ids=lambda p: p.name)
+    def test_every_suite_traced_line_symbolized(self, program):
+        case = canonical_case(program)
+        orphans = _orphan_lines(program, case)
+        assert not orphans, (
+            f"{program.name}[{case.run_id()}]: traced lines without a "
+            f"named object: {orphans}")

@@ -36,6 +36,14 @@ class TestStableHash:
         with pytest.raises(TypeError):
             stable_hash(3.14)
 
+    def test_ints_beyond_128_bits(self):
+        # The 128-bit encoding of narrower ints is pinned (every workload
+        # seed derives from it); wider ints hash without overflowing.
+        assert stable_hash(5) == 972830083984877408
+        assert stable_hash(-(1 << 127)) == 12526373239255914685
+        wide = [1 << 127, -(1 << 127) - 1, 1 << 200]
+        assert len({stable_hash(x) for x in wide}) == 3
+
     @given(st.lists(st.one_of(st.integers(), st.text()), max_size=5))
     def test_hash_is_pure(self, parts):
         assert stable_hash(*parts) == stable_hash(*parts)
