@@ -13,7 +13,6 @@ Reproduces the paper's diagnosis end to end:
 First run takes a few minutes (training + simulations); results are cached.
 """
 
-from repro.baselines import ShadowMemoryDetector
 from repro.experiments.context import PipelineContext
 from repro.suites import get_program
 from repro.suites.base import SuiteCase
@@ -57,12 +56,11 @@ def main() -> None:
           f"({par / seq:.1f}x slower with 6 threads!)")
 
     print("\n=== shadow-memory oracle confirmation (paper Table 7) ===")
-    oracle = ShadowMemoryDetector()
     for inp in inputs:
         for opt in opts:
             for t in (3, 6):
                 case = SuiteCase(inp, opt, t)
-                rate = oracle.run(lr.trace(case)).fs_rate
+                rate = ctx.shadow_report(lr, case).fs_rate
                 ours = classified.labels[case]
                 print(f"  {inp:6s} {opt} T={t}: fs-rate={rate:.6f} "
                       f"{'(FS present)' if rate > 1e-3 else '(no FS)':13s}"

@@ -12,7 +12,6 @@ This script reproduces all four observations.
 
 from collections import Counter
 
-from repro.baselines import ShadowMemoryDetector
 from repro.experiments.context import PipelineContext
 from repro.suites import get_program
 from repro.suites.base import SuiteCase
@@ -58,12 +57,10 @@ def main() -> None:
           "and the verdict swing with them — paper Section 4.3)")
 
     print("\n=== oracle rates by input (paper Table 9; native too slow) ===")
-    oracle = ShadowMemoryDetector()
     for inp in ("simsmall", "simmedium", "simlarge"):
         for opt in opts:
-            rates = []
-            for t in (4, 8):
-                rates.append(oracle.run(sc.trace(SuiteCase(inp, opt, t))).fs_rate)
+            rates = [ctx.shadow_report(sc, SuiteCase(inp, opt, t)).fs_rate
+                     for t in (4, 8)]
             marks = ["FS" if r > 1e-3 else "no-FS" for r in rates]
             print(f"  {inp:10s} {opt}: T4 {rates[0]:.6f} ({marks[0]}), "
                   f"T8 {rates[1]:.6f} ({marks[1]})")

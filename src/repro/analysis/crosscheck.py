@@ -31,7 +31,8 @@ one :class:`CaseRecord` per case with both views of it:
   symbolic model (documented in DESIGN.md).
 
 Simulations are prefetched through :class:`repro.parallel.ExecutionEngine`,
-oracle runs (with per-line tracking) fan out over the same pool, and the
+oracle reports (with per-line attribution) come from the pipeline
+context's oracle cache, whose misses fan out over the same pool, and the
 cheap symbolic passes run in the parent.
 """
 
@@ -47,12 +48,7 @@ from repro.analysis.sharing import (
     SharingReport,
     analyze_trace,
 )
-from repro.baselines.shadow import (
-    FS_RATE_THRESHOLD,
-    MAX_THREADS,
-    ShadowMemoryDetector,
-    ShadowReport,
-)
+from repro.baselines.shadow import FS_RATE_THRESHOLD, MAX_THREADS, ShadowReport
 from repro.errors import WorkloadError
 from repro.suites import all_programs
 from repro.suites.base import SuiteCase, SuiteProgram
@@ -61,8 +57,7 @@ from repro.workloads.base import RunConfig, Workload
 from repro.workloads.registry import mt_miniprograms, seq_miniprograms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.detector import FalseSharingDetector
-    from repro.parallel import ExecutionEngine
+    from repro.experiments.context import PipelineContext
 
 #: Thread counts the default grid sweeps (the oracle refuses more than 8).
 DEFAULT_THREADS = (2, 6)
@@ -474,41 +469,27 @@ class CrossChecker:
 
     A grid is a list of ``(target, config)`` pairs: registry workloads
     with :class:`RunConfig` (:func:`default_grid`) or suite programs with
-    :class:`SuiteCase` (:func:`suite_grid`).
+    :class:`SuiteCase` (:func:`suite_grid`).  ``ctx`` is a
+    :class:`~repro.experiments.context.PipelineContext`, or anything with
+    its ``detector``, ``engine`` and ``shadow_reports``: the oracle's
+    reports come from its cache, so a case any earlier run shadowed (the
+    suite's verification grid, another sweep) is not shadowed again.
     """
 
-    def __init__(
-        self,
-        detector: "FalseSharingDetector",
-        shadow: Optional[ShadowMemoryDetector] = None,
-        engine: Optional["ExecutionEngine"] = None,
-    ) -> None:
-        self.detector = detector
-        self.shadow = shadow or ShadowMemoryDetector()
+    def __init__(self, ctx: "PipelineContext") -> None:
+        self.ctx = ctx
         self.predictor = PredictiveAnalyzer()
-        if engine is None:
-            from repro.parallel import ExecutionEngine
-
-            engine = ExecutionEngine()
-        self.engine = engine
 
     def run(self, grid: Optional[Sequence[Tuple]] = None) -> CrossCheckReport:
         grid = list(grid) if grid is not None else default_grid()
-        lab = self.detector.lab
+        detector = self.ctx.detector
         # The expensive axes fan out over the worker pool; the parent then
-        # consumes cache hits (tree) and precomputed oracle reports in grid
-        # order, so results are identical for any worker count.
-        self.engine.prefetch_simulations(lab, grid)
-        oracles = self.engine.shadow_batch(
-            [(w.name, cfg) for w, cfg in grid],
-            chunk=lab.chunk,
-            max_threads=self.shadow.max_threads,
-            fast=self.shadow.fast,
-            track_lines=True,
-        )
-        records = [self._record(w, cfg, oracle)
-                   for (w, cfg), oracle in zip(grid, oracles)]
-        lab.flush()
+        # consumes cache hits (tree and oracle) in grid order, so results
+        # are identical for any worker count.
+        self.ctx.engine.prefetch_simulations(detector.lab, grid)
+        records = [self._record(w, cfg, oracle) for (w, cfg), oracle
+                   in zip(grid, self.ctx.shadow_reports(grid))]
+        detector.lab.flush()
         return CrossCheckReport(records)
 
     def _record(self, w, cfg, oracle: ShadowReport) -> CaseRecord:
@@ -528,7 +509,7 @@ class CrossChecker:
             static_significance=static.fs_significance,
             shadow_fs=rate > FS_RATE_THRESHOLD,
             shadow_rate=rate,
-            tree_label=self.detector.classify(w, cfg).label,
+            tree_label=self.ctx.detector.classify(w, cfg).label,
         )
         if pred is not None:
             rec.predict_label = pred.verdict

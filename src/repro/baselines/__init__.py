@@ -6,7 +6,6 @@ from repro.baselines.shadow import (
     MAX_THREADS,
     ShadowMemoryDetector,
     ShadowReport,
-    false_sharing_rate,
 )
 from repro.baselines.sheriff import (
     SIGNIFICANCE_THRESHOLD,
@@ -21,7 +20,6 @@ __all__ = [
     "MAX_THREADS",
     "ShadowMemoryDetector",
     "ShadowReport",
-    "false_sharing_rate",
     "SIGNIFICANCE_THRESHOLD",
     "SheriffDetector",
     "SheriffReport",

@@ -16,7 +16,7 @@ the monitored program down about 5x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,10 +24,6 @@ from repro.errors import BaselineError
 from repro.trace.access import ProgramTrace
 from repro.trace.streams import (DEFAULT_CHUNK, DEFAULT_SEGMENT,
                                  interleave_stream)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel import ExecutionEngine
-    from repro.suites.base import SuiteCase
 
 #: [33]'s decision threshold on the false-sharing rate.
 FS_RATE_THRESHOLD = 1e-3
@@ -67,7 +63,7 @@ class ShadowReport:
 
     @property
     def counts(self) -> Tuple[int, int, int, int]:
-        """What caches keep; ``ShadowReport(*counts, nthreads=n)`` rebuilds."""
+        """The fs, ts and cold misses and the instructions executed."""
         return (self.fs_misses, self.ts_misses, self.cold_misses,
                 self.instructions)
 
@@ -235,7 +231,6 @@ class ShadowMemoryDetector:
                       else {k: tuple(v) for k, v in per_line.items()}),
         )
 
-
     def run_store(self, path, chunk: int = DEFAULT_CHUNK) -> ShadowReport:
         """Shadow a program persisted as a binary trace store.
 
@@ -246,31 +241,3 @@ class ShadowMemoryDetector:
         from repro.trace.store import open_program
 
         return self.run(open_program(path), chunk=chunk)
-
-    def run_many(
-        self,
-        cases: Sequence[Tuple[str, "SuiteCase"]],
-        chunk: int = DEFAULT_CHUNK,
-        jobs: Optional[int] = None,
-        engine: Optional["ExecutionEngine"] = None,
-    ) -> List[ShadowReport]:
-        """Shadow ``(program_name, case)`` pairs, optionally in parallel.
-
-        Oracle runs are independent and deterministic, so fanning them over
-        worker processes returns the exact reports a serial sweep would, in
-        input order, with ``per_line`` when this detector tracks lines.
-        """
-        if engine is None:
-            from repro.parallel import ExecutionEngine
-
-            engine = ExecutionEngine(jobs)
-        return engine.shadow_batch(list(cases), chunk, self.max_threads,
-                                   fast=self.fast,
-                                   track_lines=self.track_lines)
-
-
-def false_sharing_rate(
-    program: ProgramTrace, chunk: int = DEFAULT_CHUNK
-) -> float:
-    """One-shot convenience: the [33] false-sharing rate of a trace."""
-    return ShadowMemoryDetector().run(program, chunk=chunk).fs_rate

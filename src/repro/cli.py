@@ -307,10 +307,7 @@ def analyze_main(argv: Optional[Sequence[str]] = None) -> int:
                 grid = default_grid(threads=threads)
             except ValueError as exc:  # the oracle's thread cap
                 parser.error(str(exc))
-            ctx = default_context()
-            checker = CrossChecker(ctx.detector, shadow=ctx.shadow,
-                                   engine=ctx.engine)
-            report = checker.run(grid)
+            report = CrossChecker(default_context()).run(grid)
             print(report.to_json(indent=2) if args.json
                   else report.render())
             return 0 if not report.disagreements() else 1

@@ -10,14 +10,14 @@ simulation cache (both are :class:`repro.cache.ResultCache` instances).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.baselines.shadow import ShadowMemoryDetector, ShadowReport
 from repro.cache import ResultCache
 from repro.core.detector import FalseSharingDetector
 from repro.core.lab import Lab
 from repro.core.training import TrainingData, collect_training_data
-from repro.parallel import ExecutionEngine
+from repro.parallel import ExecutionEngine, shadow_task
 from repro.pmu.events import TABLE2_EVENTS
 from repro.suites import all_programs, get_program
 from repro.suites.base import SuiteCase, SuiteProgram
@@ -31,13 +31,20 @@ from repro.versioning import SHADOW_VERSION, SIM_VERSION
 SUITE_INTERFERENCE = 0.004
 
 
-def _valid_shadow_entry(value: Any) -> Optional[Tuple[int, ...]]:
-    """The shadow cache's ``admit``: 4 integer counts as a tuple, else None."""
-    if (isinstance(value, (tuple, list)) and len(value) == 4
+def _valid_shadow_entry(value: Any) -> Optional[ShadowReport]:
+    """The shadow cache's ``admit``: a :class:`ShadowReport` with integer
+    counts and its ``per_line`` dict, else None (so a counts-only entry of
+    an older cache is dropped, never read as a report)."""
+    if (isinstance(value, ShadowReport) and isinstance(value.per_line, dict)
             and all(isinstance(v, int) and not isinstance(v, bool)
-                    for v in value)):
-        return tuple(value)
+                    for v in value.counts)):
+        return value
     return None
+
+
+def _shadow_key(program, case) -> Tuple[Hashable, ...]:
+    """The oracle-cache key of one ``(target, case)`` pair."""
+    return (program.name,) + tuple(program.cache_key(case))
 
 
 @dataclass
@@ -81,8 +88,10 @@ class PipelineContext:
     ) -> None:
         self.lab = lab or Lab()
         self.engine = engine or ExecutionEngine(jobs)
-        #: The oracle used for verification; replaceable (e.g. ``fast=False``
-        #: selects its reference scalar loop for A/B measurements).
+        #: The oracle settings used for verification; replaceable (e.g.
+        #: ``fast=False`` selects its reference scalar loop for A/B
+        #: measurements).  Oracle runs always track lines, whatever its
+        #: ``track_lines`` says: every cache entry carries ``per_line``.
         self.shadow = ShadowMemoryDetector()
         self._training: Optional[TrainingData] = None
         self._detector: Optional[FalseSharingDetector] = None
@@ -154,19 +163,31 @@ class PipelineContext:
 
     # ------------------------------------------------------------ shadow oracle
 
-    def shadow_report(self, program: SuiteProgram, case: SuiteCase) -> ShadowReport:
-        def run() -> Tuple[int, int, int, int]:
+    def _oracle(self) -> ShadowMemoryDetector:
+        """:attr:`shadow`'s settings, tracking lines."""
+        return ShadowMemoryDetector(max_threads=self.shadow.max_threads,
+                                    track_lines=True, fast=self.shadow.fast)
+
+    def shadow_report(self, program, case) -> ShadowReport:
+        """The oracle's report, ``per_line`` included, for one suite
+        program or registry workload case (cached)."""
+        def run() -> ShadowReport:
             with TELEMETRY.span("shadow.run", program=program.name,
                                 case=case.run_id()):
-                return self.shadow.run(program.trace(case),
-                                       chunk=self.lab.chunk).counts
+                return self._oracle().run(program.trace(case),
+                                          chunk=self.lab.chunk)
 
-        counts = self.shadow_cache.get_or_compute(
-            (program.name,) + tuple(program.cache_key(case)), run)
-        return ShadowReport(*counts, nthreads=case.threads)
+        return self.shadow_cache.get_or_compute(_shadow_key(program, case),
+                                                run)
+
+    def shadow_reports(self, pairs: Sequence[Tuple]) -> List[ShadowReport]:
+        """:meth:`shadow_report` of each ``(target, case)`` pair, in order;
+        the misses first fan out over the engine's worker pool."""
+        self._prefetch_shadow(pairs)
+        return [self.shadow_report(program, case) for program, case in pairs]
 
     def shadow_report_store(self, path) -> ShadowReport:
-        """Oracle counts for a persisted trace store, cached by digest.
+        """Oracle report for a persisted trace store, cached by digest.
 
         The cache key is the store's content digest (header field, O(1) to
         read), so the entry survives renames and copies and misses when the
@@ -177,32 +198,22 @@ class PipelineContext:
 
         store = open_store(path)
 
-        def run() -> Tuple[int, int, int, int]:
+        def run() -> ShadowReport:
             with TELEMETRY.span("shadow.run_store", digest=store.digest):
-                return self.shadow.run_store(path, chunk=self.lab.chunk).counts
+                return self._oracle().run_store(path, chunk=self.lab.chunk)
 
-        counts = self.shadow_cache.get_or_compute(
+        return self.shadow_cache.get_or_compute(
             ("store", store.digest, self.lab.chunk), run)
-        return ShadowReport(
-            *counts, nthreads=len(list(store.meta.get("threads") or [])) or 1)
 
-    def _prefetch_shadow(
-        self, pairs: List[Tuple[SuiteProgram, SuiteCase]]
-    ) -> None:
+    def _prefetch_shadow(self, pairs: Sequence[Tuple]) -> None:
         """Run missing oracle cases across the engine's worker pool."""
-        cases: Dict[Tuple, Tuple[str, SuiteCase]] = {}
-        for program, case in pairs:
-            cases.setdefault((program.name,) + tuple(program.cache_key(case)),
-                             (program.name, case))
-        keys = self.shadow_cache.missing(cases)
-        if self.engine.jobs <= 1 or len(keys) <= 1:
-            return
-        TELEMETRY.count("shadow.prefetch.dispatched", len(keys))
-        reports = self.engine.shadow_batch(
-            [cases[k] for k in keys], self.lab.chunk,
-            self.shadow.max_threads, fast=self.shadow.fast)
-        self.shadow_cache.update(zip(keys, (r.counts for r in reports)))
-        self.shadow_cache.flush()
+        n = self.engine.prefetch(
+            self.shadow_cache, pairs, _shadow_key,
+            lambda program, case: (program.name, case, self.lab.chunk,
+                                   self.shadow.max_threads, self.shadow.fast),
+            shadow_task)
+        if n:
+            TELEMETRY.count("shadow.prefetch.dispatched", n)
 
     # ------------------------------------------------------------ verification
 
@@ -216,23 +227,13 @@ class PipelineContext:
 
     def _verify_program(self, name: str, program: SuiteProgram,
                         classified: ClassifiedProgram) -> None:
-        self._prefetch_shadow(
-            [(program, case) for case in program.verification_cases()]
-        )
-        detail: List[Tuple[SuiteCase, float, str]] = []
-        actual_fs = detected_fs = 0
         cases = program.verification_cases()
-        for case in cases:
-            rate = self.shadow_report(program, case).fs_rate
-            label = classified.labels.get(case)
-            if label is None:
-                # Verification grids are subsets of classification grids;
-                # classify on demand if a case is outside (defensive).
-                vec = self.lab.measure(program, case, TABLE2_EVENTS)
-                label = self.detector.classify_vector(vec)
-            detail.append((case, rate, label))
-            actual_fs += int(rate > 1e-3)
-            detected_fs += int(label == "bad-fs")
+        reports = self.shadow_reports([(program, case) for case in cases])
+        # Verification cases are a subset of the classification grid.
+        detail = [(case, report.fs_rate, classified.labels[case])
+                  for case, report in zip(cases, reports)]
+        actual_fs = sum(int(rate > 1e-3) for _, rate, _ in detail)
+        detected_fs = sum(int(label == "bad-fs") for _, _, label in detail)
         n = len(cases)
         self._verified[name] = VerifiedProgram(
             name=name,

@@ -16,14 +16,10 @@ from repro.experiments.base import ExperimentResult, experiment
 from repro.experiments.context import PipelineContext
 
 
-def _checker(ctx: PipelineContext) -> CrossChecker:
-    return CrossChecker(ctx.detector, shadow=ctx.shadow, engine=ctx.engine)
-
-
 @experiment("crosscheck",
             "Predict × static × shadow × tree disagreement matrix")
 def crosscheck(ctx: PipelineContext) -> ExperimentResult:
-    report = _checker(ctx).run(default_grid())
+    report = CrossChecker(ctx).run(default_grid())
     return ExperimentResult(
         exp_id="crosscheck",
         title="Predict × static × shadow × tree disagreement matrix",
@@ -41,7 +37,7 @@ def crosscheck(ctx: PipelineContext) -> ExperimentResult:
 @experiment("predict-validation",
             "Predicted false-shared lines vs shadow-oracle attribution")
 def predict_validation(ctx: PipelineContext) -> ExperimentResult:
-    checker = _checker(ctx)
+    checker = CrossChecker(ctx)
     registry = checker.run(default_grid(threads=(4,)))
     suite = checker.run(suite_grid())
     text = ("— registry sweep —\n" + registry.render()

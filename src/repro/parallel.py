@@ -115,14 +115,16 @@ def _simulate_store_task(task: Tuple) -> Tuple[object, int]:
     return result, rss_kib
 
 
-def _shadow_task(task: Tuple) -> object:
-    """Worker: run the shadow-memory oracle on one case; its ShadowReport."""
-    name, case, chunk, max_threads, fast, track_lines = task
+def shadow_task(task: Tuple) -> object:
+    """Worker: the shadow-memory oracle's :class:`ShadowReport` of one case,
+    ``per_line`` included (a task is ``(name, case, chunk, max_threads,
+    fast)``)."""
+    name, case, chunk, max_threads, fast = task
     from repro.baselines.shadow import ShadowMemoryDetector
 
     program = resolve_target(name)
     return ShadowMemoryDetector(max_threads=max_threads, fast=fast,
-                                track_lines=track_lines).run(
+                                track_lines=True).run(
         program.trace(case), chunk=chunk)
 
 
@@ -215,34 +217,43 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------- prefetch
 
-    def prefetch_simulations(self, lab, pairs: Sequence[Tuple]) -> int:
-        """Simulate missing ``(workload, cfg)`` cases in parallel.
+    def prefetch(self, cache, pairs: Iterable[Tuple], key: Callable,
+                 task: Callable, fn: Callable) -> int:
+        """Compute the ``(target, case)`` pairs ``cache`` lacks in parallel.
 
-        Results are installed in ``lab``'s run cache; the caller then runs
-        its normal serial loop, which finds every case already simulated.
-        Cases whose workload is not resolvable by registry name (a caller
-        passing some ad-hoc object) are skipped and simply get simulated
-        serially by that loop.  Returns the number of cases dispatched.
+        ``key(target, case)`` is a pair's cache key and ``task(target,
+        case)`` the picklable tuple ``fn`` runs in a worker.  Results are
+        installed in ``cache`` and flushed; the caller then runs its normal
+        serial loop, which finds every case already computed.  A serial
+        engine or a single miss dispatches nothing, and targets that are
+        not resolvable by registry name (some ad-hoc object) are skipped:
+        that loop computes them.  Returns the number of cases dispatched.
         """
         if self.jobs <= 1:
             return 0
-        tasks = {}
-        for workload, cfg in pairs:
+        cases = {}
+        for target, case in pairs:
             try:
-                if resolve_target(workload.name) is not workload:
+                if resolve_target(target.name) is not target:
                     continue
             except ReproError:
                 continue
-            tasks.setdefault(lab.simulation_key(workload, cfg),
-                             (workload.name, cfg, lab.spec, lab.latency,
-                              lab.prefetch, lab.fast, lab.chunk))
-        keys = lab.sim_cache.missing(tasks)
+            cases.setdefault(key(target, case), (target, case))
+        keys = cache.missing(cases)
         if len(keys) <= 1:
             return 0
-        lab.sim_cache.update(
-            zip(keys, self.map(_simulate_task, [tasks[k] for k in keys])))
-        lab.flush()
+        cache.update(zip(keys, self.map(fn, [task(*cases[k]) for k in keys])))
+        cache.flush()
         return len(keys)
+
+    def prefetch_simulations(self, lab, pairs: Sequence[Tuple]) -> int:
+        """:meth:`prefetch` of ``(workload, cfg)`` simulations into
+        ``lab``'s run cache."""
+        return self.prefetch(
+            lab.sim_cache, pairs, lab.simulation_key,
+            lambda w, cfg: (w.name, cfg, lab.spec, lab.latency, lab.prefetch,
+                            lab.fast, lab.chunk),
+            _simulate_task)
 
     def simulate_stores(
         self,
@@ -270,23 +281,3 @@ class ExecutionEngine:
         tasks = [(str(p), spec, latency, prefetch, fast, chunk)
                  for p in paths]
         return self.map(_simulate_store_task, tasks)
-
-    def shadow_batch(
-        self,
-        cases: Sequence[Tuple],
-        chunk: int,
-        max_threads: int,
-        fast: bool = True,
-        track_lines: bool = False,
-    ) -> List:
-        """Oracle :class:`~repro.baselines.shadow.ShadowReport` objects for
-        ``(program_name, case)`` pairs, in order.
-
-        ``fast`` toggles the oracle's numpy prefilter and must be a bool;
-        ``track_lines`` collects each report's ``per_line`` attribution.
-        """
-        if not isinstance(fast, bool):
-            raise ReproError(f"fast must be a bool, got {fast!r}")
-        tasks = [(name, case, chunk, max_threads, fast, track_lines)
-                 for name, case in cases]
-        return self.map(_shadow_task, tasks)

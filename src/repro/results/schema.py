@@ -286,6 +286,12 @@ def _validation_metrics(doc: Dict[str, Any],
         v = _num(doc.get(key))
         if v is not None:
             out.append(Metric(prefix + key, v, "frac", direction))
+    dis = doc.get("disagreements")
+    if isinstance(dis, list):
+        # Trended, not gated: the suite sweep has a known verdict
+        # disagreement that a bound of 0 would fail on every run.
+        out.append(Metric(prefix + "disagreements", float(len(dis)),
+                          "cases", "info"))
     for sweep in ("registry", "suite"):
         sub = doc.get(sweep)
         if isinstance(sub, dict):

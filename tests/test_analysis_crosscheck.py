@@ -13,15 +13,23 @@ from repro.analysis.crosscheck import (
     canonical_case,
     default_grid,
 )
-from repro.baselines.shadow import ShadowMemoryDetector
 from repro.experiments import exp_crosscheck
-from repro.parallel import ExecutionEngine
+from repro.experiments.context import PipelineContext
 from repro.results.schema import classify_payload, extract_metrics
 from repro.suites import get_program
+from repro.telemetry.core import TELEMETRY
 from repro.workloads.base import Mode, RunConfig
 from repro.workloads.registry import get_workload
 
 from tests.test_core_detector import fitted  # noqa: F401  (reuse fixture)
+
+
+def oracle_context(detector, jobs=1):
+    """What :class:`CrossChecker` reads of a pipeline context, around an
+    already-fitted detector (so nothing is trained)."""
+    ctx = PipelineContext(lab=detector.lab, jobs=jobs)
+    return SimpleNamespace(detector=detector, engine=ctx.engine,
+                           shadow_reports=ctx.shadow_reports)
 
 
 def rec(**kw):
@@ -139,8 +147,7 @@ class TestCrossChecker:
             (psums, RunConfig(threads=2, mode="bad-fs", size=2000)),
             (seq_w, RunConfig(threads=1, mode="good", size=20_000)),
         ]
-        checker = CrossChecker(fitted, engine=ExecutionEngine(1))
-        return checker.run(grid)
+        return CrossChecker(oracle_context(fitted)).run(grid)
 
     def test_one_record_per_case(self, result):
         assert len(result.records) == 3
@@ -168,14 +175,34 @@ class TestCrossChecker:
         assert bad.oracle_lines and bad.matched == bad.predicted_lines
         assert not good.predicted_lines and not good.oracle_lines
 
+    def test_second_run_reads_the_oracle_cache(self, fitted):  # noqa: F811
+        psums = get_workload("psums")
+        grid = [(psums, RunConfig(threads=t, mode="bad-fs", size=1500))
+                for t in (2, 3)]
+        checker = CrossChecker(oracle_context(fitted, jobs=2))
+        TELEMETRY.enable(reset=True)
+        try:
+            first = checker.run(grid)
+            assert TELEMETRY.counters["shadow.prefetch.dispatched"] == 2
+            second = checker.run(grid)
+            counters = dict(TELEMETRY.counters)
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        # The second sweep dispatched no oracle task and computed none:
+        # every report came from the context's cache, line sets included.
+        assert counters["shadow.prefetch.dispatched"] == 2
+        assert counters.get("shadow.cache.miss", 0) == 0
+        assert counters["shadow.cache.hit"] == 4
+        assert second.to_json() == first.to_json()
+
 
 class TestPayloadContract:
     """Both experiments' ``data`` still classify and trend as before."""
 
     @pytest.fixture(scope="class")
     def ctx(self, fitted):  # noqa: F811
-        return SimpleNamespace(detector=fitted, shadow=ShadowMemoryDetector(),
-                               engine=ExecutionEngine(1))
+        return oracle_context(fitted)
 
     @pytest.fixture(autouse=True)
     def small_grids(self, monkeypatch):
@@ -203,5 +230,5 @@ class TestPayloadContract:
         names = [m.name for m in extract_metrics("validate", data)]
         assert names == [f"{sweep}.{key}" for sweep in ("registry", "suite")
                          for key in ("line_precision", "line_recall",
-                                     "verdict_agreement")]
+                                     "verdict_agreement", "disagreements")]
         assert data["suite"]["n_cases"] == 1

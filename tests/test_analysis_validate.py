@@ -11,17 +11,17 @@ from repro.analysis.crosscheck import (
     suite_grid,
 )
 from repro.baselines.shadow import MAX_THREADS
-from repro.parallel import ExecutionEngine
 from repro.suites import all_programs
 from repro.workloads.base import RunConfig
 from repro.workloads.registry import get_workload
 
+from tests.test_analysis_crosscheck import oracle_context
 from tests.test_core_detector import fitted  # noqa: F401  (reuse fixture)
 
 
 @pytest.fixture(scope="module")
 def checker(fitted):  # noqa: F811
-    return CrossChecker(fitted, engine=ExecutionEngine(1))
+    return CrossChecker(oracle_context(fitted))
 
 
 def small_grid(names=("psums", "false1", "seq_rmw")):

@@ -22,6 +22,7 @@ from repro.core.training import (
     collect_plan,
 )
 from repro.errors import ReproError
+from repro.experiments.context import PipelineContext
 from repro.parallel import (
     ExecutionEngine,
     default_jobs,
@@ -159,23 +160,16 @@ class TestClassifyDeterminism:
 
 
 class TestShadowDeterminism:
-    @pytest.mark.parametrize("fast", ["fsat", "ref", 0])
-    def test_shadow_batch_fast_must_be_a_bool(self, fast):
+    def test_context_oracle_fanout_matches_serial(self):
         p = get_program("linear_regression")
-        case = p.verification_cases()[0]
-        with pytest.raises(ReproError, match="fast must be a bool"):
-            ExecutionEngine(1).shadow_batch([(p.name, case)], chunk=4,
-                                            max_threads=8, fast=fast)
-
-    def test_run_many_matches_serial(self):
-        p = get_program("linear_regression")
-        cases = p.verification_cases()[:3]
-        det = ShadowMemoryDetector()
-        serial = [det.run(p.trace(c)) for c in cases]
-        batch = det.run_many([(p.name, c) for c in cases],
-                             engine=ExecutionEngine(2))
-        for a, b in zip(serial, batch):
-            assert (a.fs_misses, a.ts_misses, a.cold_misses,
-                    a.instructions, a.nthreads) == \
-                   (b.fs_misses, b.ts_misses, b.cold_misses,
-                    b.instructions, b.nthreads)
+        pairs = [(p, c) for c in p.verification_cases()[:3]]
+        serial = PipelineContext(lab=Lab(disk_cache=None), jobs=1)
+        parallel = PipelineContext(lab=Lab(disk_cache=None), jobs=2)
+        # The oracle settings say no line tracking; the context's
+        # fan-out tracks lines anyway, at any worker count.
+        serial.shadow = parallel.shadow = ShadowMemoryDetector()
+        a = serial.shadow_reports(pairs)
+        b = parallel.shadow_reports(pairs)
+        assert a == b
+        assert all(isinstance(r.per_line, dict) for r in a)
+        assert any(r.per_line for r in a)

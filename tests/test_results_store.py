@@ -184,6 +184,26 @@ def test_store_ingests_serve_rungs(tmp_path):
         assert len(store.runs()) == 1  # nothing half-ingested
 
 
+def test_store_ingests_validation_disagreements_as_info(tmp_path):
+    # Each sweep's verdict disagreements are trended, never gated: the
+    # suite sweep of predict-validation has one known disagreement.
+    def sweep(disagreements):
+        return {"line_precision": 0.79, "line_recall": 1.0,
+                "verdict_agreement": 1.0, "disagreements": disagreements}
+
+    doc = {"report": "predict-validation", "registry": sweep([]),
+           "suite": sweep(["histogram[10MB-O0-t6]"])}
+    with ResultsStore(tmp_path / "r.db") as store:
+        outcome = store.ingest(doc, source="validate.json")
+        metrics = {m.name: m for m in store.metrics_for(outcome.run_id)}
+    assert outcome.kind == "validate"
+    for name, n in (("registry.disagreements", 0.0),
+                    ("suite.disagreements", 1.0)):
+        assert metrics[name].value == n
+        assert metrics[name].direction == "info"
+        assert metrics[name].bound is None
+
+
 def test_extract_refuses_empty_payload():
     with pytest.raises(ResultsError):
         extract_metrics("bench", {"bench": "simulator-throughput",

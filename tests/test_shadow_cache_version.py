@@ -25,6 +25,7 @@ import pytest
 
 import repro
 from repro.cache import ResultCache
+from repro.baselines.shadow import ShadowReport
 from repro.coherence.machine import SCALED_WESTMERE, SimulationResult
 from repro.core.lab import Lab
 from repro.experiments.context import PipelineContext, _valid_shadow_entry
@@ -36,6 +37,8 @@ from repro.versioning import SHADOW_VERSION, SIM_VERSION
 
 KEY = ("some_program", "simsmall", "-O2", 4)
 COUNTS = (11, 22, 33, 44)
+REPORT = ShadowReport(*COUNTS, nthreads=4, per_line={7: (11, 2), 9: (0, 20)})
+QUIET = ShadowReport(0, 0, 5, 100, nthreads=2, per_line={})
 RESULT = SimulationResult(
     counts={"INST_RETIRED.ANY": 1.0e6}, cycles_per_core=[1.0, 2.0],
     instructions_per_core=[5, 6], seconds=0.5, nthreads=2,
@@ -46,7 +49,7 @@ RESULT = SimulationResult(
 #: entry in another accepted form, and how that second one reads back.
 CACHES = {
     "sim": ((SIM_VERSION,), RESULT, RESULT, RESULT),
-    "shadow": ((SIM_VERSION, SHADOW_VERSION), COUNTS, list(COUNTS), COUNTS),
+    "shadow": ((SIM_VERSION, SHADOW_VERSION), REPORT, QUIET, QUIET),
 }
 
 
@@ -129,7 +132,7 @@ def test_disk_cache_disabled_has_no_path(cache_dir):
     ctx = PipelineContext(lab=Lab(disk_cache=None), jobs=1)
     assert ctx.shadow_cache.path is None
     assert ctx.lab.sim_cache.path is None
-    ctx.shadow_cache.update([(KEY, COUNTS)])
+    ctx.shadow_cache.update([(KEY, REPORT)])
     ctx.shadow_cache.flush()  # must be a no-op, not an error
     ctx.lab.flush()
     assert list(cache_dir.iterdir()) == []
@@ -143,14 +146,38 @@ def test_disk_cache_disabled_has_no_path(cache_dir):
 
 
 def test_valid_shadow_entry_predicate():
-    assert _valid_shadow_entry((1, 2, 3, 4))
-    assert _valid_shadow_entry([0, 0, 0, 0])
-    assert not _valid_shadow_entry((1, 2, 3))          # wrong arity
-    assert not _valid_shadow_entry((1, 2, 3, 4, 5))
-    assert not _valid_shadow_entry((1.0, 2, 3, 4))     # non-int count
-    assert not _valid_shadow_entry((True, 2, 3, 4))    # bool is not a count
+    assert _valid_shadow_entry(REPORT) is REPORT
+    assert _valid_shadow_entry(QUIET) is QUIET         # no line misses
+    assert not _valid_shadow_entry(COUNTS)             # the old entry form
+    assert not _valid_shadow_entry(list(COUNTS))
+    assert not _valid_shadow_entry(
+        ShadowReport(*COUNTS, nthreads=4))             # no per_line
+    assert not _valid_shadow_entry(
+        ShadowReport(1.0, 2, 3, 4, nthreads=4, per_line={}))  # non-int count
+    assert not _valid_shadow_entry(
+        ShadowReport(True, 2, 3, 4, nthreads=4, per_line={}))  # bool
     assert not _valid_shadow_entry("1234")
     assert not _valid_shadow_entry(None)
+
+
+def test_counts_only_shadow_entry_dropped_not_read(cache_dir, caplog,
+                                                   telemetry):
+    # Four counts per case was the entry form before SHADOW_VERSION s2;
+    # such an entry under the current stamp must be discarded and
+    # counted, and a lookup must recompute a report with per-line
+    # attribution.
+    prog = _StubProgram()
+    case = SuiteCase("x", "-O2", 2)
+    key = (prog.name,) + tuple(prog.cache_key(case))
+    _write_payload("shadow", {key: COUNTS, KEY: REPORT})
+    with caplog.at_level("WARNING"):
+        ctx = _ctx()
+    assert ctx.shadow_cache._entries == {KEY: REPORT}
+    assert "dropped 1 mangled entries" in caplog.text
+    assert telemetry.counters["shadow.cache.dropped_entries"] == 1
+    rep = ctx.shadow_report(prog, case)
+    assert telemetry.counters["shadow.cache.miss"] == 1
+    assert rep.counts != COUNTS and isinstance(rep.per_line, dict)
 
 
 def test_mangled_entries_dropped_valid_kept(cache_dir, caplog, telemetry):
@@ -166,9 +193,8 @@ def test_mangled_entries_dropped_valid_kept(cache_dir, caplog, telemetry):
         _write_payload(kind, {KEY: value, other: alt, **mangled})
         with caplog.at_level("WARNING"):
             fresh = _cache(kind)
-        # Valid entries survive (oracle lists normalized to tuples);
-        # mangled ones are dropped — and will simply be recomputed on
-        # first use.
+        # Valid entries survive; mangled ones are dropped — and will
+        # simply be recomputed on first use.
         assert fresh._entries == {KEY: value, other: alt_read}, kind
         assert "dropped 4 mangled entries" in caplog.text
         assert telemetry.counters[f"{kind}.cache.dropped_entries"] == 4
@@ -218,10 +244,8 @@ def test_read_time_mangled_entry_recomputed_not_raised(cache_dir, caplog):
     assert isinstance(rep.instructions, int) and rep.instructions > 0
     # The recomputed entry replaced the mangled one.
     assert _valid_shadow_entry(ctx.shadow_cache._entries[key])
-    # A second read is now a clean hit with identical counts.
-    rep2 = ctx.shadow_report(prog, case)
-    assert (rep2.fs_misses, rep2.ts_misses, rep2.cold_misses) == (
-        rep.fs_misses, rep.ts_misses, rep.cold_misses)
+    # A second read is now a clean hit with an identical report.
+    assert ctx.shadow_report(prog, case) == rep
 
 
 # ------------------------------------------------------ explicit paths
