@@ -1,15 +1,14 @@
 """Bench: simulator throughput and pipeline wall time, tracked over PRs.
 
 Measures (a) raw ``MulticoreMachine`` drive throughput in accesses/second
-for every drive strategy — reference loop, run-compression, the
-line-partitioned kernel, and the shipping ``auto`` default — on the pinned
+for the Python spec loop and the shipping compiled drive on the pinned
 ``repro-bench`` trace grid (:func:`repro.telemetry.bench.drive_traces`, the
-same cases the CI ``bench`` job replays), with hard ``speedup_floor``
-checks on the contended traces, (b) the overhead of the telemetry hooks
+same cases the CI ``bench`` job replays), with a hard ``speedup_floor``
+check on every trace, (b) the overhead of the telemetry hooks
 in both their disabled (default) and enabled states, and (c) end-to-end
 ``classify_all`` + ``verify_all`` wall time for the pre-optimization
-configuration (serial, reference drive loop, unfiltered oracle) against
-the current one (parallel engine, fast drive path, filtered oracle).
+configuration (serial, spec drive loop, unfiltered oracle) against the
+current one (parallel engine, compiled drive, filtered oracle).
 Results land in ``BENCH_simulator.json`` at the repo root so future PRs
 can compare against the trajectory — CI ingests it with a fresh
 ``repro-bench`` result into a two-run ``repro-results`` store and gates
@@ -138,24 +137,17 @@ def test_simulator_throughput():
     }
 
     # The routing-coverage floor is hard: ≥95% of the 19-program grid's
-    # accesses must leave the scalar reference loop under 'auto'.
+    # accesses must stay off the Python spec loop.
     routing = payload["routing"]
     assert routing["coverage"] >= ROUTING_FLOOR, routing
     assert payload["store_workers"]["worker_peak_rss_kib"]
 
     for label, row in payload["drive"].items():
-        # The auto strategy must never lose (its probe routes each segment
-        # to run-compression, the line kernel, or the reference loop);
-        # allow a little timer noise.
-        assert (row["fast_accesses_per_s"] * 1.15
-                >= row["ref_accesses_per_s"]), label
-        for strat in ("ref", "runs", "lines"):
-            assert row[f"{strat}_accesses_per_s"] > 0, (label, strat)
-        # Contended traces carry a hard floor: the line kernel must keep
-        # paying off where the paper's signal actually lives.
-        floor = row.get("speedup_floor")
-        if floor:
-            assert row["speedup"] >= floor, (label, row["speedup"], floor)
+        assert row["ref_accesses_per_s"] > 0, label
+        assert row["strategy"] == "native", label
+        # Every trace carries a hard floor over the spec loop.
+        floor = row["speedup_floor"]
+        assert row["speedup"] >= floor, (label, row["speedup"], floor)
 
     tree = _mini_tree()
     t_before, labels_before, verdicts_before = _pipeline(

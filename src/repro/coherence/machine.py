@@ -6,36 +6,14 @@ L1D+L2 caches, a shared L3, per-core DTLBs, a next-line prefetcher, and a
 snooping bus with MESI coherence, and returns raw hardware event counts
 (the inputs to the PMU layer) plus a cycle-accurate-ish execution time.
 
-Performance note (per the HPC guides: profile, keep the hot loop tight): the
-access loop iterates plain Python lists, binds everything it touches to
-locals, and inlines the L1-hit fast path; only misses and upgrades call out
-to helper methods.
-
-The machine ships three drive strategies with pinned-identical event
-semantics (``fast`` selects one; see :meth:`MulticoreMachine.__init__`):
-
-* the **reference loop** (``fast=False`` / ``'ref'``): one Python iteration
-  per access — the executable specification and always-available oracle;
-* the **run-compression path** (``'runs'``): a numpy pre-screen extracts
-  cache-line/page columns in one shot and compresses the merged trace into
-  maximal runs of adjacent same-core same-line accesses.  Only the leading
-  access of each run (the one that can miss, RFO-upgrade, or walk the TLB)
-  executes the scalar reference logic; the tail of a run is retired in O(1)
-  because within a run no other core acts, so every tail access is an L1 hit
-  whose only architectural effects (line-fill-buffer hit accounting, an
-  E->M upgrade on the first store, the contender-epoch decay) are computable
-  in closed form.  ``tests/test_coherence_fastpath.py`` pins bit-identical
-  tallies against the reference loop;
-* the **line-partitioned kernel** (``'lines'``): stable-sorts the segment by
-  cache line and advances each line's MESI machine over its own access
-  subsequence, so fragmented or contended interleavings (where runs are
-  short and the run-compression path degenerates) still pay per coherence
-  *event* rather than per access.  See :mod:`repro.coherence.linekernel`.
-
-``fast=True`` (the default) resolves to ``'auto'``: a stratified probe
-routes compressible segments to run-compression and fragmented or
-line-churning (contended) segments to the line kernel, with the reference
-loop as the fallback when the line kernel's no-eviction precondition fails.
+The access loop is written twice.  ``_drive_ref`` is the executable
+specification: one Python iteration per access over plain lists, with the
+L1-hit fast path inlined and only misses and upgrades calling out to helper
+methods.  ``drive.c`` transliterates it, operation for operation, and
+:mod:`repro.coherence.native` builds and loads it; ``fast=True`` (the
+default) drives every window with the compiled loop and ``fast=False`` with
+the spec.  Both give bit-identical results (DESIGN §6).  Without a C
+compiler the machine warns once and drives with the spec.
 """
 
 from __future__ import annotations
@@ -47,6 +25,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.coherence import native
 from repro.coherence.cache import SetAssociativeCache
 from repro.coherence.protocol import EXCLUSIVE, MODIFIED, SHARED
 from repro.coherence.timing import DEFAULT_LATENCY, LatencyModel
@@ -62,40 +41,6 @@ from repro.trace.streams import (
 
 #: Accesses between resets of the per-line contender bitmasks.
 _CONTENTION_EPOCH = 8192
-
-#: Minimum mean run length (accesses per same-core same-line run) for the
-#: vectorized fast path to beat the per-access reference loop.  Below it the
-#: pre-screen materializes nearly one run per access and costs more than it
-#: saves, so such segments fall back to the reference loop (which is
-#: bit-identical by construction).
-_FAST_MIN_COMPRESSION = 1.6
-
-#: Accesses inspected to estimate a segment's run-length compression before
-#: committing to a vectorized path.  The probe is *stratified* — up to a
-#: third of the budget each from the segment's head, middle and tail — so a
-#: compressible prefix followed by a contended tail (or vice versa) cannot
-#: fool the gate the way a prefix-only probe could.
-_GATE_PROBE = 65536
-
-#: Minimum churn ratio (fraction of line-domain runs whose line was last
-#: touched by a *different* core within the probe sample) for ``'auto'`` to
-#: route a compressible segment to the line-partitioned kernel anyway: high
-#: churn means coherence events — the run-compression path's scalar slow
-#: path — dominate, which is exactly the regime the line kernel vectorizes.
-_CHURN_ROUTE = 0.25
-
-#: ``'auto'`` also routes to the line kernel when the probe finds at most
-#: this many line-domain runs per stream-domain run: the line kernel's
-#: scalar walk visits line-runs, so a sparser line domain means
-#: proportionally less scalar work than run-compression would do.
-_LINE_RUNS_ROUTE = 0.5
-
-#: Segments smaller than this skip the line kernel under ``'auto'``: its
-#: fixed numpy overhead (sorts, eligibility scan) cannot pay for itself.
-_LINES_MIN = 4096
-
-#: Drive strategies accepted by ``MulticoreMachine(fast=...)``.
-DRIVE_STRATEGIES = ("auto", "runs", "lines", "ref")
 
 
 @dataclass(frozen=True)
@@ -199,18 +144,6 @@ class SimulationResult:
         return self.counts.get(key, 0.0) / instr
 
 
-def _normalize_strategy(fast) -> str:
-    """Map the ``fast`` argument (bool or strategy name) to a strategy."""
-    if fast is True:
-        return "auto"
-    if fast is False:
-        return "ref"
-    if isinstance(fast, str) and fast in DRIVE_STRATEGIES:
-        return fast
-    raise SimulationError(
-        f"fast must be a bool or one of {DRIVE_STRATEGIES}, got {fast!r}")
-
-
 class MulticoreMachine:
     """Trace-driven simulator of a small cache-coherent multiprocessor."""
 
@@ -220,47 +153,33 @@ class MulticoreMachine:
         latency: Optional[LatencyModel] = None,
         prefetch: bool = True,
         hitm_sample_period: int = 0,
-        fast: "bool | str" = True,
-        fast_min_compression: float = _FAST_MIN_COMPRESSION,
+        fast: bool = True,
     ) -> None:
         """``hitm_sample_period`` > 0 enables PEBS-style sampling: every
         period-th HITM snoop records (requester core, holder core, byte
         address, is_write) into ``SimulationResult.hitm_samples`` — the raw
         material of a perf-c2c-style contention report.
 
-        ``fast`` selects the drive strategy; every strategy produces
-        identical event tallies (the vectorized ones exist purely for
-        throughput).  ``True`` means ``'auto'`` (probe each segment and pick
-        run-compression, the line kernel, or the reference loop), ``False``
-        means ``'ref'``, and the strings in :data:`DRIVE_STRATEGIES` force a
-        specific path — ``'lines'`` still falls back to the reference loop
-        when a segment fails the kernel's no-eviction precondition.
-
-        ``fast_min_compression`` gates the vectorized paths per segment:
-        when the trace's mean run length (accesses per same-core same-line
-        run) falls below it, run-compression cannot pay for itself and
-        ``'auto'`` tries the line kernel (then the reference loop) instead.
-        Set it to 0.0 to force the run-compression path regardless of
-        compression (used by the equivalence tests)."""
+        ``fast=True`` drives with the compiled loop (path ``'native'``),
+        ``fast=False`` with the Python spec (path ``'ref'``); the results
+        are bit-identical."""
         if hitm_sample_period < 0:
             raise SimulationError("hitm_sample_period must be >= 0")
+        if not isinstance(fast, bool):
+            raise SimulationError(f"fast must be a bool, got {fast!r}")
         self.spec = spec or MachineSpec()
         self.latency = latency or DEFAULT_LATENCY
         self.prefetch = prefetch
         self.hitm_sample_period = hitm_sample_period
         self.fast = fast
-        self.strategy = _normalize_strategy(fast)
-        self.fast_min_compression = fast_min_compression
-        #: Per-run path histogram (``{'lines': 3, 'ref-gated': 1}``): which
-        #: strategy actually drove each segment of the most recent
-        #: :meth:`run`/:meth:`run_sliced` call.  Always maintained (one dict
-        #: increment per *segment*) so benchmarks can report the chosen
-        #: strategy without enabling telemetry.
+        #: Per-run path histogram (``{'native': 3}``): which loop drove each
+        #: window of the most recent :meth:`run`/:meth:`run_sliced` call
+        #: (``'ref'`` also when ``fast=True`` found no C compiler).  Always
+        #: maintained (one dict increment per window) so benchmarks can
+        #: report the path without enabling telemetry.
         self.path_counts: Dict[str, int] = {}
-        #: Same histogram weighted by *accesses* instead of segments — the
-        #: routing-coverage metric ``repro-bench`` gates on (a single huge
-        #: segment and a trivial one count the same in ``path_counts`` but
-        #: differ by orders of magnitude here).
+        #: Same histogram weighted by *accesses* instead of windows — the
+        #: routing-coverage metric ``repro-bench`` gates on.
         self.path_accesses: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ run
@@ -274,9 +193,10 @@ class MulticoreMachine:
     ) -> SimulationResult:
         """Simulate ``program`` and return raw counts + timing.
 
-        ``keep_state=True`` leaves the final cache structures on the machine
-        (``_l1``, ``_l2``, ``_l3``) for post-mortem inspection — used by
-        coherence-invariant tests.  ``max_accesses`` bounds the merge
+        ``keep_state=True`` leaves the final coherence state on the machine
+        (``_l1``, ``_l2``, ``_l3``, ``_contenders`` and the ``_RunState``
+        with the DTLBs as ``_state``) for post-mortem inspection — used by
+        coherence-invariant and equivalence tests.  ``max_accesses`` bounds the merge
         window (see :meth:`run_sliced`).
         """
         return self.run_sliced(program, 1, chunk=chunk,
@@ -312,6 +232,9 @@ class MulticoreMachine:
         nt = program.nthreads
         self._setup_run(nt)
         state = _RunState(nt, self.spec.tlb_entries)
+        lib = native.load() if self.fast else None
+        run = (None if lib is None
+               else native.NativeRun(lib, self, state, _CONTENTION_EPOCH))
         total = program.total_accesses
         bounds = [round(i * total / n_slices) for i in range(n_slices + 1)]
         tallies = [_SegmentTallies(_EventTallies(), nt)
@@ -325,7 +248,7 @@ class MulticoreMachine:
                     s_i += 1
                 hi = min(end, lo + bounds[s_i + 1] - pos)
                 self._drive(window.core[lo:hi], window.addr[lo:hi],
-                            window.is_write[lo:hi], state, tallies[s_i])
+                            window.is_write[lo:hi], state, tallies[s_i], run)
                 pos += hi - lo
                 lo = hi
 
@@ -336,7 +259,11 @@ class MulticoreMachine:
             res.hitm_samples = self._hitm_samples
         # Free the big structures before returning (unless a test wants
         # to inspect the final coherence state).
-        if not keep_state:
+        if keep_state:
+            if run is not None:
+                run.export(self, state)
+            self._state = state
+        else:
             del self._l1, self._l2, self._l3, self._nt, self._contenders
         return results
 
@@ -413,150 +340,42 @@ class MulticoreMachine:
         )
 
     def _drive(self, cores_a, addrs_a, writes_a, state: "_RunState",
-               seg: "_SegmentTallies") -> None:
-        """Process one piece of the merged trace into ``seg``.
-
-        Dispatches to the strategy selected at construction (``'auto'``
-        probes each piece); all strategies are pinned bit-identical and
-        continue ``seg``'s accumulation order.
+               seg: "_SegmentTallies",
+               run: "Optional[native.NativeRun]") -> None:
+        """Process one piece of the merged trace into ``seg``, with the
+        compiled loop when ``run`` holds its state, else with the spec.
 
         With :data:`repro.telemetry.core.TELEMETRY` enabled, each piece
         records a ``sim.drive`` span (path taken, accesses, accesses/s)
-        and the path/compression-gate counters; disabled (the default) the
-        only cost is the single ``enabled`` attribute check below.
+        and the path counters; disabled (the default) the only cost is the
+        single ``enabled`` attribute check below.
         """
         tel = TELEMETRY
         n = int(len(cores_a))
-        if not tel.enabled:
-            path = self._drive_dispatch(cores_a, addrs_a, writes_a, state,
-                                        seg)
-            self.path_counts[path] = self.path_counts.get(path, 0) + 1
-            self.path_accesses[path] = self.path_accesses.get(path, 0) + n
-            return
-        t0 = time.perf_counter()
-        with tel.span("sim.drive", accesses=n) as sp:
-            path = self._drive_dispatch(cores_a, addrs_a, writes_a, state,
-                                        seg)
-        dt = time.perf_counter() - t0
+        path = "ref" if run is None else "native"
+        if tel.enabled:
+            t0 = time.perf_counter()
+            with tel.span("sim.drive", accesses=n) as sp:
+                self._drive_path(cores_a, addrs_a, writes_a, state, seg, run)
+            dt = time.perf_counter() - t0
+            rate = round(n / dt) if dt > 0 else 0
+            sp.set(path=path, accesses_per_s=rate)
+            tel.count("sim.drive.segments")
+            tel.count("sim.drive.accesses", n)
+            tel.count(f"sim.drive.path.{path}")
+            tel.gauge("sim.drive.accesses_per_s", rate)
+        else:
+            self._drive_path(cores_a, addrs_a, writes_a, state, seg, run)
         self.path_counts[path] = self.path_counts.get(path, 0) + 1
         self.path_accesses[path] = self.path_accesses.get(path, 0) + n
-        rate = round(n / dt) if dt > 0 else 0
-        sp.set(path=path, accesses_per_s=rate)
-        tel.count("sim.drive.segments")
-        tel.count("sim.drive.accesses", n)
-        tel.count(f"sim.drive.path.{path}")
-        tel.gauge("sim.drive.accesses_per_s", rate)
 
-    def _drive_dispatch(self, cores_a, addrs_a, writes_a,
-                        state: "_RunState", seg: "_SegmentTallies") -> str:
-        """Run one piece under ``self.strategy``; returns the path taken.
-
-        The path is the strategy that actually drove the piece:
-        ``'ref'``, ``'runs'``, ``'lines'``, or ``'ref-gated'`` when a
-        vectorized strategy fell back to the reference loop.
-        """
-        strategy = self.strategy
-        if strategy == "ref":
+    def _drive_path(self, cores_a, addrs_a, writes_a, state: "_RunState",
+                    seg: "_SegmentTallies",
+                    run: "Optional[native.NativeRun]") -> None:
+        if run is None:
             self._drive_ref(cores_a, addrs_a, writes_a, state, seg)
-            return "ref"
-        if strategy == "runs":
-            if self._drive_fast(cores_a, addrs_a, writes_a, state, seg):
-                return "runs"
-            return "ref-gated"
-        if strategy == "lines":
-            if self._drive_lines(cores_a, addrs_a, writes_a, state, seg):
-                return "lines"
-            self._drive_ref(cores_a, addrs_a, writes_a, state, seg)
-            return "ref-gated"
-        return self._drive_auto(cores_a, addrs_a, writes_a, state, seg)
-
-    def _drive_auto(self, cores_a, addrs_a, writes_a, state: "_RunState",
-                    seg: "_SegmentTallies") -> str:
-        """``'auto'``: probe the piece, then pick the cheapest strategy.
-
-        * compressible and low-churn -> run-compression;
-        * compressible but line-churning (contended) -> line kernel, with
-          run-compression as the fallback;
-        * fragmented -> line kernel, with the reference loop as fallback;
-        * tiny pieces -> run-compression (the line kernel's fixed numpy
-          overhead cannot pay for itself below :data:`_LINES_MIN`).
-
-        ``fast_min_compression <= 0`` preserves the historical meaning of
-        "force the vectorized path": run-compression runs unconditionally.
-        """
-        min_ratio = self.fast_min_compression
-        n = int(len(cores_a))
-        if min_ratio <= 0.0 or n < _LINES_MIN:
-            if self._drive_fast(cores_a, addrs_a, writes_a, state, seg,
-                                gated=min_ratio > 0.0):
-                return "runs"
-            return "ref-gated"
-        compression, churn, line_ratio = self._probe_gate(cores_a, addrs_a)
-        if (compression >= min_ratio and churn < _CHURN_ROUTE
-                and line_ratio > _LINE_RUNS_ROUTE):
-            self._drive_fast(cores_a, addrs_a, writes_a, state, seg,
-                             gated=False)
-            return "runs"
-        if self._drive_lines(cores_a, addrs_a, writes_a, state, seg):
-            return "lines"
-        if compression >= min_ratio:
-            self._drive_fast(cores_a, addrs_a, writes_a, state, seg,
-                             gated=False)
-            return "runs"
-        self._drive_ref(cores_a, addrs_a, writes_a, state, seg)
-        return "ref-gated"
-
-    def _probe_gate(self, cores_a, addrs_a):
-        """Stratified gate probe: ``(compression, churn, line_ratio)``.
-
-        Samples up to ``_GATE_PROBE`` accesses split across the segment's
-        head, middle and tail.  ``compression`` is the mean run length
-        (accesses per same-core same-line run, the run-compression path's
-        payoff); ``churn`` is the fraction of line-domain runs whose line
-        was last touched by a different core within the sample (the line
-        kernel's payoff: every such handoff is a coherence event the
-        run-compression path would execute scalar); ``line_ratio`` is
-        line-domain runs per stream-domain run (how much sparser the line
-        kernel's scalar walk would be).
-        """
-        cores_a = np.asarray(cores_a)
-        addrs_a = np.asarray(addrs_a, dtype=np.int64)
-        n = int(cores_a.size)
-        if n <= _GATE_PROBE:
-            slices = [(0, n)]
         else:
-            p = _GATE_PROBE // 3
-            mid = (n - p) // 2
-            slices = [(0, p), (mid, mid + p), (n - p, n)]
-        total = 0
-        runs = 0
-        churn = 0
-        lruns = 0
-        for lo, hi in slices:
-            cs = cores_a[lo:hi]
-            ls = addrs_a[lo:hi] >> 6
-            m = int(cs.size)
-            if not m:
-                continue
-            total += m
-            runs += 1 + int(np.count_nonzero(
-                (cs[1:] != cs[:-1]) | (ls[1:] != ls[:-1])))
-            o = np.argsort(ls, kind="stable")
-            lss = ls[o]
-            css = cs[o]
-            lead = (lss[1:] != lss[:-1]) | (css[1:] != css[:-1])
-            lruns += 1 + int(np.count_nonzero(lead))
-            churn += int(np.count_nonzero(lead & (lss[1:] == lss[:-1])))
-        if not runs:
-            return float("inf"), 0.0, 1.0
-        return total / runs, churn / runs, lruns / runs
-
-    def _drive_lines(self, cores_a, addrs_a, writes_a, state: "_RunState",
-                     seg: "_SegmentTallies") -> bool:
-        """Line-partitioned kernel; False when the piece is ineligible."""
-        from repro.coherence.linekernel import drive_lines
-
-        return drive_lines(self, cores_a, addrs_a, writes_a, state, seg)
+            self._hitm_samples += run.drive(cores_a, addrs_a, writes_a, seg)
 
     def _drive_ref(self, cores_a, addrs_a, writes_a, state: "_RunState",
                    seg: "_SegmentTallies") -> None:
@@ -653,221 +472,6 @@ class MulticoreMachine:
         seg.n_rfo_s += n_rfo_s
         seg.n_writes += n_writes
         seg.n_reads += len(cores_l) - n_writes
-
-    def _drive_fast(self, cores_a, addrs_a, writes_a, state: "_RunState",
-                    seg: "_SegmentTallies", gated: bool = True) -> bool:
-        """Vectorized fast path: run-compress the trace, scalar-drive leaders.
-
-        Line/page extraction and per-core run-length detection happen once in
-        numpy; the Python loop then visits one *run* (maximal block of
-        adjacent accesses by one core to one cache line) instead of one
-        access.  A run's leading access executes exactly the reference
-        per-access logic; the tail is guaranteed-hit and is retired in O(1)
-        (see module docstring for the equivalence argument).
-
-        ``gated=False`` skips the compression probe — used by ``'auto'``,
-        which has already probed the segment.  Returns False when the
-        probe sent the segment to the reference loop instead.
-        """
-        lat = self.latency
-        nt = len(state.penalty)
-        ev = seg.ev
-        cores_a = np.asarray(cores_a)
-        addrs_a = np.asarray(addrs_a, dtype=np.int64)
-        writes_a = np.asarray(writes_a, dtype=bool)
-        n = int(cores_a.size)
-        if n == 0:
-            return True
-
-        min_ratio = self.fast_min_compression
-        if gated and min_ratio > 0.0:
-            # Stratified probe (head + middle + tail): segments too
-            # fragmented for the pre-screen to pay for itself go to the
-            # reference loop (bit-identical by construction), and the probe
-            # keeps that fallback nearly free.
-            compression, _, _ = self._probe_gate(cores_a, addrs_a)
-            if compression < min_ratio:
-                self._drive_ref(cores_a, addrs_a, writes_a, state, seg)
-                return False
-
-        lines_a = addrs_a >> 6
-        # Run boundaries: a new run whenever the core or the line changes.
-        same_core = cores_a[1:] == cores_a[:-1]
-        brk = np.empty(n, dtype=bool)
-        brk[0] = True
-        np.logical_not(same_core, out=brk[1:])
-        brk[1:] |= lines_a[1:] != lines_a[:-1]
-        starts = np.flatnonzero(brk)
-        # A leader whose immediately preceding access is the same core on the
-        # same page has that page resident and MRU in its DTLB: the whole
-        # TLB block can be skipped.
-        tlb_res = np.zeros(n, dtype=bool)
-        tlb_res[1:] = same_core & ((addrs_a[1:] >> 12) == (addrs_a[:-1] >> 12))
-        # Stores per position, prefix-summed, for O(1) tail store counts.
-        wcum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(writes_a, out=wcum[1:])
-        n_writes = int(wcum[-1])
-        wv = memoryview(wcum)
-        wmv = memoryview(writes_a)
-        av = memoryview(addrs_a)
-
-        # Whole-segment counters that never depend on hit/miss outcomes.
-        acc = seg.accesses
-        for c, cnt in enumerate(np.bincount(cores_a, minlength=nt).tolist()):
-            acc[c] += cnt
-        seg.n_writes += n_writes
-        seg.n_reads += n - n_writes
-
-        r_cores = cores_a[starts].tolist()
-        r_addrs = addrs_a[starts].tolist()
-        r_writes = writes_a[starts].tolist()
-        r_len = np.diff(starts, append=n).tolist()
-        r_tlbres = tlb_res[starts].tolist()
-
-        l1_masks = [c.mask for c in self._l1]
-        if self._l1 and self._l1[0].nsets > 1 and l1_masks[0] == 0:
-            raise SimulationError("L1 set count must be a power of two")
-        l1_sets = [c.sets for c in self._l1]
-        l2_objs = self._l2
-        tlbs = state.tlbs
-        tlb_cap = state.tlb_cap
-        last_miss_line = state.last_miss_line
-        lfb_line = state.lfb_line
-        lfb_window = state.lfb_window
-        penalty = seg.penalty
-        tlb_walk_eff = lat.tlb_walk * 0.5
-        prefetch_on = self.prefetch
-        service_miss = self._service_miss
-        upgrade_shared = self._upgrade_shared
-        contenders = self._contenders
-
-        n_dtlb = 0
-        n_dtlb_st = 0
-        n_l1_miss = 0
-        n_hit_lfb = 0
-        n_rfo_s = 0
-        decay_countdown = state.decay_countdown
-        epoch = _CONTENTION_EPOCH
-        i = 0  # global index of the current run's leading access
-
-        for c, addr, w, m, tlb_ok in zip(r_cores, r_addrs, r_writes,
-                                         r_len, r_tlbres):
-            line = addr >> 6
-            # ---- leading access: the reference per-access path ----------
-            decay_countdown -= 1
-            if not decay_countdown:
-                contenders.clear()
-                decay_countdown = epoch
-            if not tlb_ok:
-                page = addr >> 12
-                tlb = tlbs[c]
-                if page in tlb:
-                    tlb.move_to_end(page)
-                else:
-                    n_dtlb += 1
-                    if w:
-                        n_dtlb_st += 1
-                    if len(tlb) >= tlb_cap:
-                        tlb.popitem(last=False)
-                    tlb[page] = None
-                    penalty[c] += tlb_walk_eff
-            s1 = l1_sets[c][line & l1_masks[c]]
-            st = s1.get(line)
-            if st is not None:
-                s1.move_to_end(line)
-                if w:
-                    if st == EXCLUSIVE:
-                        s1[line] = MODIFIED
-                        l2_objs[c].set_state(line, MODIFIED)
-                    elif st != MODIFIED:
-                        # Shared: needs an RFO upgrade on the bus.
-                        self._cur_addr = addr
-                        n_rfo_s += 1
-                        penalty[c] += upgrade_shared(c, line, ev)
-                elif lfb_window[c] and line == lfb_line[c]:
-                    n_hit_lfb += 1
-                    lfb_window[c] -= 1
-            else:
-                n_l1_miss += 1
-                self._cur_addr = addr
-                penalty[c] += service_miss(c, line, w, ev, last_miss_line,
-                                           prefetch_on)
-                lfb_line[c] = line
-                lfb_window[c] = 1
-
-            if m == 1:
-                i += 1
-                continue
-
-            # ---- tail: m-1 guaranteed L1 hits on this line --------------
-            end = i + m
-            pos = i + 1
-            i = end
-            tw_left = wv[end] - wv[pos]
-            if not tw_left:
-                # All loads: at most one LFB hit, plus epoch decay.
-                if lfb_window[c] and line == lfb_line[c]:
-                    n_hit_lfb += 1
-                    lfb_window[c] -= 1
-                decay_countdown -= m - 1
-                if decay_countdown <= 0:
-                    contenders.clear()
-                    decay_countdown = epoch - ((-decay_countdown) % epoch)
-                continue
-            while True:
-                st = s1.get(line)
-                if tw_left and st == SHARED:
-                    # Loads keep the line Shared; the first store must take
-                    # the bus, so it runs the scalar reference path.
-                    j = pos
-                    while not wmv[j]:
-                        j += 1
-                    nreads = j - pos
-                    if nreads:
-                        if lfb_window[c] and line == lfb_line[c]:
-                            n_hit_lfb += 1
-                            lfb_window[c] -= 1
-                        decay_countdown -= nreads
-                        if decay_countdown <= 0:
-                            contenders.clear()
-                            decay_countdown = epoch - (
-                                (-decay_countdown) % epoch)
-                    decay_countdown -= 1
-                    if not decay_countdown:
-                        contenders.clear()
-                        decay_countdown = epoch
-                    s1.move_to_end(line)
-                    self._cur_addr = av[j]
-                    n_rfo_s += 1
-                    penalty[c] += upgrade_shared(c, line, ev)
-                    tw_left -= 1
-                    pos = j + 1
-                    if pos >= end:
-                        break
-                    continue
-                # Line is Modified/Exclusive or no stores remain: the whole
-                # remainder retires without bus traffic.
-                cnt = end - pos
-                if tw_left and st == EXCLUSIVE:
-                    s1[line] = MODIFIED
-                    l2_objs[c].set_state(line, MODIFIED)
-                if cnt - tw_left and lfb_window[c] and line == lfb_line[c]:
-                    n_hit_lfb += 1
-                    lfb_window[c] -= 1
-                decay_countdown -= cnt
-                if decay_countdown <= 0:
-                    contenders.clear()
-                    decay_countdown = epoch - ((-decay_countdown) % epoch)
-                break
-
-        state.decay_countdown = decay_countdown
-        self._cur_addr = -1
-        seg.n_dtlb += n_dtlb
-        seg.n_dtlb_st += n_dtlb_st
-        seg.n_l1_miss += n_l1_miss
-        seg.n_hit_lfb += n_hit_lfb
-        seg.n_rfo_s += n_rfo_s
-        return True
 
     # ---------------------------------------------------------------- slow paths
 

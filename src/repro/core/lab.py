@@ -70,13 +70,11 @@ class Lab:
     noisy: bool = True
     chunk: int = DEFAULT_CHUNK
     prefetch: bool = True
-    #: Drive strategy, forwarded to :class:`MulticoreMachine` (and to worker
-    #: processes by the execution engine): ``True``/``'auto'`` probes each
-    #: segment and picks run-compression or the line-partitioned kernel,
-    #: ``'runs'``/``'lines'`` force one vectorized path, ``False``/``'ref'``
-    #: selects the per-access reference loop.  Results are bit-identical
-    #: under every strategy (the fast ones exist purely for throughput).
-    fast: Union[bool, str] = True
+    #: Drive loop, forwarded to :class:`MulticoreMachine` (and to worker
+    #: processes by the execution engine): ``True`` drives with the
+    #: compiled loop, ``False`` with the Python spec; results are
+    #: bit-identical.
+    fast: bool = True
     #: "auto" uses a per-spec pickle under the user cache dir
     #: (:func:`repro.cache.default_path`); None disables; a path uses that
     #: file, and a :class:`PipelineContext`'s oracle cache sits beside it.

@@ -8,8 +8,8 @@ enabled, and emits:
 * a :class:`~repro.telemetry.manifest.RunManifest` next to it
   (``--manifest``) pinning git SHA, seeds, versions and the wall-time tree;
 * optionally a Chrome-trace of the run (``--chrome-trace``) and a
-  per-strategy speedup table (``--speedup-table``, the CI artifact that
-  tracks how ``ref``/``runs``/``lines``/``auto`` compare per trace).
+  speedup table (``--speedup-table``, the CI artifact that tracks how the
+  compiled drive compares with the Python spec loop per trace).
 
 ``repro-bench`` only measures: it passes no verdict.  ``--results-store``
 ingests the payload into a ``repro-results`` store, whose ingest rejects
@@ -55,26 +55,23 @@ __all__ = [
     "SPEEDUP_FLOORS",
 ]
 
-#: Drive strategies measured per trace (``'auto'`` is the shipping default
-#: and the one the regression gate keys on via ``fast_accesses_per_s``).
-MEASURED_STRATEGIES = ("ref", "runs", "lines", "auto")
-
-#: Hard per-case speedup floors (auto strategy vs the reference loop) for
-#: the contended traces the line-partitioned kernel targets.  Recorded in
-#: the bench payload as ``speedup_floor``, which ``repro-results gate``
-#: enforces as a hard bound — unlike throughput, a floored speedup is not
-#: softened by ``--max-regression``.
+#: Hard per-case speedup floors (the shipping ``fast=True`` drive vs the
+#: Python spec loop), one per pinned trace.  Recorded in the bench payload
+#: as ``speedup_floor``, which ``repro-results gate`` enforces as a hard
+#: bound — unlike throughput, a floored speedup is not softened by
+#: ``--max-regression``.
 SPEEDUP_FLOORS = {
+    "seq_read/good/t1": 1.3,
+    "psums/good/t4": 1.3,
     "psums/bad-fs/t4": 1.3,
     "streamcluster/simsmall": 1.3,
 }
 
-#: Minimum fraction of 19-program-grid *accesses* the ``auto`` strategy
-#: must route off the scalar reference loop (onto the run-compression or
-#: line-partitioned kernels).  Access-weighted, not segment-weighted: one
-#: huge segment falling back to ``ref`` must not hide behind many tiny
-#: vectorized ones.  Recorded as ``routing.floor`` and enforced as a hard
-#: bound by ``repro-results gate``, like :data:`SPEEDUP_FLOORS`.
+#: Minimum share of 19-program-grid *accesses* the shipping drive must keep
+#: off the Python spec loop (path ``ref``): below it, the compiled loop did
+#: not load (no C compiler) or a window bypassed it.  Recorded as
+#: ``routing.floor`` and enforced as a hard bound by ``repro-results gate``,
+#: like :data:`SPEEDUP_FLOORS`.
 ROUTING_FLOOR = 0.95
 
 #: Drive-grid seed state is fully pinned by the workload registry streams;
@@ -146,16 +143,13 @@ def _best_of(fns: Dict[str, Callable[[], Any]],
 
 
 def measure_drive(repeats: int = 3) -> Dict[str, Dict[str, Any]]:
-    """Per-strategy drive throughput for every pinned trace.
+    """Drive throughput of the spec loop and the shipping drive per trace.
 
-    Every strategy in :data:`MEASURED_STRATEGIES` is timed on every trace:
-    ``ref`` (per-access loop), ``runs`` (run-compression), ``lines``
-    (line-partitioned kernel) and ``auto`` (the shipping default, which
-    probes each segment).  ``fast_accesses_per_s`` keeps its historical
-    meaning — the default configuration's throughput — so committed
-    baselines gate unchanged; ``strategy`` records the path ``auto``
-    actually took (from :attr:`MulticoreMachine.path_counts`), and
-    contended traces carry their :data:`SPEEDUP_FLOORS` entry.
+    ``ref_accesses_per_s`` times ``fast=False`` (the Python spec loop),
+    ``fast_accesses_per_s`` the shipping ``fast=True`` drive, whose path
+    (``native``, or ``ref`` without a C compiler) ``strategy`` records
+    from :attr:`MulticoreMachine.path_counts`.  Every trace carries its
+    :data:`SPEEDUP_FLOORS` entry.
     """
     from repro.coherence.machine import MulticoreMachine, SCALED_WESTMERE
 
@@ -163,21 +157,17 @@ def measure_drive(repeats: int = 3) -> Dict[str, Dict[str, Any]]:
     for label, prog in drive_traces():
         with TELEMETRY.span("bench.drive", trace=label):
             n = int(prog.total_accesses)
-            machines = {strat: MulticoreMachine(SCALED_WESTMERE, fast=strat)
-                        for strat in MEASURED_STRATEGIES}
-            times = _best_of({strat: functools.partial(m.run, prog)
-                              for strat, m in machines.items()}, repeats)
-            auto_paths = dict(machines["auto"].path_counts)
-        chosen = (max(auto_paths, key=lambda p: auto_paths[p])
-                  if auto_paths else "ref")
+            machines = {"ref": MulticoreMachine(SCALED_WESTMERE, fast=False),
+                        "fast": MulticoreMachine(SCALED_WESTMERE)}
+            times = _best_of({name: functools.partial(m.run, prog)
+                              for name, m in machines.items()}, repeats)
+            paths = machines["fast"].path_counts
         row: Dict[str, Any] = {
             "accesses": n,
             "ref_accesses_per_s": round(n / times["ref"]),
-            "runs_accesses_per_s": round(n / times["runs"]),
-            "lines_accesses_per_s": round(n / times["lines"]),
-            "fast_accesses_per_s": round(n / times["auto"]),
-            "strategy": chosen,
-            "speedup": round(times["ref"] / times["auto"], 3),
+            "fast_accesses_per_s": round(n / times["fast"]),
+            "strategy": max(paths, key=paths.__getitem__, default="ref"),
+            "speedup": round(times["ref"] / times["fast"], 3),
         }
         if label in SPEEDUP_FLOORS:
             row["speedup_floor"] = SPEEDUP_FLOORS[label]
@@ -186,14 +176,14 @@ def measure_drive(repeats: int = 3) -> Dict[str, Dict[str, Any]]:
 
 
 def measure_routing() -> Dict[str, Any]:
-    """Access-weighted ``auto`` path routing over the 19-program suite grid.
+    """Access-weighted drive paths over the 19-program suite grid.
 
-    Runs every suite program's first case once under the shipping ``auto``
-    strategy and accumulates :attr:`MulticoreMachine.path_accesses` — how
-    many *accesses* each drive path handled.  Coverage is the fraction
-    handled off the scalar reference loop (everything except ``ref`` and
-    the eligibility fallback ``ref-gated``); ``repro-results gate``
-    enforces :data:`ROUTING_FLOOR` on it as a hard bound.
+    Runs every suite program's first case once under the shipping
+    ``fast=True`` drive and accumulates
+    :attr:`MulticoreMachine.path_accesses` — how many *accesses* each drive
+    path handled.  Coverage is the share of accesses not on the Python
+    spec loop (path ``ref``); ``repro-results gate`` enforces
+    :data:`ROUTING_FLOOR` on it as a hard bound.
     """
     from repro.coherence.machine import MulticoreMachine, SCALED_WESTMERE
     from repro.suites import all_programs, get_program
@@ -203,14 +193,13 @@ def measure_routing() -> Dict[str, Any]:
     with TELEMETRY.span("bench.routing"):
         for p in all_programs():
             prog = get_program(p.name).trace(p.cases()[0])
-            machine = MulticoreMachine(SCALED_WESTMERE, fast="auto")
+            machine = MulticoreMachine(SCALED_WESTMERE)
             machine.run(prog)
             programs[p.name] = dict(machine.path_accesses)
             for path, n in machine.path_accesses.items():
                 paths[path] = paths.get(path, 0) + n
     total = sum(paths.values())
-    scalar = paths.get("ref", 0) + paths.get("ref-gated", 0)
-    coverage = (total - scalar) / total if total else 0.0
+    coverage = (total - paths.get("ref", 0)) / total if total else 0.0
     return {
         "floor": ROUTING_FLOOR,
         "coverage": round(coverage, 6),
@@ -261,7 +250,7 @@ def measure_store_workers(tmp_dir: Optional[Path] = None) -> Dict[str, Any]:
 
 
 def render_speedup_table(payload: Dict[str, Any]) -> str:
-    """The per-strategy speedup table (the CI bench job's artifact)."""
+    """The drive speedup table (the CI bench job's artifact)."""
     from repro.utils.tables import render_table
 
     rows = []
@@ -270,8 +259,6 @@ def render_speedup_table(payload: Dict[str, Any]) -> str:
             label,
             f"{row.get('accesses', 0):,}",
             f"{row.get('ref_accesses_per_s', 0):,}",
-            f"{row.get('runs_accesses_per_s', 0):,}",
-            f"{row.get('lines_accesses_per_s', 0):,}",
             f"{row.get('fast_accesses_per_s', 0):,}",
             str(row.get("strategy", "-")),
             f"{row.get('speedup', 0):.2f}x",
@@ -279,10 +266,10 @@ def render_speedup_table(payload: Dict[str, Any]) -> str:
              if row.get("speedup_floor") else "-"),
         ])
     return render_table(
-        ["case", "accesses", "ref acc/s", "runs acc/s", "lines acc/s",
-         "auto acc/s", "auto path", "speedup", "floor"],
+        ["case", "accesses", "ref acc/s", "fast acc/s", "fast path",
+         "speedup", "floor"],
         rows,
-        title="drive strategies (auto speedup vs reference loop)",
+        title="drive throughput (fast=True speedup vs the spec loop)",
     )
 
 
@@ -297,7 +284,7 @@ def render_routing_report(payload: Dict[str, Any]) -> str:
     rows = []
     for name, hist in sorted(programs.items()):
         total = sum(hist.values()) or 1
-        off = total - hist.get("ref", 0) - hist.get("ref-gated", 0)
+        off = total - hist.get("ref", 0)
         rows.append([name, f"{total:,}"]
                     + [f"{hist.get(p, 0):,}" for p in all_paths]
                     + [f"{off / total:.2%}"])
@@ -309,7 +296,7 @@ def render_routing_report(payload: Dict[str, Any]) -> str:
     out = render_table(
         ["program", "accesses"] + all_paths + ["off-ref"],
         rows,
-        title="auto-strategy routing coverage (access-weighted)",
+        title="drive routing coverage (access-weighted)",
     )
     floor = routing.get("floor", ROUTING_FLOOR)
     verdict = ("PASS" if routing.get("coverage", 0.0) >= floor else "FAIL")
@@ -411,10 +398,10 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
                         help="also write a chrome://tracing / Perfetto "
                              "trace of the run")
     parser.add_argument("--speedup-table", default="",
-                        help="write the per-strategy speedup table (text) "
+                        help="write the drive speedup table (text) "
                              "here — uploaded as a CI artifact")
     parser.add_argument("--coverage-report", default="",
-                        help="write the auto-routing coverage report (text) "
+                        help="write the drive routing coverage report (text) "
                              "here — uploaded as a CI artifact")
     parser.add_argument("--results-store", default="",
                         help="also ingest the result payload (and manifest, "

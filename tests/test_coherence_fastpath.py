@@ -1,32 +1,47 @@
-"""Golden equivalence: the vectorized drive strategies vs the reference loop.
+"""Golden equivalence: the compiled drive loop vs the Python spec loop.
 
-Both fast strategies — run-compression (run-length compression + O(1) tail
-retirement) and the line-partitioned kernel — must produce *bit-identical*
-results to the per-access reference loop: every raw counter, every per-core
-cycle count, every HITM sample.  These tests sweep all 12 mini-programs in
-every supported mode plus suite traces with real coherence churn
-(streamcluster's packed work structs), the sliced-run API, and the
-stratified compression-gate probe.
+``MulticoreMachine(fast=True)`` drives every window with ``drive.c``, a
+transliteration of ``_drive_ref``; ``fast=False`` runs ``_drive_ref``
+itself.  The two must give *bit-identical* results: every raw counter,
+every per-core cycle count, every HITM sample.  These tests sweep all 12
+mini-programs in every supported mode at two merge granularities, suite
+traces with real coherence churn, the sliced-run API, HITM sampling and
+the prefetcher switch; a companion file adds the 19-program suite grid
+and the final coherence state.  The loader's fallback and trust checks
+are pinned at the end.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import logging
+import shutil
+
 import pytest
 
+from repro.coherence import native
 from repro.coherence.machine import (
     MulticoreMachine,
     SCALED_WESTMERE,
     SimulationError,
 )
-from repro.trace.access import ThreadTrace
 from repro.suites import get_program
 from repro.suites.base import SuiteCase
 from repro.trace.access import ProgramTrace
+from repro.trace.streams import DEFAULT_CHUNK
 from repro.workloads.base import Mode, RunConfig
 from repro.workloads.registry import all_workloads, get_workload
 
 from tests.conftest import SMALL_SPEC
+
+#: Merge granularities: the default chunk keeps long same-core runs on one
+#: line ("runs"); chunk=1 hands lines between cores on nearly every access
+#: ("lines").
+CHUNKS = {"runs": DEFAULT_CHUNK, "lines": 1}
+
+needs_cc = pytest.mark.skipif(
+    shutil.which("cc") is None,
+    reason="no C compiler (cc) on PATH: the simulator drives with the "
+           "Python reference loop")
 
 
 def _assert_identical(res_fast, res_ref):
@@ -38,15 +53,9 @@ def _assert_identical(res_fast, res_ref):
 
 
 def _run_both(program: ProgramTrace, spec=SCALED_WESTMERE,
-              strategy: str = "runs", **kw):
-    # fast_min_compression=0.0 disables the adaptive gate so run-compression
-    # is genuinely exercised even on low-compression traces; the 'lines'
-    # strategy ignores the gate and only falls back to the reference loop
-    # when a segment fails its no-eviction precondition (identical results
-    # either way).
-    fast = MulticoreMachine(spec, fast=strategy, fast_min_compression=0.0,
-                            **kw).run(program)
-    ref = MulticoreMachine(spec, fast=False, **kw).run(program)
+              chunk: int = DEFAULT_CHUNK, **kw):
+    fast = MulticoreMachine(spec, fast=True, **kw).run(program, chunk=chunk)
+    ref = MulticoreMachine(spec, fast=False, **kw).run(program, chunk=chunk)
     return fast, ref
 
 
@@ -56,13 +65,13 @@ def _mini_cases():
             yield w.name, mode
 
 
-@pytest.mark.parametrize("strategy", ["runs", "lines"])
+@pytest.mark.parametrize("interleave", list(CHUNKS))
 @pytest.mark.parametrize("name,mode", list(_mini_cases()))
-def test_fast_path_matches_reference_on_miniprograms(name, mode, strategy):
+def test_fast_path_matches_reference_on_miniprograms(name, mode, interleave):
     w = get_workload(name)
     threads = 1 if w.kind == "seq" else 3
     cfg = RunConfig(threads=threads, mode=mode, size=w.train_sizes[0])
-    fast, ref = _run_both(w.trace(cfg), strategy=strategy)
+    fast, ref = _run_both(w.trace(cfg), chunk=CHUNKS[interleave])
     _assert_identical(fast, ref)
 
 
@@ -75,14 +84,14 @@ def test_fast_path_matches_reference_bad_ma_strides():
         _assert_identical(fast, ref)
 
 
-@pytest.mark.parametrize("strategy", ["runs", "lines"])
+@pytest.mark.parametrize("interleave", list(CHUNKS))
 @pytest.mark.parametrize("prog,case", [
     ("streamcluster", SuiteCase("simsmall", "-O2", 4)),
     ("linear_regression", SuiteCase("50MB", "-O0", 3)),
 ])
-def test_fast_path_matches_reference_on_suite_traces(prog, case, strategy):
+def test_fast_path_matches_reference_on_suite_traces(prog, case, interleave):
     p = get_program(prog)
-    fast, ref = _run_both(p.trace(case), strategy=strategy)
+    fast, ref = _run_both(p.trace(case), chunk=CHUNKS[interleave])
     _assert_identical(fast, ref)
 
 
@@ -117,50 +126,92 @@ def test_fast_path_matches_reference_no_prefetch():
 def test_fast_flag_default_and_override():
     m = MulticoreMachine(SMALL_SPEC)
     assert m.fast is True
-    assert m.strategy == "auto"  # True normalizes to the adaptive strategy
-    assert m.fast_min_compression > 0  # adaptive fallback on by default
-    ref = MulticoreMachine(SMALL_SPEC, fast=False)
-    assert ref.fast is False and ref.strategy == "ref"
-    assert MulticoreMachine(SMALL_SPEC, fast="lines").strategy == "lines"
-    with pytest.raises(SimulationError):
-        MulticoreMachine(SMALL_SPEC, fast="fastest")
-
-
-def test_gate_probe_samples_head_middle_and_tail():
-    # Regression: the probe used to sample only the segment's head, so a
-    # compressible prefix hid a contended tail and the gate routed the
-    # whole segment down the run-compression path it could not pay for.
-    n_head, n_tail = 50_000, 150_000
-    head = np.repeat(np.arange(n_head // 64, dtype=np.int64) * 64, 64)
-    tail = (np.arange(n_tail, dtype=np.int64) * 64) % (512 * 64)
-    addrs = np.concatenate([head, tail])
-    cores = np.zeros(addrs.size, dtype=np.int64)
-
-    m = MulticoreMachine(SCALED_WESTMERE)
-    comp_head, _, _ = m._probe_gate(cores[:n_head], addrs[:n_head])
-    assert comp_head >= 16  # the prefix alone looks highly compressible
-    comp, _, _ = m._probe_gate(cores, addrs)
-    assert comp < m.fast_min_compression  # stratified probe sees the tail
-
-    # End to end: forcing run-compression on this trace must now gate to
-    # the reference loop — and stay bit-identical.
-    prog = ProgramTrace(
-        [ThreadTrace(addrs, np.zeros(addrs.size, dtype=bool))],
-        name="prefix-tail",
-    )
-    forced = MulticoreMachine(SCALED_WESTMERE, fast="runs")
-    res = forced.run(prog)
-    assert forced.path_counts.get("ref-gated", 0) >= 1
-    _assert_identical(res, MulticoreMachine(SCALED_WESTMERE,
-                                            fast=False).run(prog))
+    assert MulticoreMachine(SMALL_SPEC, fast=False).fast is False
+    for bad in ("auto", "runs", "lines", "ref", 1, None):
+        with pytest.raises(SimulationError):
+            MulticoreMachine(SMALL_SPEC, fast=bad)
 
 
 def test_default_gate_matches_reference():
-    # With the default compression gate the fast machine may mix vectorized
-    # and reference-driven segments; the result must still be identical.
+    # A machine built with no arguments drives natively and still matches
+    # the spec.
     w = get_workload("pdot")
     cfg = RunConfig(threads=3, mode=Mode.BAD_FS, size=w.train_sizes[0])
     prog = w.trace(cfg)
     fast = MulticoreMachine(SMALL_SPEC).run(prog)
     ref = MulticoreMachine(SMALL_SPEC, fast=False).run(prog)
     _assert_identical(fast, ref)
+
+
+# ------------------------------------------------------------ the loader
+
+
+def _contended_trace():
+    w = get_workload("psums")
+    return w.trace(RunConfig(threads=4, mode=Mode.BAD_FS,
+                             size=w.train_sizes[0]))
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """``native.load`` over an empty cache directory, memo cleared."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    native.load.cache_clear()
+    yield tmp_path / "cache"
+    native.load.cache_clear()
+
+
+@needs_cc
+def test_native_kernel_loads_when_cc_is_on_path(fresh_loader):
+    assert native.load() is not None
+    assert (fresh_loader / native._library_name()).is_file()
+    m = MulticoreMachine(SMALL_SPEC)
+    m.run(_contended_trace())
+    assert set(m.path_counts) == {"native"}
+
+
+def test_compilerless_fallback_is_the_reference_loop(fresh_loader, tmp_path,
+                                                     monkeypatch, caplog):
+    prog = _contended_trace()
+    compiled = MulticoreMachine(SMALL_SPEC, hitm_sample_period=3)
+    expected = compiled.run(prog)
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "empty"))
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+    native.load.cache_clear()
+    m = MulticoreMachine(SMALL_SPEC, hitm_sample_period=3)
+    with caplog.at_level(logging.WARNING, logger=native.__name__):
+        res = m.run(prog)
+        m.run(prog)
+    assert m.path_counts == {"ref": sum(compiled.path_counts.values())}
+    _assert_identical(res, expected)
+    warnings = [r for r in caplog.records if "no C compiler" in r.message]
+    assert len(warnings) == 1
+
+
+@needs_cc
+@pytest.mark.parametrize("writable", ["file", "directory"])
+def test_untrusted_cached_library_is_never_loaded(fresh_loader, monkeypatch,
+                                                  writable):
+    fresh_loader.mkdir(mode=0o700)
+    planted = fresh_loader / native._library_name()
+    planted.write_bytes(b"not a library")
+    planted.chmod(0o666 if writable == "file" else 0o600)
+    if writable == "directory":
+        fresh_loader.chmod(0o777)
+    opened = []
+    real_cdll = native.ctypes.CDLL
+
+    def recording_cdll(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_cdll(path, *args, **kwargs)
+
+    monkeypatch.setattr(native.ctypes, "CDLL", recording_cdll)
+    assert native.load() is not None
+    assert opened and str(planted) not in opened
+    assert planted.read_bytes() == b"not a library"
+    m = MulticoreMachine(SMALL_SPEC)
+    prog = _contended_trace()
+    _assert_identical(m.run(prog),
+                      MulticoreMachine(SMALL_SPEC, fast=False).run(prog))
+    assert set(m.path_counts) == {"native"}

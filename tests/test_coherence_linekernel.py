@@ -1,21 +1,22 @@
-"""Golden equivalence: the line-partitioned kernel vs the reference loop.
+"""Golden equivalence of the compiled drive on the suite grid and on the
+final coherence state.
 
-The line kernel (``repro.coherence.linekernel``) partitions each segment's
-access stream by cache line and replays every line's MESI state machine
-over its own subsequence, with cross-line counters (DTLB, LFB, L1D sets)
-handled on the unsorted stream.  Its contract is *bit-identical*
-``_SegmentTallies`` against the per-access reference loop — these tests
-pin that over the full 19-program suite grid, the sliced-run API, HITM
-sampling, the final coherence state (cache contents *and* LRU order), and
-the ineligibility fallback.
+The second half of the equivalence suite begun in
+``tests/test_coherence_fastpath.py``: ``fast=True`` (the compiled loop)
+against ``fast=False`` (the Python spec) over the full 19-program suite
+grid, the sliced-run API, HITM sampling, L2 and L3 evictions, and the
+state a run leaves behind with ``keep_state=True``: cache contents *and*
+LRU order at every level, the DTLBs, the per-core miss/LFB state and the
+contender masks.
 """
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from repro.coherence.machine import (
-    DRIVE_STRATEGIES,
     MulticoreMachine,
     SCALED_WESTMERE,
     SimulationError,
@@ -25,42 +26,35 @@ from repro.workloads.base import Mode, RunConfig
 from repro.workloads.registry import get_workload
 
 from tests.conftest import SMALL_SPEC
-
-
-def _assert_identical(res_a, res_b):
-    assert res_a.counts == res_b.counts
-    assert res_a.cycles_per_core == res_b.cycles_per_core
-    assert res_a.instructions_per_core == res_b.instructions_per_core
-    assert res_a.seconds == res_b.seconds
-    assert res_a.hitm_samples == res_b.hitm_samples
-
+from tests.test_coherence_fastpath import _assert_identical
 
 _GRID = [(p.name, p.cases()[0]) for p in all_programs()]
 
 #: path_counts per grid program, accumulated by the parametrized golden
-#: test and checked for kernel coverage by the summary test below it.
+#: test and checked for coverage by the summary test below it.
 _GRID_PATHS = {}
 
 
 @pytest.mark.parametrize("name,case", _GRID, ids=[n for n, _ in _GRID])
 def test_line_kernel_matches_reference_on_suite_grid(name, case):
     prog = get_program(name).trace(case)
-    machine = MulticoreMachine(SCALED_WESTMERE, fast="lines")
-    lines = machine.run(prog)
+    machine = MulticoreMachine(SCALED_WESTMERE, fast=True)
+    res = machine.run(prog)
     ref = MulticoreMachine(SCALED_WESTMERE, fast=False).run(prog)
-    _assert_identical(lines, ref)
+    _assert_identical(res, ref)
     _GRID_PATHS[name] = dict(machine.path_counts)
 
 
 def test_line_kernel_drives_most_of_the_grid():
     # Meaningfulness guard: the grid test above must genuinely exercise
-    # the kernel, not its reference fallback.  (Runs after it in file
-    # order; a filtered run that skipped the grid is skipped too.)
+    # the compiled loop, not the compiler-less fallback.  (Runs after it
+    # in file order; a filtered run that skipped the grid is skipped too.)
     if len(_GRID_PATHS) < len(_GRID):
         pytest.skip("suite-grid golden test did not run")
-    taken = sum(c.get("lines", 0) for c in _GRID_PATHS.values())
-    total = sum(sum(c.values()) for c in _GRID_PATHS.values())
-    assert taken >= total * 0.5, _GRID_PATHS
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    assert all(set(c) == {"native"} for c in _GRID_PATHS.values()), \
+        _GRID_PATHS
 
 
 def _contended_trace(size=None):
@@ -74,61 +68,61 @@ def _snap(cache):
     return [list(s.items()) for s in cache.sets]
 
 
+def _assert_same_state(mf, mr):
+    """The coherence state two ``keep_state`` runs left behind."""
+    for cf, cr in zip(mf._l1 + mf._l2, mr._l1 + mr._l2):
+        assert _snap(cf) == _snap(cr), cf.name
+    assert _snap(mf._l3) == _snap(mr._l3)
+    assert [list(t) for t in mf._state.tlbs] == \
+        [list(t) for t in mr._state.tlbs]
+    for field in ("last_miss_line", "lfb_line", "lfb_window",
+                  "decay_countdown"):
+        assert getattr(mf._state, field) == getattr(mr._state, field), field
+    assert list(mf._contenders.items()) == list(mr._contenders.items())
+    assert mf._hitm_seen == mr._hitm_seen
+
+
 def test_line_kernel_final_state_matches_reference():
     prog = _contended_trace()
-    ml = MulticoreMachine(SCALED_WESTMERE, fast="lines")
-    mr = MulticoreMachine(SCALED_WESTMERE, fast=False)
-    res_l = ml.run(prog, keep_state=True)
-    res_r = mr.run(prog, keep_state=True)
-    _assert_identical(res_l, res_r)
-    assert ml.path_counts.get("lines", 0) >= 1
-    assert "ref-gated" not in ml.path_counts
-    for cl, cr in zip(ml._l1, mr._l1):
-        assert _snap(cl) == _snap(cr), cl.name
-    for cl, cr in zip(ml._l2, mr._l2):
-        assert _snap(cl) == _snap(cr), cl.name
-    assert _snap(ml._l3) == _snap(mr._l3)
-    assert ml._contenders == mr._contenders
+    mf = MulticoreMachine(SCALED_WESTMERE, fast=True, hitm_sample_period=5)
+    mr = MulticoreMachine(SCALED_WESTMERE, fast=False, hitm_sample_period=5)
+    _assert_identical(mf.run(prog, keep_state=True),
+                      mr.run(prog, keep_state=True))
+    assert mr._contenders  # the state holds contended lines to compare
+    _assert_same_state(mf, mr)
 
 
 def test_line_kernel_sliced_matches_reference():
     prog = _contended_trace()
-    lines = MulticoreMachine(SCALED_WESTMERE, fast="lines").run_sliced(prog, 5)
+    fast = MulticoreMachine(SCALED_WESTMERE, fast=True).run_sliced(prog, 5)
     ref = MulticoreMachine(SCALED_WESTMERE, fast=False).run_sliced(prog, 5)
-    assert len(lines) == len(ref) == 5
-    for res_l, res_r in zip(lines, ref):
-        _assert_identical(res_l, res_r)
+    assert len(fast) == len(ref) == 5
+    for res_f, res_r in zip(fast, ref):
+        _assert_identical(res_f, res_r)
 
 
 def test_line_kernel_hitm_sampling_matches_reference():
     prog = _contended_trace()
-    m = MulticoreMachine(SCALED_WESTMERE, fast="lines", hitm_sample_period=7)
-    lines = m.run(prog)
+    fast = MulticoreMachine(SCALED_WESTMERE, fast=True,
+                            hitm_sample_period=7).run(prog)
     ref = MulticoreMachine(SCALED_WESTMERE, fast=False,
                            hitm_sample_period=7).run(prog)
-    _assert_identical(lines, ref)
-    assert m.path_counts.get("lines", 0) >= 1
-    assert lines.hitm_samples  # the sweep actually exercised sampling
+    _assert_identical(fast, ref)
+    assert fast.hitm_samples  # the sweep actually exercised sampling
 
 
 def test_line_kernel_replays_l2_evictions_identically():
-    # 4k distinct lines overflow every L2 set (32 lines per 8-way set) but
-    # fit L3 comfortably: the eviction-aware replay must keep the segment
-    # on the kernel path and stay bit-identical, final state included.
+    # 4k distinct lines overflow every L2 set but fit the L3; 32k overflow
+    # the L3 too.
     w = get_workload("seq_read")
-    prog = w.trace(RunConfig(threads=1, mode=Mode.GOOD, size=32_768))
-    ml = MulticoreMachine(SCALED_WESTMERE, fast="lines")
-    mr = MulticoreMachine(SCALED_WESTMERE, fast=False)
-    res = ml.run(prog, keep_state=True)
-    ref = mr.run(prog, keep_state=True)
-    assert ml.path_counts == {"lines": 1}
-    _assert_identical(res, ref)
-    assert res.counts["L2_LINES_OUT.DEMAND_CLEAN"] > 0  # evictions happened
-    for cl, cr in zip(ml._l1, mr._l1):
-        assert _snap(cl) == _snap(cr), cl.name
-    for cl, cr in zip(ml._l2, mr._l2):
-        assert _snap(cl) == _snap(cr), cl.name
-    assert _snap(ml._l3) == _snap(mr._l3)
+    for size in (32_768, 262_144):
+        prog = w.trace(RunConfig(threads=1, mode=Mode.GOOD, size=size))
+        mf = MulticoreMachine(SCALED_WESTMERE, fast=True)
+        mr = MulticoreMachine(SCALED_WESTMERE, fast=False)
+        res = mf.run(prog, keep_state=True)
+        _assert_identical(res, mr.run(prog, keep_state=True))
+        assert res.counts["L2_LINES_OUT.DEMAND_CLEAN"] > 0
+        _assert_same_state(mf, mr)
 
 
 def test_line_kernel_replays_dirty_evictions_identically():
@@ -136,68 +130,31 @@ def test_line_kernel_replays_dirty_evictions_identically():
     # in L3) exactly like the reference loop's back-invalidation path.
     w = get_workload("seq_write")
     prog = w.trace(RunConfig(threads=1, mode=Mode.GOOD, size=32_768))
-    ml = MulticoreMachine(SCALED_WESTMERE, fast="lines")
+    mf = MulticoreMachine(SCALED_WESTMERE, fast=True)
     mr = MulticoreMachine(SCALED_WESTMERE, fast=False)
-    res = ml.run(prog, keep_state=True)
-    ref = mr.run(prog, keep_state=True)
-    assert ml.path_counts == {"lines": 1}
-    _assert_identical(res, ref)
+    res = mf.run(prog, keep_state=True)
+    _assert_identical(res, mr.run(prog, keep_state=True))
     assert res.counts["L2_LINES_OUT.DEMAND_DIRTY"] > 0
-    for cl, cr in zip(ml._l2, mr._l2):
-        assert _snap(cl) == _snap(cr), cl.name
-    assert _snap(ml._l3) == _snap(mr._l3)
+    _assert_same_state(mf, mr)
 
 
 def test_line_kernel_sliced_replays_warm_resident_lines_identically():
-    # Sliced runs hand each segment the previous segment's warm caches, so
-    # replay-owned lines can already be *resident* in the owner's L2 when
-    # the segment starts.  Those must keep their real MESI state through
-    # the eviction-aware replay (not the walk sentinel) or reconstruction
-    # has no walk record to resolve them from.  Regression test for a
-    # KeyError in the wholesale L2-set rebuild.
+    # Sliced runs hand each window the previous one's warm caches, cut
+    # into small windows so the state crosses many calls.
     w = get_workload("seq_write")
     prog = w.trace(RunConfig(threads=1, mode=Mode.GOOD, size=32_768))
-    ml = MulticoreMachine(SCALED_WESTMERE, fast="lines")
+    mf = MulticoreMachine(SCALED_WESTMERE, fast=True)
     mr = MulticoreMachine(SCALED_WESTMERE, fast=False)
-    res = ml.run_sliced(prog, 4, keep_state=True)
-    ref = mr.run_sliced(prog, 4, keep_state=True)
-    assert ml.path_counts.get("lines", 0) >= 2  # warm segments stayed fast
-    assert "ref-gated" not in ml.path_counts
-    for res_l, res_r in zip(res, ref):
-        _assert_identical(res_l, res_r)
-    for cl, cr in zip(ml._l2, mr._l2):
-        assert _snap(cl) == _snap(cr), cl.name
-    assert _snap(ml._l3) == _snap(mr._l3)
-
-
-def test_line_kernel_ineligible_segment_falls_back_identically():
-    # 32k distinct lines overflow the L3 budget (32 lines per 16-way set);
-    # the forced 'lines' strategy must fall back to the reference loop
-    # (recorded as 'ref-gated') and stay identical.
-    w = get_workload("seq_read")
-    prog = w.trace(RunConfig(threads=1, mode=Mode.GOOD, size=262_144))
-    m = MulticoreMachine(SCALED_WESTMERE, fast="lines")
-    res = m.run(prog)
-    assert m.path_counts.get("ref-gated", 0) >= 1
-    assert "lines" not in m.path_counts
-    _assert_identical(res, MulticoreMachine(SCALED_WESTMERE,
-                                            fast=False).run(prog))
-
-
-def test_auto_routes_contended_trace_to_line_kernel():
-    prog = _contended_trace()
-    m = MulticoreMachine(SCALED_WESTMERE, fast=True)
-    res = m.run(prog)
-    assert m.path_counts.get("lines", 0) >= 1
-    _assert_identical(res, MulticoreMachine(SCALED_WESTMERE,
-                                            fast=False).run(prog))
+    res = mf.run_sliced(prog, 4, keep_state=True, max_accesses=3_000)
+    ref = mr.run_sliced(prog, 4, keep_state=True, max_accesses=3_000)
+    for res_f, res_r in zip(res, ref):
+        _assert_identical(res_f, res_r)
+    _assert_same_state(mf, mr)
 
 
 def test_strategy_vocabulary_and_validation():
-    assert DRIVE_STRATEGIES == ("auto", "runs", "lines", "ref")
-    for name in DRIVE_STRATEGIES:
-        assert MulticoreMachine(SMALL_SPEC, fast=name).strategy == name
-    assert MulticoreMachine(SMALL_SPEC, fast=True).strategy == "auto"
-    assert MulticoreMachine(SMALL_SPEC, fast=False).strategy == "ref"
-    with pytest.raises(SimulationError):
-        MulticoreMachine(SMALL_SPEC, fast="vectorized")
+    assert MulticoreMachine(SMALL_SPEC, fast=True).fast is True
+    assert MulticoreMachine(SMALL_SPEC, fast=False).fast is False
+    for name in ("auto", "runs", "lines", "ref", "native", "vectorized"):
+        with pytest.raises(SimulationError):
+            MulticoreMachine(SMALL_SPEC, fast=name)

@@ -40,3 +40,14 @@ def test_public_names_resolve():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         repro.nope  # noqa: B018
+
+
+def test_importing_the_simulator_builds_no_library():
+    # The compiled drive loop is built and loaded on the first native
+    # drive call, never on import.
+    code = ("import repro.coherence; from repro.coherence import native; "
+            "print(native.load.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "0"

@@ -117,6 +117,19 @@ class TestInvariants:
                 == prog.total_accesses)
 
 
+def _final_states(prog):
+    """Machines left holding their final state: compiled and spec loop."""
+    machines = [MulticoreMachine(SMALL_SPEC, fast=fast)
+                for fast in (True, False)]
+    for m in machines:
+        m.run(prog, keep_state=True)
+    fast, ref = machines
+    for cf, cr in zip(fast._l1 + fast._l2 + [fast._l3],
+                      ref._l1 + ref._l2 + [ref._l3]):
+        assert list(cf.lines()) == list(cr.lines()), cf.name
+    return machines
+
+
 class TestCoherenceSoundness:
     @settings(max_examples=30, deadline=None)
     @given(program_traces(max_threads=4, max_len=200))
@@ -127,36 +140,34 @@ class TestCoherenceSoundness:
 
         from repro.coherence.protocol import EXCLUSIVE, MODIFIED, SHARED
 
-        m = MulticoreMachine(SMALL_SPEC)
-        m.run(prog, keep_state=True)
-        by_line = defaultdict(list)
-        for core, l2 in enumerate(m._l2):
-            for line, state in l2.lines():
-                by_line[line].append((core, state))
-        for line, holders in by_line.items():
-            states = [s for _, s in holders]
-            if MODIFIED in states or EXCLUSIVE in states:
-                assert len(holders) == 1, (line, holders)
-            else:
-                assert all(s == SHARED for s in states), (line, holders)
+        for m in _final_states(prog):
+            by_line = defaultdict(list)
+            for core, l2 in enumerate(m._l2):
+                for line, state in l2.lines():
+                    by_line[line].append((core, state))
+            for line, holders in by_line.items():
+                states = [s for _, s in holders]
+                if MODIFIED in states or EXCLUSIVE in states:
+                    assert len(holders) == 1, (line, holders)
+                else:
+                    assert all(s == SHARED for s in states), (line, holders)
 
     @settings(max_examples=30, deadline=None)
     @given(program_traces(max_threads=4, max_len=200))
     def test_l1_contained_in_l2_with_same_state(self, prog):
         """Inclusion invariant: every L1-resident line is in that core's L2
         with an identical MESI state."""
-        m = MulticoreMachine(SMALL_SPEC)
-        m.run(prog, keep_state=True)
-        for l1, l2 in zip(m._l1, m._l2):
-            for line, state in l1.lines():
-                assert l2.lookup(line) == state, line
+        for m in _final_states(prog):
+            for l1, l2 in zip(m._l1, m._l2):
+                for line, state in l1.lines():
+                    assert l2.lookup(line) == state, line
 
 
 @st.composite
 def adversarial_traces(draw, max_threads=4):
-    """Traces built to stress the line-partitioned kernel: one hot line
-    every thread fights over, thread-private lines, and page-crossing
-    sequential runs — interleaved in random per-thread segment orders."""
+    """Traces built to stress the coherence paths: one hot line every
+    thread fights over, thread-private lines, and page-crossing sequential
+    runs — interleaved in random per-thread segment orders."""
     nt = draw(st.integers(2, max_threads))
     hot = 4096  # one line's byte base, shared by every thread
     threads = []
@@ -186,22 +197,17 @@ def adversarial_traces(draw, max_threads=4):
 
 
 class TestDriveStrategyEquivalence:
-    """All three drive strategies agree exactly on adversarial traces."""
+    """The compiled loop and the Python spec agree exactly on adversarial
+    traces."""
 
     @settings(max_examples=30, deadline=None)
     @given(adversarial_traces())
     def test_exact_tally_equality_across_strategies(self, prog):
         ref = MulticoreMachine(SMALL_SPEC, fast=False,
                                hitm_sample_period=5).run(prog)
-        for strategy in ("runs", "lines", "auto"):
-            # The zero gate forces run-compression to vectorize even the
-            # most fragmented draw; 'lines' and 'auto' manage their own
-            # fallbacks (which must be just as identical).
-            gate = 0.0 if strategy == "runs" else 1.6
-            res = MulticoreMachine(SMALL_SPEC, fast=strategy,
-                                   fast_min_compression=gate,
-                                   hitm_sample_period=5).run(prog)
-            assert res.counts == ref.counts, strategy
-            assert res.cycles_per_core == ref.cycles_per_core, strategy
-            assert res.seconds == ref.seconds, strategy
-            assert res.hitm_samples == ref.hitm_samples, strategy
+        res = MulticoreMachine(SMALL_SPEC, fast=True,
+                               hitm_sample_period=5).run(prog)
+        assert res.counts == ref.counts
+        assert res.cycles_per_core == ref.cycles_per_core
+        assert res.seconds == ref.seconds
+        assert res.hitm_samples == ref.hitm_samples

@@ -225,9 +225,8 @@ def _tiny_traces():
 def _tiny_routing():
     """Stand-in for the 19-program routing sweep."""
     return {"floor": 0.95, "coverage": 0.97, "accesses": 1_000,
-            "paths": {"lines": 900, "runs": 70, "ref-gated": 30},
-            "programs": {"tiny": {"lines": 900, "runs": 70,
-                                  "ref-gated": 30}}}
+            "paths": {"native": 970, "ref": 30},
+            "programs": {"tiny": {"native": 970, "ref": 30}}}
 
 
 def _tiny_store_workers():
@@ -360,14 +359,12 @@ def test_render_speedup_table_lists_every_strategy():
     from repro.telemetry.bench import render_speedup_table
 
     payload = _payload()
-    payload["drive"]["psums/good/t4"].update(
-        runs_accesses_per_s=900_000, lines_accesses_per_s=1_100_000,
-        strategy="lines", speedup_floor=1.3)
+    payload["drive"]["psums/good/t4"].update(strategy="native",
+                                             speedup_floor=1.3)
     table = render_speedup_table(payload)
-    for col in ("ref acc/s", "runs acc/s", "lines acc/s", "auto acc/s",
-                "auto path", "floor"):
+    for col in ("ref acc/s", "fast acc/s", "fast path", "floor"):
         assert col in table
-    assert "psums/good/t4" in table and "lines" in table
+    assert "psums/good/t4" in table and "native" in table
     assert "1.30x" in table and "2.00x" in table
 
 
@@ -377,12 +374,12 @@ def test_cli_run_mode_writes_speedup_table(tmp_path, tiny_bench):
     assert bench_main(["--smoke", "--output", str(out),
                        "--speedup-table", str(table)]) == 0
     text = table.read_text()
-    assert "tiny/t1" in text and "auto path" in text
+    assert "tiny/t1" in text and "fast path" in text
     payload = json.loads(out.read_text())
     row = payload["drive"]["tiny/t1"]
-    for strat in ("ref", "runs", "lines", "fast"):
-        assert row[f"{strat}_accesses_per_s"] > 0
-    assert row["strategy"] in ("runs", "lines", "ref", "ref-gated")
+    for path in ("ref", "fast"):
+        assert row[f"{path}_accesses_per_s"] > 0
+    assert row["strategy"] in ("native", "ref")
 
 
 # ------------------------------------------------------- routing coverage
@@ -434,7 +431,7 @@ def test_render_routing_report_histogram_and_verdict():
     payload = _payload()
     payload["routing"] = _tiny_routing()
     text = render_routing_report(payload)
-    assert "tiny" in text and "lines" in text and "ref-gated" in text
+    assert "tiny" in text and "native" in text and "ref" in text
     assert "97.00" in text and "PASS" in text
     payload["routing"]["coverage"] = 0.5
     assert "FAIL" in render_routing_report(payload)

@@ -46,14 +46,6 @@ def _psums_trace(size: int = 3_000) -> ProgramTrace:
     return w.trace(RunConfig(threads=4, mode=Mode.BAD_FS, size=size))
 
 
-def _fragmented_trace(n: int = 4_096) -> ProgramTrace:
-    """Every access touches a fresh line: compression ~1, below the gate."""
-    addrs = (np.arange(n, dtype=np.int64) % 512) * 64
-    return ProgramTrace(
-        [ThreadTrace(addrs, np.zeros(n, dtype=bool))], name="fragmented"
-    )
-
-
 # --------------------------------------------------------- disabled = no-op
 
 
@@ -121,7 +113,7 @@ def test_drive_spans_and_counters_describe_the_run():
     spans = [s for s in TELEMETRY.spans if s.name == "sim.drive"]
     assert spans
     for sp in spans:
-        assert sp.attrs["path"] in ("runs", "lines", "ref", "ref-gated")
+        assert sp.attrs["path"] in ("native", "ref")
         assert sp.attrs["accesses"] > 0
         assert sp.attrs["accesses_per_s"] > 0
     c = TELEMETRY.counters
@@ -138,27 +130,7 @@ def test_drive_reference_machine_records_ref_path():
     MulticoreMachine(SCALED_WESTMERE, fast=False).run(_psums_trace())
     c = TELEMETRY.counters
     assert c["sim.drive.path.ref"] == c["sim.drive.segments"]
-    assert "sim.drive.path.fast" not in c
-
-
-def test_drive_gate_fallback_recorded_as_ref_gated():
-    TELEMETRY.enable(reset=True)
-    # Force run-compression: its gate rejects the fragmented trace
-    # (compression ~1) and the fallback must be recorded as 'ref-gated'.
-    # (Under 'auto' this trace routes to the line kernel instead.)
-    MulticoreMachine(SCALED_WESTMERE, fast="runs").run(_fragmented_trace())
-    c = TELEMETRY.counters
-    assert c.get("sim.drive.path.ref-gated", 0) >= 1
-    gated = [s for s in TELEMETRY.spans
-             if s.name == "sim.drive" and s.attrs.get("path") == "ref-gated"]
-    assert gated
-
-
-def test_drive_line_kernel_recorded_as_lines():
-    TELEMETRY.enable(reset=True)
-    MulticoreMachine(SCALED_WESTMERE, fast="lines").run(_psums_trace(12_000))
-    c = TELEMETRY.counters
-    assert c.get("sim.drive.path.lines", 0) == c["sim.drive.segments"]
+    assert "sim.drive.path.native" not in c
 
 
 # ------------------------------------------------------------ engine.map

@@ -90,8 +90,8 @@ def test_program_round_trip_drives_bit_identical(tmp_path, rng):
             assert np.array_equal(t0.is_write, t1.is_write)
             assert t0.instr_per_access == t1.instr_per_access
             assert t0.extra_instructions == t1.extra_instructions
-        res_a = MulticoreMachine(SMALL_SPEC, fast="auto").run(prog)
-        res_b = MulticoreMachine(SMALL_SPEC, fast="auto").run(back)
+        res_a = MulticoreMachine(SMALL_SPEC, fast=True).run(prog)
+        res_b = MulticoreMachine(SMALL_SPEC, fast=True).run(back)
         assert res_a.counts == res_b.counts
         assert res_a.cycles_per_core == res_b.cycles_per_core
 
@@ -252,7 +252,7 @@ def test_interleave_stream_matches_monolithic(tmp_path, rng, max_accesses):
         # The drive is window-size invariant: whole runs, and time slices
         # whose bounds fall inside windows (3 slices over ~900 accesses
         # against 60- and 324-access windows).
-        for fast in ("ref", "auto"):
+        for fast in (False, True):
             def machine():
                 return MulticoreMachine(SMALL_SPEC, fast=fast,
                                         hitm_sample_period=3)
@@ -285,9 +285,9 @@ def test_run_stream_is_bit_identical_to_run(tmp_path, rng):
     prog = _random_program(rng, nthreads=4, max_len=2000)
     prog.to_file(tmp_path / "p.rtrc")
     mapped = ProgramTrace.open_mmap(tmp_path / "p.rtrc")
-    ref = MulticoreMachine(SMALL_SPEC, fast="auto").run(prog)
+    ref = MulticoreMachine(SMALL_SPEC, fast=True).run(prog)
     for max_accesses in (256, 4096):
-        res = MulticoreMachine(SMALL_SPEC, fast="auto").run(
+        res = MulticoreMachine(SMALL_SPEC, fast=True).run(
             mapped, max_accesses=max_accesses)
         assert res.counts == ref.counts
         assert res.cycles_per_core == ref.cycles_per_core
@@ -298,7 +298,7 @@ def test_run_stream_is_bit_identical_to_run(tmp_path, rng):
 
 def test_run_stream_populates_path_accesses(rng):
     prog = _random_program(rng, nthreads=2, max_len=3000)
-    m = MulticoreMachine(SMALL_SPEC, fast="auto")
+    m = MulticoreMachine(SMALL_SPEC, fast=True)
     m.run(prog, max_accesses=512)
     assert sum(m.path_accesses.values()) == prog.total_accesses
     assert set(m.path_accesses) == set(m.path_counts)
@@ -410,5 +410,5 @@ def test_two_gigabyte_trace_streams_end_to_end(tmp_path):
     assert path.stat().st_size > 2 * (1 << 30)
     del prog, threads, addrs, writes
     mapped = ProgramTrace.open_mmap(path)
-    res = MulticoreMachine(SMALL_SPEC, fast="auto").run(mapped)
+    res = MulticoreMachine(SMALL_SPEC, fast=True).run(mapped)
     assert res.counts["INST_RETIRED.ANY"] > 0
