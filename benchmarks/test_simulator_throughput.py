@@ -1,29 +1,22 @@
-"""Bench: simulator throughput and pipeline wall time, tracked over PRs.
+"""Bench: simulator throughput and pipeline wall time.
 
-Measures (a) raw ``MulticoreMachine`` drive throughput in accesses/second
+Checks (a) raw ``MulticoreMachine`` drive throughput in accesses/second
 for the Python spec loop and the shipping compiled drive on the pinned
 ``repro-bench`` trace grid (:func:`repro.telemetry.bench.drive_traces`, the
-same cases the CI ``bench`` job replays), with a hard ``speedup_floor``
-check on every trace, (b) the overhead of the telemetry hooks
-in both their disabled (default) and enabled states, and (c) end-to-end
-``classify_all`` + ``verify_all`` wall time for the pre-optimization
-configuration (serial, spec drive loop, unfiltered oracle) against the
-current one (parallel engine, compiled drive, filtered oracle).
-Results land in ``BENCH_simulator.json`` at the repo root so future PRs
-can compare against the trajectory — CI ingests it with a fresh
-``repro-bench`` result into a two-run ``repro-results`` store and gates
-that.
-
-Both configurations produce bit-identical labels and counts (asserted
-here), so the timings compare two implementations of the same function.
+same cases the CI ``bench`` job replays): every trace must run the
+compiled loop and clear its hard ``speedup_floor``; (b) the overhead of
+the telemetry hooks in their enabled state, within 2 % of disabled; and
+(c) that the pre-optimization configuration of ``classify_all`` +
+``verify_all`` (serial, spec drive loop, unfiltered oracle) and the
+current one (parallel engine, compiled drive, filtered oracle) give
+identical labels and verdicts.  It prints its numbers and writes no
+file: ``repro-bench --full`` alone writes ``BENCH_simulator.json``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
 from repro.baselines.shadow import ShadowMemoryDetector
 from repro.coherence.machine import MulticoreMachine, SCALED_WESTMERE
@@ -37,18 +30,9 @@ from repro.core.training import (
 )
 from repro.experiments.context import PipelineContext
 from repro.parallel import default_jobs
-from repro.telemetry.bench import (
-    ROUTING_FLOOR,
-    drive_traces,
-    measure_drive,
-    measure_routing,
-    measure_store_workers,
-)
+from repro.telemetry.bench import drive_traces, measure_drive
 from repro.telemetry.core import TELEMETRY
 from repro.workloads.base import Mode
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
-
 
 def _time(fn, repeats: int = 3) -> float:
     best = float("inf")
@@ -62,9 +46,9 @@ def _time(fn, repeats: int = 3) -> float:
 def _telemetry_overhead() -> dict:
     """Fast-path drive time with hooks disabled (default) vs enabled.
 
-    The disabled state must be a no-op: its only cost is one attribute
-    check per segment.  Even the *enabled* state only records per-segment
-    spans, so both must land within 2 % of each other on a full trace.
+    The disabled state must be a no-op: each segment enters the shared
+    no-op span.  Even the *enabled* state only records per-segment spans,
+    so both must land within 2 % of each other on a full trace.
     """
     label, prog = next(iter(drive_traces()))
     machine = MulticoreMachine(SCALED_WESTMERE, fast=True)
@@ -125,29 +109,15 @@ def _pipeline(tree, fast: bool, jobs: int):
 
 
 def test_simulator_throughput():
-    payload = {
-        "bench": "simulator-throughput",
-        "cpus": os.cpu_count(),
-        "jobs": default_jobs(),
-        "drive": measure_drive(repeats=3),
-        "routing": measure_routing(),
-        "store_workers": measure_store_workers(),
-        "telemetry": _telemetry_overhead(),
-        "e2e": {},
-    }
-
-    # The routing-coverage floor is hard: ≥95% of the 19-program grid's
-    # accesses must stay off the Python spec loop.
-    routing = payload["routing"]
-    assert routing["coverage"] >= ROUTING_FLOOR, routing
-    assert payload["store_workers"]["worker_peak_rss_kib"]
-
-    for label, row in payload["drive"].items():
+    drive = measure_drive(repeats=3)
+    for label, row in drive.items():
         assert row["ref_accesses_per_s"] > 0, label
         assert row["strategy"] == "native", label
         # Every trace carries a hard floor over the spec loop.
         floor = row["speedup_floor"]
         assert row["speedup"] >= floor, (label, row["speedup"], floor)
+
+    telemetry = _telemetry_overhead()
 
     tree = _mini_tree()
     t_before, labels_before, verdicts_before = _pipeline(
@@ -156,12 +126,14 @@ def test_simulator_throughput():
         tree, fast=True, jobs=default_jobs())
     assert labels_after == labels_before
     assert verdicts_after == verdicts_before
-    payload["e2e"] = {
-        "scope": "classify_all + verify_all (19 programs, cold caches)",
-        "serial_reference_s": round(t_before, 2),
-        "parallel_fast_s": round(t_after, 2),
-        "speedup": round(t_before / t_after, 3),
-    }
-
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload["e2e"], indent=2))
+    print(json.dumps({
+        "drive": drive,
+        "telemetry": telemetry,
+        "e2e": {
+            "scope": "classify_all + verify_all (19 programs, cold caches, "
+                     "mini tree)",
+            "serial_reference_s": round(t_before, 2),
+            "parallel_fast_s": round(t_after, 2),
+            "jobs": default_jobs(),
+        },
+    }, indent=2))

@@ -50,7 +50,7 @@ class ShadowReport:
     cold_misses: int
     instructions: int
     nthreads: int
-    per_line: Dict[int, tuple] = None
+    per_line: Optional[Dict[int, tuple]] = None
 
     def hottest_fs_lines(self, n: int = 8):
         """Lines with the most false-sharing misses, hottest first."""

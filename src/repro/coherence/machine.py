@@ -172,15 +172,11 @@ class MulticoreMachine:
         self.prefetch = prefetch
         self.hitm_sample_period = hitm_sample_period
         self.fast = fast
-        #: Per-run path histogram (``{'native': 3}``): which loop drove each
-        #: window of the most recent :meth:`run`/:meth:`run_sliced` call
-        #: (``'ref'`` also when ``fast=True`` found no C compiler).  Always
-        #: maintained (one dict increment per window) so benchmarks can
-        #: report the path without enabling telemetry.
-        self.path_counts: Dict[str, int] = {}
-        #: Same histogram weighted by *accesses* instead of windows — the
-        #: routing-coverage metric ``repro-bench`` gates on.
-        self.path_accesses: Dict[str, int] = {}
+        #: Which loop drove the most recent :meth:`run`/:meth:`run_sliced`
+        #: call: ``'native'`` (the compiled loop) or ``'ref'`` (the Python
+        #: spec, also when ``fast=True`` found no C compiler); ``None``
+        #: before the first run.
+        self.path: Optional[str] = None
 
     # ------------------------------------------------------------------ run
 
@@ -235,6 +231,7 @@ class MulticoreMachine:
         lib = native.load() if self.fast else None
         run = (None if lib is None
                else native.NativeRun(lib, self, state, _CONTENTION_EPOCH))
+        self.path = "ref" if run is None else "native"
         total = program.total_accesses
         bounds = [round(i * total / n_slices) for i in range(n_slices + 1)]
         tallies = [_SegmentTallies(_EventTallies(), nt)
@@ -286,8 +283,6 @@ class MulticoreMachine:
         self._hitm_samples: List[tuple] = []
         self._hitm_seen = 0
         self._cur_addr = -1
-        self.path_counts = {}
-        self.path_accesses = {}
 
     def _slice_result(self, program: ProgramTrace, seg: "_SegmentTallies",
                       s_i: int, n_slices: int) -> SimulationResult:
@@ -347,35 +342,26 @@ class MulticoreMachine:
 
         With :data:`repro.telemetry.core.TELEMETRY` enabled, each piece
         records a ``sim.drive`` span (path taken, accesses, accesses/s)
-        and the path counters; disabled (the default) the only cost is the
-        single ``enabled`` attribute check below.
+        and the path counters; disabled (the default) the span is the
+        shared no-op and nothing is recorded.
         """
         tel = TELEMETRY
         n = int(len(cores_a))
-        path = "ref" if run is None else "native"
+        t0 = time.perf_counter()
+        with tel.span("sim.drive", accesses=n) as sp:
+            if run is None:
+                self._drive_ref(cores_a, addrs_a, writes_a, state, seg)
+            else:
+                self._hitm_samples += run.drive(cores_a, addrs_a, writes_a,
+                                                seg)
         if tel.enabled:
-            t0 = time.perf_counter()
-            with tel.span("sim.drive", accesses=n) as sp:
-                self._drive_path(cores_a, addrs_a, writes_a, state, seg, run)
             dt = time.perf_counter() - t0
             rate = round(n / dt) if dt > 0 else 0
-            sp.set(path=path, accesses_per_s=rate)
+            sp.set(path=self.path, accesses_per_s=rate)
             tel.count("sim.drive.segments")
             tel.count("sim.drive.accesses", n)
-            tel.count(f"sim.drive.path.{path}")
+            tel.count(f"sim.drive.path.{self.path}")
             tel.gauge("sim.drive.accesses_per_s", rate)
-        else:
-            self._drive_path(cores_a, addrs_a, writes_a, state, seg, run)
-        self.path_counts[path] = self.path_counts.get(path, 0) + 1
-        self.path_accesses[path] = self.path_accesses.get(path, 0) + n
-
-    def _drive_path(self, cores_a, addrs_a, writes_a, state: "_RunState",
-                    seg: "_SegmentTallies",
-                    run: "Optional[native.NativeRun]") -> None:
-        if run is None:
-            self._drive_ref(cores_a, addrs_a, writes_a, state, seg)
-        else:
-            self._hitm_samples += run.drive(cores_a, addrs_a, writes_a, seg)
 
     def _drive_ref(self, cores_a, addrs_a, writes_a, state: "_RunState",
                    seg: "_SegmentTallies") -> None:

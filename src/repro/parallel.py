@@ -261,7 +261,7 @@ class ExecutionEngine:
         spec,
         latency=None,
         prefetch: bool = True,
-        fast: "bool | str" = True,
+        fast: bool = True,
         chunk: Optional[int] = None,
     ) -> List[Tuple[object, int]]:
         """Simulate persisted program stores, one worker memmap per path.

@@ -16,8 +16,8 @@ kind against its own history, per metric, with three escalating modes:
   baseline and a fresh payload into an empty store and gating it is the
   baseline comparison CI runs;
 * ``bound`` — hard backstops are enforced **unconditionally** in every
-  mode, even for a history of one: contended-trace ``speedup_floor``\\ s,
-  the routing-coverage floor, the serve zero-shed/zero-error ceilings,
+  mode, even for a history of one: the drive ``speedup_floor``\\ s,
+  the serve zero-shed/zero-error ceilings,
   the crosscheck zero-disagreement ceiling.  The strictest bound ever
   recorded for a metric is the one that gates
   (:meth:`~repro.results.store.ResultsStore.max_bound`), so a payload

@@ -10,8 +10,8 @@ Recognized payload kinds (each a JSON document some part of the repo
 already emits — the store ingests them as-is, no new wire format):
 
 * ``bench`` — ``repro-bench`` / ``BENCH_simulator.json``: per-trace drive
-  throughput + speedups (with their hard ``speedup_floor``), routing
-  coverage (with the routing floor), optional e2e wall time.  The payload
+  throughput + speedups (with their hard ``speedup_floor``), store-worker
+  provenance, optional e2e wall time.  The payload
   shape is checked at ingest (:data:`KNOWN_SECTIONS`, a non-empty
   ``drive`` table whose rows all carry a positive throughput), so a
   drifted document never enters any history;
@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ResultsError
 from repro.serve.loadgen import SHED_CEILING
-from repro.telemetry.bench import ROUTING_FLOOR
 
 __all__ = [
     "STORE_SCHEMA",
@@ -77,7 +76,7 @@ _SERVE_PERCENTILES = ("p50", "p95", "p99")
 #: baseline pass.
 KNOWN_SECTIONS = frozenset({
     "bench", "mode", "cpus", "jobs", "repeats",
-    "drive", "routing", "store_workers", "telemetry", "e2e",
+    "drive", "store_workers", "e2e",
 })
 
 #: Top-level sections a ``serve`` payload may carry (the same contract as
@@ -184,13 +183,6 @@ def _bench_metrics(doc: Dict[str, Any]) -> List[Metric]:
         if speed is not None:
             out.append(Metric(f"drive.{label}.speedup", speed, "x",
                               "higher", bound=_num(row.get("speedup_floor"))))
-    routing = doc.get("routing") or {}
-    cov = _num(routing.get("coverage"))
-    if cov is not None:
-        # A routing section that records no floor still gates at the
-        # shipping one.
-        out.append(Metric("routing.coverage", cov, "frac", "higher",
-                          bound=_num(routing.get("floor")) or ROUTING_FLOOR))
     e2e = _num((doc.get("e2e") or {}).get("parallel_fast_s"))
     if e2e is not None:
         out.append(Metric("e2e.parallel_fast_s", e2e, "s", "lower"))

@@ -45,34 +45,20 @@ from repro.telemetry.manifest import RunManifest
 __all__ = [
     "drive_traces",
     "measure_drive",
-    "measure_routing",
     "measure_store_workers",
     "render_speedup_table",
-    "render_routing_report",
     "run_bench",
     "bench_main",
-    "ROUTING_FLOOR",
-    "SPEEDUP_FLOORS",
+    "SPEEDUP_FLOOR",
 ]
 
-#: Hard per-case speedup floors (the shipping ``fast=True`` drive vs the
-#: Python spec loop), one per pinned trace.  Recorded in the bench payload
-#: as ``speedup_floor``, which ``repro-results gate`` enforces as a hard
-#: bound — unlike throughput, a floored speedup is not softened by
-#: ``--max-regression``.
-SPEEDUP_FLOORS = {
-    "seq_read/good/t1": 1.3,
-    "psums/good/t4": 1.3,
-    "psums/bad-fs/t4": 1.3,
-    "streamcluster/simsmall": 1.3,
-}
-
-#: Minimum share of 19-program-grid *accesses* the shipping drive must keep
-#: off the Python spec loop (path ``ref``): below it, the compiled loop did
-#: not load (no C compiler) or a window bypassed it.  Recorded as
-#: ``routing.floor`` and enforced as a hard bound by ``repro-results gate``,
-#: like :data:`SPEEDUP_FLOORS`.
-ROUTING_FLOOR = 0.95
+#: Hard speedup floor of the shipping ``fast=True`` drive over the Python
+#: spec loop, recorded on every pinned trace's row as ``speedup_floor``,
+#: which ``repro-results gate`` enforces as a hard bound — unlike
+#: throughput, a floored speedup is not softened by ``--max-regression``.
+#: Without a C compiler both sides run the spec loop (~1.0x), so the floor
+#: also fails a run in which the compiled loop did not load.
+SPEEDUP_FLOOR = 1.3
 
 #: Drive-grid seed state is fully pinned by the workload registry streams;
 #: this seed tags the manifest (the grid itself takes no free seed).
@@ -81,7 +67,7 @@ BENCH_SEED = 0
 def drive_traces() -> Iterator[Tuple[str, Any]]:
     """The pinned drive-throughput grid: ``(label, ProgramTrace)`` pairs.
 
-    Traces span the run-length-compression spectrum: streaming
+    Traces span the sharing patterns the detector classifies: streaming
     (``seq_read``), padded accumulators (``psums`` good), contended
     (``psums`` bad-fs), and a suite model (``streamcluster``).  Labels are
     stable identifiers — the baseline comparison is keyed on them.
@@ -148,11 +134,15 @@ def measure_drive(repeats: int = 3) -> Dict[str, Dict[str, Any]]:
     ``ref_accesses_per_s`` times ``fast=False`` (the Python spec loop),
     ``fast_accesses_per_s`` the shipping ``fast=True`` drive, whose path
     (``native``, or ``ref`` without a C compiler) ``strategy`` records
-    from :attr:`MulticoreMachine.path_counts`.  Every trace carries its
-    :data:`SPEEDUP_FLOORS` entry.
+    from :attr:`MulticoreMachine.path`.  Every row carries
+    :data:`SPEEDUP_FLOOR` as ``speedup_floor``.
     """
+    from repro.coherence import native
     from repro.coherence.machine import MulticoreMachine, SCALED_WESTMERE
 
+    # Build or load the compiled loop before any timing: a cold ``cc``
+    # build inside the first timed call would sink that trace's speedup.
+    native.load()
     out: Dict[str, Dict[str, Any]] = {}
     for label, prog in drive_traces():
         with TELEMETRY.span("bench.drive", trace=label):
@@ -161,52 +151,15 @@ def measure_drive(repeats: int = 3) -> Dict[str, Dict[str, Any]]:
                         "fast": MulticoreMachine(SCALED_WESTMERE)}
             times = _best_of({name: functools.partial(m.run, prog)
                               for name, m in machines.items()}, repeats)
-            paths = machines["fast"].path_counts
-        row: Dict[str, Any] = {
+        out[label] = {
             "accesses": n,
             "ref_accesses_per_s": round(n / times["ref"]),
             "fast_accesses_per_s": round(n / times["fast"]),
-            "strategy": max(paths, key=paths.__getitem__, default="ref"),
+            "strategy": machines["fast"].path,
             "speedup": round(times["ref"] / times["fast"], 3),
+            "speedup_floor": SPEEDUP_FLOOR,
         }
-        if label in SPEEDUP_FLOORS:
-            row["speedup_floor"] = SPEEDUP_FLOORS[label]
-        out[label] = row
     return out
-
-
-def measure_routing() -> Dict[str, Any]:
-    """Access-weighted drive paths over the 19-program suite grid.
-
-    Runs every suite program's first case once under the shipping
-    ``fast=True`` drive and accumulates
-    :attr:`MulticoreMachine.path_accesses` — how many *accesses* each drive
-    path handled.  Coverage is the share of accesses not on the Python
-    spec loop (path ``ref``); ``repro-results gate`` enforces
-    :data:`ROUTING_FLOOR` on it as a hard bound.
-    """
-    from repro.coherence.machine import MulticoreMachine, SCALED_WESTMERE
-    from repro.suites import all_programs, get_program
-
-    paths: Dict[str, int] = {}
-    programs: Dict[str, Dict[str, int]] = {}
-    with TELEMETRY.span("bench.routing"):
-        for p in all_programs():
-            prog = get_program(p.name).trace(p.cases()[0])
-            machine = MulticoreMachine(SCALED_WESTMERE)
-            machine.run(prog)
-            programs[p.name] = dict(machine.path_accesses)
-            for path, n in machine.path_accesses.items():
-                paths[path] = paths.get(path, 0) + n
-    total = sum(paths.values())
-    coverage = (total - paths.get("ref", 0)) / total if total else 0.0
-    return {
-        "floor": ROUTING_FLOOR,
-        "coverage": round(coverage, 6),
-        "accesses": total,
-        "paths": paths,
-        "programs": programs,
-    }
 
 
 def measure_store_workers(tmp_dir: Optional[Path] = None) -> Dict[str, Any]:
@@ -273,38 +226,6 @@ def render_speedup_table(payload: Dict[str, Any]) -> str:
     )
 
 
-def render_routing_report(payload: Dict[str, Any]) -> str:
-    """Per-program path-routing histogram (the CI coverage artifact)."""
-    from repro.utils.tables import render_table
-
-    routing = payload.get("routing") or {}
-    programs = routing.get("programs") or {}
-    all_paths = sorted({p for hist in programs.values() for p in hist}
-                       | set(routing.get("paths") or {}))
-    rows = []
-    for name, hist in sorted(programs.items()):
-        total = sum(hist.values()) or 1
-        off = total - hist.get("ref", 0)
-        rows.append([name, f"{total:,}"]
-                    + [f"{hist.get(p, 0):,}" for p in all_paths]
-                    + [f"{off / total:.2%}"])
-    totals = routing.get("paths") or {}
-    total = sum(totals.values()) or 1
-    rows.append(["TOTAL", f"{total:,}"]
-                + [f"{totals.get(p, 0):,}" for p in all_paths]
-                + [f"{routing.get('coverage', 0.0):.2%}"])
-    out = render_table(
-        ["program", "accesses"] + all_paths + ["off-ref"],
-        rows,
-        title="drive routing coverage (access-weighted)",
-    )
-    floor = routing.get("floor", ROUTING_FLOOR)
-    verdict = ("PASS" if routing.get("coverage", 0.0) >= floor else "FAIL")
-    out += (f"\ncoverage {routing.get('coverage', 0.0):.4%} "
-            f"vs floor {floor:.0%}: {verdict}")
-    return out
-
-
 def measure_e2e(jobs: Optional[int] = None) -> Dict[str, Any]:  # pragma: no cover - minutes-long
     """End-to-end ``classify_all + verify_all`` wall time (full mode only)."""
     from repro.core.detector import FalseSharingDetector
@@ -354,7 +275,6 @@ def run_bench(
                 "jobs": jobs or 1,
                 "repeats": repeats,
                 "drive": measure_drive(repeats=repeats),
-                "routing": measure_routing(),
                 "store_workers": measure_store_workers(),
                 "e2e": {},
             }
@@ -400,9 +320,6 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--speedup-table", default="",
                         help="write the drive speedup table (text) "
                              "here — uploaded as a CI artifact")
-    parser.add_argument("--coverage-report", default="",
-                        help="write the drive routing coverage report (text) "
-                             "here — uploaded as a CI artifact")
     parser.add_argument("--results-store", default="",
                         help="also ingest the result payload (and manifest, "
                              "in run mode) into this repro-results store")
@@ -447,14 +364,6 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
             for label, row in payload["drive"].items():
                 print(f"  {label:24s} fast {row['fast_accesses_per_s']:>11,} "
                       f"acc/s  (speedup {row['speedup']:.2f}x)")
-            routing = payload.get("routing") or {}
-            if routing:
-                hist = " ".join(
-                    f"{p}={n:,}"
-                    for p, n in sorted((routing.get("paths") or {}).items()))
-                print(f"  routing: {hist}")
-                print(f"  routing coverage {routing.get('coverage', 0.0):.4%}"
-                      f" (floor {routing.get('floor', ROUTING_FLOOR):.0%})")
             sw = payload.get("store_workers") or {}
             if sw:
                 rss = ", ".join(f"{r:,} KiB"
@@ -482,11 +391,6 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
             table_path.write_text(render_speedup_table(payload) + "\n")
             print(f"speedups: {table_path}")
 
-        if args.coverage_report:
-            cov_path = Path(args.coverage_report)
-            cov_path.parent.mkdir(parents=True, exist_ok=True)
-            cov_path.write_text(render_routing_report(payload) + "\n")
-            print(f"coverage: {cov_path}")
         return 0
     except (ReproError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ from repro.errors import TraceError
 from repro.trace.access import ProgramTrace
 
 #: Default window size (accesses) for :func:`interleave_stream`.  Large
-#: enough that the per-window numpy/lexsort overhead vanishes and the
-#: drive strategies see the same routing signal as one whole-trace window,
-#: small enough that a GB-scale trace streams in tens-of-MB working sets.
+#: enough that the per-window numpy/lexsort overhead and the drive's
+#: per-window call cost vanish, small enough that a GB-scale trace streams
+#: in tens-of-MB working sets.  Drive results do not depend on it.
 DEFAULT_SEGMENT = 4_194_304
 
 #: Default interleave granularity.  Chosen so that a tight false-sharing loop

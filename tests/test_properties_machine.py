@@ -196,13 +196,13 @@ def adversarial_traces(draw, max_threads=4):
     return ProgramTrace(threads)
 
 
-class TestDriveStrategyEquivalence:
+class TestNativeReferenceEquivalence:
     """The compiled loop and the Python spec agree exactly on adversarial
     traces."""
 
     @settings(max_examples=30, deadline=None)
     @given(adversarial_traces())
-    def test_exact_tally_equality_across_strategies(self, prog):
+    def test_exact_tally_equality_native_vs_reference(self, prog):
         ref = MulticoreMachine(SMALL_SPEC, fast=False,
                                hitm_sample_period=5).run(prog)
         res = MulticoreMachine(SMALL_SPEC, fast=True,

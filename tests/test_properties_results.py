@@ -86,5 +86,5 @@ def test_gate_never_raises_on_any_small_history(tmp_path_factory, values):
     # row set for the latest run's gatable metrics.
     assert {r.name for r in report.rows} >= {
         "drive.psums/bad-fs/t4.fast_accesses_per_s",
-        "routing.coverage",
+        "drive.psums/bad-fs/t4.speedup",
     }

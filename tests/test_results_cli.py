@@ -33,7 +33,7 @@ def test_cli_ingest_list_trend_gate_export_roundtrip(tmp_path, capsys):
 
     assert results_main(["trend", store, "--fail-empty"]) == 0
     out = capsys.readouterr().out
-    assert "routing.coverage" in out and "server-line.throughput_vps" in out
+    assert "drive.psums/bad-fs/t4.speedup" in out and "server-line.throughput_vps" in out
 
     assert results_main(["gate", store]) == 0
     out = capsys.readouterr().out

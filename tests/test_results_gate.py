@@ -81,13 +81,22 @@ def test_gate_keeps_speedup_floor_hard(tmp_path):
     assert any(r.mode == "bound" and r.regressed for r in loose.rows)
 
 
-def test_gate_keeps_routing_floor_hard(tmp_path):
+def test_gate_fails_compilerless_run_on_every_speedup_floor(tmp_path):
+    # Without a C compiler the shipping drive runs the Python spec loop,
+    # so every row times ref against ref (~1.0x).  The speedup floors
+    # alone fail that run, on every pinned trace.
     base = committed_bench()
     cur = copy.deepcopy(base)
-    cur["routing"]["coverage"] = 0.91  # floor is 0.95
-    report = two_run_gate(tmp_path, base, cur)
-    assert any(r.name == "routing.coverage" and r.mode == "bound"
-               and r.regressed for r in report.rows)
+    for row in cur["drive"].values():
+        row["strategy"] = "ref"
+        row["fast_accesses_per_s"] = row["ref_accesses_per_s"]
+        row["speedup"] = 1.0
+    report = two_run_gate(tmp_path, base, cur, max_regression=0.9)
+    assert not report.ok
+    breached = sorted(r.name for r in report.rows
+                      if r.mode == "bound" and r.regressed)
+    assert breached == sorted(f"drive.{label}.speedup"
+                              for label in base["drive"])
 
 
 def test_gate_fails_on_missing_grid_case_like_pairwise(tmp_path):
@@ -111,16 +120,13 @@ def test_smoke_run_after_full_run_is_not_missing_e2e(tmp_path):
     assert report.missing == []
     assert report.ok
     assert not any(r.name == "e2e.parallel_fast_s" for r in report.rows)
-    # A drive label or routing coverage missing from the smoke run still
-    # fails as before.
+    # A drive label missing from the smoke run still fails as before.
     del smoke["drive"]["psums/bad-fs/t4"]
-    del smoke["routing"]
     with ResultsStore(tmp_path / "g2.db") as store:
         store.ingest(full)
         store.ingest(smoke)
         shrunk = gate_store(store, kind="bench")
     assert not shrunk.ok
-    assert "bench:routing.coverage" in shrunk.missing
     assert "bench:drive.psums/bad-fs/t4.fast_accesses_per_s" in shrunk.missing
     assert "bench:e2e.parallel_fast_s" not in shrunk.missing
 

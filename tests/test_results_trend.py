@@ -80,7 +80,7 @@ def test_trend_render_table_and_markdown(tmp_path):
         store.ingest(bench_payload())
         rows = trend_rows(store)
     text = render_trend_table(rows)
-    assert "routing.coverage" in text and "status" in text
+    assert "drive.psums/bad-fs/t4.speedup" in text and "status" in text
     md = render_trend_markdown(rows)
     assert md.startswith("| kind |")
     assert "| bench |" in md

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -296,12 +297,15 @@ def test_run_stream_is_bit_identical_to_run(tmp_path, rng):
         assert res.hitm_samples == ref.hitm_samples
 
 
-def test_run_stream_populates_path_accesses(rng):
+def test_run_stream_records_drive_path(rng):
     prog = _random_program(rng, nthreads=2, max_len=3000)
     m = MulticoreMachine(SMALL_SPEC, fast=True)
+    assert m.path is None
     m.run(prog, max_accesses=512)
-    assert sum(m.path_accesses.values()) == prog.total_accesses
-    assert set(m.path_accesses) == set(m.path_counts)
+    assert m.path == ("native" if shutil.which("cc") else "ref")
+    ref = MulticoreMachine(SMALL_SPEC, fast=False)
+    ref.run(prog, max_accesses=512)
+    assert ref.path == "ref"
 
 
 # ------------------------------------------------------- store consumers
