@@ -51,3 +51,14 @@ def test_importing_the_simulator_builds_no_library():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.strip() == "0"
+
+
+def test_results_schema_leaves_bench_module_unloaded():
+    # The results store gates bench payloads by their recorded floors, so
+    # it needs nothing from the module that measures them.
+    code = ("import sys, repro.results.schema; "
+            "print('repro.telemetry.bench' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
