@@ -471,9 +471,10 @@ class CrossChecker:
     with :class:`RunConfig` (:func:`default_grid`) or suite programs with
     :class:`SuiteCase` (:func:`suite_grid`).  ``ctx`` is a
     :class:`~repro.experiments.context.PipelineContext`, or anything with
-    its ``detector``, ``engine`` and ``shadow_reports``: the oracle's
-    reports come from its cache, so a case any earlier run shadowed (the
-    suite's verification grid, another sweep) is not shadowed again.
+    its ``detector``, ``engine``, ``shadow``, ``shadow_cache`` and
+    ``shadow_reports``: the oracle's reports come from its cache, so a
+    case any earlier run shadowed (the suite's verification grid, another
+    sweep) is not shadowed again.
     """
 
     def __init__(self, ctx: "PipelineContext") -> None:
@@ -483,10 +484,13 @@ class CrossChecker:
     def run(self, grid: Optional[Sequence[Tuple]] = None) -> CrossCheckReport:
         grid = list(grid) if grid is not None else default_grid()
         detector = self.ctx.detector
-        # The expensive axes fan out over the worker pool; the parent then
-        # consumes cache hits (tree and oracle) in grid order, so results
-        # are identical for any worker count.
-        self.ctx.engine.prefetch_simulations(detector.lab, grid)
+        # The expensive axes run first, one case task per grid pair (its
+        # trace built once for the simulator and the oracle); the parent
+        # then consumes cache hits (tree and oracle) in grid order, so
+        # results are identical for any worker count.
+        self.ctx.engine.prefetch(detector.lab, grid, shadowed=grid,
+                                 shadow_cache=self.ctx.shadow_cache,
+                                 oracle=self.ctx.shadow)
         records = [self._record(w, cfg, oracle) for (w, cfg), oracle
                    in zip(grid, self.ctx.shadow_reports(grid))]
         detector.lab.flush()

@@ -39,7 +39,7 @@ SLOWDOWN = 5.0
 class ShadowReport:
     """Outcome of one shadowed run.
 
-    ``per_line`` (when collected) maps cache-line index to its
+    ``per_line`` maps each cache line with a contention miss to its
     ``(fs_misses, ts_misses)`` counts — line-level attribution from the
     instrumentation-based tool, comparable against the sampling-based
     c2c report.
@@ -58,7 +58,7 @@ class ShadowReport:
             return []
         items = [(line, fs, ts) for line, (fs, ts) in self.per_line.items()
                  if fs > 0]
-        items.sort(key=lambda x: x[1], reverse=True)
+        items.sort(key=lambda x: (-x[1], x[0]))
         return items[:n]
 
     @property
@@ -108,22 +108,18 @@ class ShadowMemoryDetector:
     not depend on the window size.
     """
 
-    def __init__(self, max_threads: int = MAX_THREADS,
-                 track_lines: bool = False,
-                 fast: bool = True) -> None:
+    def __init__(self, fast: bool = True) -> None:
         if not isinstance(fast, bool):
             raise BaselineError(f"fast must be a bool, got {fast!r}")
-        self.max_threads = max_threads
-        self.track_lines = track_lines
         self.fast = fast
 
     def run(
         self, program: ProgramTrace, chunk: int = DEFAULT_CHUNK
     ) -> ShadowReport:
         nt = program.nthreads
-        if nt > self.max_threads:
+        if nt > MAX_THREADS:
             raise BaselineError(
-                f"shadow tool handles at most {self.max_threads} threads; "
+                f"shadow tool handles at most {MAX_THREADS} threads; "
                 f"program has {nt} (same limitation as [33])"
             )
         shared: Optional[np.ndarray] = None
@@ -145,10 +141,13 @@ class ShadowMemoryDetector:
 
         holders: Dict[int, int] = {}       # line -> bitmask of holding threads
         tmasks: Dict[int, list] = {}       # line -> per-thread touched-slot mask
-        invalmask: Dict[int, list] = {}    # line -> per-thread invalidator slots
-        fs = ts = 0
+        # line -> per-thread invalidator slots, then the line's fs and ts
+        # miss counts at nt and nt + 1 (a contention miss follows an
+        # invalidation, so every counted line has a list already).
+        invalmask: Dict[int, list] = {}
+        fs_slot, ts_slot = nt, nt + 1
         all_zero = [0] * nt
-        per_line: Dict[int, list] = {} if self.track_lines else None
+        inval_zero = [0] * (nt + 2)
 
         for window in interleave_stream(program, chunk=chunk,
                                         max_accesses=DEFAULT_SEGMENT):
@@ -195,13 +194,9 @@ class ShadowMemoryDetector:
                     if inv is not None and inv[t]:
                         # Invalidation-induced: false or true sharing?
                         if inv[t] & (masks[t] | slot):
-                            ts += 1
-                            if per_line is not None:
-                                per_line.setdefault(line, [0, 0])[1] += 1
+                            inv[ts_slot] += 1
                         else:
-                            fs += 1
-                            if per_line is not None:
-                                per_line.setdefault(line, [0, 0])[0] += 1
+                            inv[fs_slot] += 1
                         inv[t] = 0
                         masks[t] = 0  # new holding period
                     else:
@@ -214,21 +209,23 @@ class ShadowMemoryDetector:
                     if others:
                         inv = invalmask.get(line)
                         if inv is None:
-                            inv = list(all_zero)
+                            inv = list(inval_zero)
                             invalmask[line] = inv
                         for u in range(nt):
                             if others & (1 << u):
                                 inv[u] |= slot
                         held = bit
                 holders[line] = held
+        per_line = {line: (inv[fs_slot], inv[ts_slot])
+                    for line, inv in invalmask.items()
+                    if inv[fs_slot] or inv[ts_slot]}
         return ShadowReport(
-            fs_misses=fs,
-            ts_misses=ts,
+            fs_misses=sum(fs for fs, _ in per_line.values()),
+            ts_misses=sum(ts for _, ts in per_line.values()),
             cold_misses=cold,
             instructions=program.total_instructions,
             nthreads=nt,
-            per_line=(None if per_line is None
-                      else {k: tuple(v) for k, v in per_line.items()}),
+            per_line=per_line,
         )
 
     def run_store(self, path, chunk: int = DEFAULT_CHUNK) -> ShadowReport:

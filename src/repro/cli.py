@@ -32,21 +32,19 @@ from typing import List, Optional, Sequence
 
 from repro.core.lab import Lab
 from repro.core.detector import FalseSharingDetector
-from repro.errors import ReproError, WorkloadError
+from repro.errors import ReproError
+from repro.parallel import resolve_target
 from repro.pmu.events import TABLE2_EVENTS, event_by_name
 from repro.utils.tables import render_table
-from repro.workloads.base import RunConfig
-from repro.workloads.registry import all_workloads, get_workload
+from repro.workloads.base import RunConfig, Workload
+from repro.workloads.registry import all_workloads
 
 
 def _resolve_target(name: str):
-    """A mini-program or a suite program, by name."""
-    try:
-        return get_workload(name), "mini"
-    except WorkloadError:
-        from repro.suites import get_program
-
-        return get_program(name), "suite"
+    """A mini-program or a suite program by name, with its kind
+    (``"mini"`` or ``"suite"``)."""
+    target = resolve_target(name)
+    return target, "mini" if isinstance(target, Workload) else "suite"
 
 
 def _build_config(target, kind: str, args) -> object:

@@ -132,9 +132,7 @@ class FalseSharingDetector:
 
             engine = ExecutionEngine(jobs)
         if engine is not None:
-            engine.prefetch_simulations(
-                self.lab, [(workload, cfg) for cfg in cases]
-            )
+            engine.prefetch(self.lab, [(workload, cfg) for cfg in cases])
         return [self.classify(workload, cfg) for cfg in cases]
 
     def overall_label(self, case_labels: Sequence[str]) -> str:

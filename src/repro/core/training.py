@@ -174,7 +174,7 @@ def collect_plan(
     collection is bit-identical to serial.
     """
     if engine is not None:
-        engine.prefetch_simulations(
+        engine.prefetch(
             lab,
             [(get_workload(row.workload), cfg)
              for row in plan for cfg in row.configs()],

@@ -10,14 +10,14 @@ simulation cache (both are :class:`repro.cache.ResultCache` instances).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.shadow import ShadowMemoryDetector, ShadowReport
 from repro.cache import ResultCache
 from repro.core.detector import FalseSharingDetector
 from repro.core.lab import Lab
 from repro.core.training import TrainingData, collect_training_data
-from repro.parallel import ExecutionEngine, shadow_task
+from repro.parallel import ExecutionEngine, shadow_key
 from repro.pmu.events import TABLE2_EVENTS
 from repro.suites import all_programs, get_program
 from repro.suites.base import SuiteCase, SuiteProgram
@@ -40,11 +40,6 @@ def _valid_shadow_entry(value: Any) -> Optional[ShadowReport]:
                     for v in value.counts)):
         return value
     return None
-
-
-def _shadow_key(program, case) -> Tuple[Hashable, ...]:
-    """The oracle-cache key of one ``(target, case)`` pair."""
-    return (program.name,) + tuple(program.cache_key(case))
 
 
 @dataclass
@@ -88,10 +83,9 @@ class PipelineContext:
     ) -> None:
         self.lab = lab or Lab()
         self.engine = engine or ExecutionEngine(jobs)
-        #: The oracle settings used for verification; replaceable (e.g.
+        #: The oracle used for verification; replaceable (e.g.
         #: ``fast=False`` selects its reference scalar loop for A/B
-        #: measurements).  Oracle runs always track lines, whatever its
-        #: ``track_lines`` says: every cache entry carries ``per_line``.
+        #: measurements).
         self.shadow = ShadowMemoryDetector()
         self._training: Optional[TrainingData] = None
         self._detector: Optional[FalseSharingDetector] = None
@@ -130,9 +124,7 @@ class PipelineContext:
             program = get_program(name)
             det = self.detector
             with TELEMETRY.span("pipeline.classify", program=name) as sp:
-                self.engine.prefetch_simulations(
-                    self.lab, [(program, case) for case in program.cases()]
-                )
+                self._prefetch_grid([program])
                 labels: Dict[SuiteCase, str] = {}
                 seconds: Dict[SuiteCase, float] = {}
                 for case in program.cases():
@@ -150,23 +142,24 @@ class PipelineContext:
     def classify_all(self) -> Dict[str, ClassifiedProgram]:
         # One engine-wide prefetch over every program's grid beats
         # per-program batches: the pool stays saturated across the seams.
-        self.engine.prefetch_simulations(
-            self.lab,
-            [(program, case)
-             for program in all_programs()
-             if program.name not in self._classified
-             for case in program.cases()],
-        )
+        self._prefetch_grid([program for program in all_programs()
+                             if program.name not in self._classified])
         for program in all_programs():
             self.classify_program(program.name)
         return dict(self._classified)
 
-    # ------------------------------------------------------------ shadow oracle
+    def _prefetch_grid(self, programs: Sequence[SuiteProgram]) -> None:
+        """Simulate the ``programs``' classification grids, shadowing their
+        verification subsets in the same case visits: verification then
+        reads the oracle cache instead of building those traces again."""
+        self.engine.prefetch(
+            self.lab,
+            [(p, case) for p in programs for case in p.cases()],
+            shadowed=[(p, case) for p in programs
+                      for case in p.verification_cases()],
+            shadow_cache=self.shadow_cache, oracle=self.shadow)
 
-    def _oracle(self) -> ShadowMemoryDetector:
-        """:attr:`shadow`'s settings, tracking lines."""
-        return ShadowMemoryDetector(max_threads=self.shadow.max_threads,
-                                    track_lines=True, fast=self.shadow.fast)
+    # ------------------------------------------------------------ shadow oracle
 
     def shadow_report(self, program, case) -> ShadowReport:
         """The oracle's report, ``per_line`` included, for one suite
@@ -174,16 +167,18 @@ class PipelineContext:
         def run() -> ShadowReport:
             with TELEMETRY.span("shadow.run", program=program.name,
                                 case=case.run_id()):
-                return self._oracle().run(program.trace(case),
-                                          chunk=self.lab.chunk)
+                return self.shadow.run(program.trace(case),
+                                       chunk=self.lab.chunk)
 
-        return self.shadow_cache.get_or_compute(_shadow_key(program, case),
+        return self.shadow_cache.get_or_compute(shadow_key(program, case),
                                                 run)
 
     def shadow_reports(self, pairs: Sequence[Tuple]) -> List[ShadowReport]:
         """:meth:`shadow_report` of each ``(target, case)`` pair, in order;
-        the misses first fan out over the engine's worker pool."""
-        self._prefetch_shadow(pairs)
+        the misses are first computed by the engine's case tasks."""
+        self.engine.prefetch(self.lab, (), shadowed=pairs,
+                             shadow_cache=self.shadow_cache,
+                             oracle=self.shadow)
         return [self.shadow_report(program, case) for program, case in pairs]
 
     def shadow_report_store(self, path) -> ShadowReport:
@@ -200,20 +195,10 @@ class PipelineContext:
 
         def run() -> ShadowReport:
             with TELEMETRY.span("shadow.run_store", digest=store.digest):
-                return self._oracle().run_store(path, chunk=self.lab.chunk)
+                return self.shadow.run_store(path, chunk=self.lab.chunk)
 
         return self.shadow_cache.get_or_compute(
             ("store", store.digest, self.lab.chunk), run)
-
-    def _prefetch_shadow(self, pairs: Sequence[Tuple]) -> None:
-        """Run missing oracle cases across the engine's worker pool."""
-        n = self.engine.prefetch(
-            self.shadow_cache, pairs, _shadow_key,
-            lambda program, case: (program.name, case, self.lab.chunk,
-                                   self.shadow.max_threads, self.shadow.fast),
-            shadow_task)
-        if n:
-            TELEMETRY.count("shadow.prefetch.dispatched", n)
 
     # ------------------------------------------------------------ verification
 
@@ -247,12 +232,9 @@ class PipelineContext:
         self.shadow_cache.flush()
 
     def verify_all(self) -> Dict[str, VerifiedProgram]:
-        self._prefetch_shadow(
-            [(program, case)
-             for program in all_programs()
-             if program.name not in self._verified
-             for case in program.verification_cases()]
-        )
+        # Classifying first shadows every verification case in the same
+        # engine-wide case visits as the grid's simulations.
+        self.classify_all()
         for program in all_programs():
             self.verify_program(program.name)
         return dict(self._verified)

@@ -11,18 +11,16 @@ strong invariant:
 
     parallel execution is **bit-identical** to serial execution.
 
-The :class:`ExecutionEngine` realizes the invariant by construction: worker
-processes only *simulate* (the deterministic part) and ship
-:class:`~repro.coherence.machine.SimulationResult` objects back; the parent
-installs them in the :class:`~repro.core.lab.Lab` run cache and then drives
-the unchanged serial loop, which consumes cache hits in the original case
-order.  Noise sampling, screening, classification — everything order- or
-RNG-sensitive — still happens serially in the parent, so artifacts cannot
-depend on worker scheduling.
-
-``jobs=1`` (or a single-case grid) never spawns processes; ``jobs=None``
-uses :func:`default_jobs` (``os.cpu_count()``, overridable by the CLI's
-``--jobs``).
+The :class:`ExecutionEngine` realizes the invariant by construction: one
+*case task* (:func:`case_task`) builds a ``(target, case)`` trace once and
+runs the deterministic halves the caches lack — simulation, shadow oracle,
+or both — and the parent installs each half in its cache, then drives the
+unchanged serial loop, which consumes cache hits in case order.  Noise
+sampling, screening, classification — everything order- or RNG-sensitive —
+still happens serially in the parent, so artifacts cannot depend on worker
+scheduling.  The prefetch runs at every job count (``jobs=1`` runs the same
+case tasks in-process); ``jobs=None`` uses :func:`default_jobs`
+(``os.cpu_count()``, overridable by the CLI's ``--jobs``).
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import ReproError
 from repro.telemetry.core import TELEMETRY
@@ -73,6 +72,20 @@ def resolve_target(name: str):
         return get_program(name)
 
 
+def _registered(target) -> bool:
+    """Whether ``target`` is the registry's object of its name (so a worker
+    rebuilds it from the name alone)."""
+    try:
+        return resolve_target(target.name) is target
+    except ReproError:
+        return False
+
+
+def shadow_key(target, case) -> Tuple[Hashable, ...]:
+    """The oracle-cache key of one ``(target, case)`` pair."""
+    return (target.name,) + tuple(target.cache_key(case))
+
+
 # --------------------------------------------------------------------- tasks
 #
 # Worker entry points must be module-level functions (pickled by reference).
@@ -80,14 +93,30 @@ def resolve_target(name: str):
 # as the frozen dataclasses they already are.
 
 
-def _simulate_task(task: Tuple) -> object:
-    """Worker: run one simulation; returns the SimulationResult."""
-    name, cfg, spec, latency, prefetch, fast, chunk = task
+def case_task(task: Tuple) -> Tuple[object, object]:
+    """Worker: build one ``(target, case)`` trace once and run the halves
+    asked for on it; returns ``(SimulationResult | None, ShadowReport |
+    None)``.
+
+    A task is ``(name, case, chunk, machine, oracle_fast)``: ``machine`` is
+    the simulation's ``(spec, latency, prefetch, fast)`` and ``oracle_fast``
+    the shadow oracle's ``fast``, each None when that half is not wanted.
+    """
+    name, case, chunk, machine, oracle_fast = task
+    from repro.baselines.shadow import ShadowMemoryDetector
     from repro.coherence.machine import MulticoreMachine
 
-    workload = resolve_target(name)
-    machine = MulticoreMachine(spec, latency, prefetch=prefetch, fast=fast)
-    return machine.run(workload.trace(cfg), chunk=chunk)
+    trace = resolve_target(name).trace(case)
+    result = report = None
+    if machine is not None:
+        spec, latency, prefetch, fast = machine
+        result = MulticoreMachine(spec, latency, prefetch=prefetch,
+                                  fast=fast).run(trace, chunk=chunk)
+    if oracle_fast is not None:
+        with TELEMETRY.span("shadow.run", program=name, case=case.run_id()):
+            report = ShadowMemoryDetector(fast=oracle_fast).run(trace,
+                                                                chunk=chunk)
+    return result, report
 
 
 def _simulate_store_task(task: Tuple) -> Tuple[object, int]:
@@ -113,19 +142,6 @@ def _simulate_store_task(task: Tuple) -> Tuple[object, int]:
     result = machine.run(program, chunk=chunk)
     rss_kib = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     return result, rss_kib
-
-
-def shadow_task(task: Tuple) -> object:
-    """Worker: the shadow-memory oracle's :class:`ShadowReport` of one case,
-    ``per_line`` included (a task is ``(name, case, chunk, max_threads,
-    fast)``)."""
-    name, case, chunk, max_threads, fast = task
-    from repro.baselines.shadow import ShadowMemoryDetector
-
-    program = resolve_target(name)
-    return ShadowMemoryDetector(max_threads=max_threads, fast=fast,
-                                track_lines=True).run(
-        program.trace(case), chunk=chunk)
 
 
 def _timed_call(payload: Tuple) -> Tuple[float, object]:
@@ -217,43 +233,45 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------- prefetch
 
-    def prefetch(self, cache, pairs: Iterable[Tuple], key: Callable,
-                 task: Callable, fn: Callable) -> int:
-        """Compute the ``(target, case)`` pairs ``cache`` lacks in parallel.
+    def prefetch(self, lab, pairs: Iterable[Tuple],
+                 shadowed: Iterable[Tuple] = (), shadow_cache=None,
+                 oracle=None) -> int:
+        """Compute what the caches lack of ``(target, case)`` pairs.
 
-        ``key(target, case)`` is a pair's cache key and ``task(target,
-        case)`` the picklable tuple ``fn`` runs in a worker.  Results are
-        installed in ``cache`` and flushed; the caller then runs its normal
-        serial loop, which finds every case already computed.  A serial
-        engine or a single miss dispatches nothing, and targets that are
-        not resolvable by registry name (some ad-hoc object) are skipped:
-        that loop computes them.  Returns the number of cases dispatched.
+        ``pairs`` want a simulation in ``lab.sim_cache``, ``shadowed``
+        pairs the ``oracle``'s :class:`ShadowReport` in ``shadow_cache``.
+        Each pair missing either is one :func:`case_task`, which builds its
+        trace once and runs only the missing halves; each half is installed
+        in its cache under its usual key and flushed, so the caller's
+        serial loop reads cache hits.  Targets that are not resolvable by
+        registry name (some ad-hoc object) are skipped: that loop computes
+        them.  Returns the number of case tasks run.
         """
-        if self.jobs <= 1:
+        halves = [(lab.sim_cache, lab.simulation_key, pairs),
+                  (shadow_cache, shadow_key, shadowed)]
+        todo: Dict[Tuple, list] = {}  # shadow key -> [target, case, keys]
+        for half, (cache, key, group) in enumerate(halves):
+            for t, c in group:
+                if _registered(t) and cache.missing([key(t, c)]):
+                    todo.setdefault(shadow_key(t, c),
+                                    [t, c, None, None])[2 + half] = key(t, c)
+        if not todo:
             return 0
-        cases = {}
-        for target, case in pairs:
-            try:
-                if resolve_target(target.name) is not target:
-                    continue
-            except ReproError:
-                continue
-            cases.setdefault(key(target, case), (target, case))
-        keys = cache.missing(cases)
-        if len(keys) <= 1:
-            return 0
-        cache.update(zip(keys, self.map(fn, [task(*cases[k]) for k in keys])))
-        cache.flush()
-        return len(keys)
-
-    def prefetch_simulations(self, lab, pairs: Sequence[Tuple]) -> int:
-        """:meth:`prefetch` of ``(workload, cfg)`` simulations into
-        ``lab``'s run cache."""
-        return self.prefetch(
-            lab.sim_cache, pairs, lab.simulation_key,
-            lambda w, cfg: (w.name, cfg, lab.spec, lab.latency, lab.prefetch,
-                            lab.fast, lab.chunk),
-            _simulate_task)
+        rows = list(todo.values())
+        machine = (lab.spec, lab.latency, lab.prefetch, lab.fast)
+        results = self.map(case_task, [
+            (t.name, c, lab.chunk, None if sim is None else machine,
+             None if orc is None else oracle.fast)
+            for t, c, sim, orc in rows])
+        for half, (cache, _, _) in enumerate(halves):
+            done = [(row[2 + half], out[half])
+                    for row, out in zip(rows, results) if row[2 + half]]
+            if done:
+                cache.update(done)
+                cache.flush()
+                if half:
+                    TELEMETRY.count("shadow.prefetch.dispatched", len(done))
+        return len(rows)
 
     def simulate_stores(
         self,

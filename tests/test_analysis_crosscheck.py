@@ -29,6 +29,7 @@ def oracle_context(detector, jobs=1):
     already-fitted detector (so nothing is trained)."""
     ctx = PipelineContext(lab=detector.lab, jobs=jobs)
     return SimpleNamespace(detector=detector, engine=ctx.engine,
+                           shadow=ctx.shadow, shadow_cache=ctx.shadow_cache,
                            shadow_reports=ctx.shadow_reports)
 
 

@@ -120,30 +120,35 @@ class TestOnWorkloads:
 
 
 class TestPerLineAttribution:
-    def test_line_detail_collected_when_enabled(self):
+    def test_line_detail_collected(self):
         prog = ProgramTrace([rmw_thread(4096, 300), rmw_thread(4104, 300)])
-        rep = ShadowMemoryDetector(track_lines=True).run(prog)
+        rep = ShadowMemoryDetector().run(prog)
         assert rep.per_line
         fs, ts = rep.per_line[64]
         assert fs > 100 and ts == 0
 
-    def test_detail_off_by_default(self):
-        prog = ProgramTrace([rmw_thread(4096, 50), rmw_thread(4104, 50)])
+    def test_detail_lists_only_contended_lines(self):
+        prog = ProgramTrace([rmw_thread(4096, 50), rmw_thread(8192, 50)])
         rep = ShadowMemoryDetector().run(prog)
-        assert rep.per_line is None
+        assert rep.per_line == {}
         assert rep.hottest_fs_lines() == []
 
     def test_hottest_ordering(self):
         t0 = rmw_thread(4096, 50).concat(rmw_thread(8192, 400))
         t1 = rmw_thread(4104, 50).concat(rmw_thread(8200, 400))
-        rep = ShadowMemoryDetector(track_lines=True).run(
+        rep = ShadowMemoryDetector().run(
             ProgramTrace([t0, t1]))
         hot = rep.hottest_fs_lines()
         assert [h[0] for h in hot] == [128, 64]
 
+    def test_hottest_ties_break_by_line(self):
+        rep = ShadowReport(19, 1, 0, 1000, 2,
+                           per_line={128: (5, 0), 64: (5, 0), 3: (9, 1)})
+        assert rep.hottest_fs_lines() == [(3, 9, 1), (64, 5, 0), (128, 5, 0)]
+
     def test_true_sharing_lines_excluded_from_fs_list(self):
         prog = ProgramTrace([rmw_thread(4096, 200), rmw_thread(4096, 200)])
-        rep = ShadowMemoryDetector(track_lines=True).run(prog)
+        rep = ShadowMemoryDetector().run(prog)
         assert rep.hottest_fs_lines() == []
         assert rep.per_line[64][1] > 50  # but recorded as true sharing
 
@@ -155,7 +160,7 @@ class TestPerLineAttribution:
 
         pdot = get_workload("pdot")
         tr = pdot.trace(RunConfig(threads=4, mode="bad-fs", size=65_536))
-        shadow = ShadowMemoryDetector(track_lines=True).run(tr)
+        shadow = ShadowMemoryDetector().run(tr)
         m = MulticoreMachine(SCALED_WESTMERE, hitm_sample_period=9)
         res = m.run(tr)
         c2c = c2c_report(res.hitm_samples, 9)
@@ -167,9 +172,9 @@ class TestPerLineAttribution:
 class TestFastPrefilter:
     """The numpy prefilter must be invisible: identical counts everywhere."""
 
-    def _both(self, prog, **kw):
-        ref = ShadowMemoryDetector(fast=False, **kw).run(prog)
-        fast = ShadowMemoryDetector(fast=True, **kw).run(prog)
+    def _both(self, prog):
+        ref = ShadowMemoryDetector(fast=False).run(prog)
+        fast = ShadowMemoryDetector(fast=True).run(prog)
         return fast, ref
 
     def _assert_same(self, fast, ref):
@@ -202,7 +207,7 @@ class TestFastPrefilter:
 
         p = get_program("linear_regression")
         case = p.verification_cases()[0]
-        fast, ref = self._both(p.trace(case), track_lines=True)
+        fast, ref = self._both(p.trace(case))
         self._assert_same(fast, ref)
         assert ref.per_line is not None
 

@@ -1,0 +1,40 @@
+"""The simulator's, the oracle's and the tree's outputs match pinned digests.
+
+A new row belongs here only together with a ``SIM_VERSION`` or
+``SHADOW_VERSION`` bump (:mod:`repro.versioning`): results that change
+under unchanged versions would be read back from stale disk caches.  See
+:mod:`tests.digests` for the recipe; ``PYTHONPATH=src python -m
+tests.digests`` prints the current digests.
+"""
+
+import math
+
+from repro.versioning import SHADOW_VERSION, SIM_VERSION
+
+from tests.digests import canon, digest, digests
+
+#: ``(SIM_VERSION, SHADOW_VERSION) -> {layer: sha256}``.
+PINNED = {
+    ("v9", "s2"): {
+        "simulator":
+            "2946d7c169403a17d113309465943bbb3c3a020b2aaf8887bd53eabdfa5b0d7c",
+        "oracle":
+            "bc3a76742e06f2d5a3e08863f85f19e9b47adfbe5a76e1109ed3552a2334d722",
+        "labels":
+            "81a03146017ed1c445131e680a87d43e0ba19b62652f99540c45e5828166a2be",
+    },
+}
+
+
+def test_outputs_match_the_pinned_digests():
+    versions = (SIM_VERSION, SHADOW_VERSION)
+    assert versions in PINNED, (
+        f"no pinned digests for {versions}: add the row printed by "
+        "`python -m tests.digests`")
+    assert digests() == PINNED[versions]
+
+
+def test_canonical_form_is_exact_and_order_free():
+    assert canon({2: (1, 0), 1: [0.1]}) == canon({1: [0.1], 2: (1, 0)})
+    assert canon(0.1) == (0.1).hex() != canon(math.nextafter(0.1, 1.0))
+    assert digest([{"a": 1}]) != digest([{"a": 1.0}])

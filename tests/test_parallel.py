@@ -1,18 +1,17 @@
 """Determinism of the parallel execution engine.
 
 The engine's contract is that any ``jobs`` value produces *bit-identical*
-artifacts: workers only simulate, the parent measures and classifies
-serially in case order, and all randomness comes from blake2b-keyed streams
-that do not depend on the process doing the drawing.  These tests run the
-same grids serially and through a multi-process engine and demand equality
-of every float.
+artifacts: workers only simulate and shadow, the parent measures and
+classifies serially in case order, and all randomness comes from
+blake2b-keyed streams that do not depend on the process doing the drawing.
+These tests run the same grids serially and through a multi-process engine
+and demand equality of every float.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.baselines.shadow import ShadowMemoryDetector
 from repro.core.detector import FalseSharingDetector
 from repro.core.lab import Lab
 from repro.core.training import (
@@ -30,6 +29,7 @@ from repro.parallel import (
     set_default_jobs,
 )
 from repro.suites import get_program
+from repro.telemetry.core import TELEMETRY
 from repro.workloads.base import Mode, RunConfig
 from repro.workloads.registry import get_workload
 
@@ -103,18 +103,21 @@ class TestEngine:
         with pytest.raises(ReproError):
             resolve_target("no-such-program")
 
-    def test_prefetch_skips_unknown_workloads(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_prefetch_skips_unknown_workloads(self, jobs):
         class Adhoc:
             name = "not-in-any-registry"
 
             def cache_key(self, cfg):
                 return ("x",)
 
-        lab = Lab(disk_cache=None)
-        n = ExecutionEngine(2).prefetch_simulations(
-            lab, [(Adhoc(), RunConfig(threads=2, mode=Mode.GOOD, size=8))]
-        )
-        assert n == 0 and lab.cache_size() == 0
+        ctx = PipelineContext(lab=Lab(disk_cache=None), jobs=jobs)
+        pairs = [(Adhoc(), RunConfig(threads=2, mode=Mode.GOOD, size=8))]
+        n = ctx.engine.prefetch(ctx.lab, pairs, shadowed=pairs,
+                                shadow_cache=ctx.shadow_cache,
+                                oracle=ctx.shadow)
+        assert n == 0 and ctx.lab.cache_size() == 0
+        assert len(ctx.shadow_cache) == 0
 
 
 class TestTrainingDeterminism:
@@ -165,11 +168,81 @@ class TestShadowDeterminism:
         pairs = [(p, c) for c in p.verification_cases()[:3]]
         serial = PipelineContext(lab=Lab(disk_cache=None), jobs=1)
         parallel = PipelineContext(lab=Lab(disk_cache=None), jobs=2)
-        # The oracle settings say no line tracking; the context's
-        # fan-out tracks lines anyway, at any worker count.
-        serial.shadow = parallel.shadow = ShadowMemoryDetector()
         a = serial.shadow_reports(pairs)
         b = parallel.shadow_reports(pairs)
         assert a == b
         assert all(isinstance(r.per_line, dict) for r in a)
         assert any(r.per_line for r in a)
+
+
+class TestOneCaseVisit:
+    """Classification and verification visit each suite case once: one
+    case task builds its trace for both the simulator and the oracle."""
+
+    PROGRAM = "reverse_index"
+
+    @pytest.fixture(scope="class")
+    def classifier(self):
+        lab = Lab(disk_cache=None)
+        inst = collect_plan(lab, MINI_PLAN, "A")
+        det = FalseSharingDetector(lab)
+        det.fit(training=TrainingData(inst, [], inst, [],
+                                      ScreeningReport(inst, [], {}),
+                                      ScreeningReport([], [], {})))
+        return det.classifier
+
+    def _context(self, classifier, jobs):
+        ctx = PipelineContext(lab=Lab(disk_cache=None), jobs=jobs)
+        ctx._detector = FalseSharingDetector(ctx.lab)
+        ctx._detector.classifier = classifier
+        return ctx
+
+    def _verify(self, ctx):
+        TELEMETRY.enable(reset=True)
+        try:
+            classified = ctx.classify_program(self.PROGRAM)
+            verified = ctx.verify_program(self.PROGRAM)
+            counters = dict(TELEMETRY.counters)
+            spans = {s.name for s in TELEMETRY.spans}
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        return classified, verified, counters, spans
+
+    @pytest.fixture(scope="class")
+    def runs(self, classifier):
+        out = {}
+        for jobs in (1, 2):
+            ctx = self._context(classifier, jobs)
+            out[jobs] = (ctx,) + self._verify(ctx)
+        return out
+
+    def test_cold_visit_builds_each_trace_once(self, runs):
+        program = get_program(self.PROGRAM)
+        ctx, _, verified, counters, _ = runs[1]
+        assert counters["suites.traces"] == len(program.cases())
+        assert counters["engine.tasks"] == len(program.cases())
+        assert (counters["shadow.prefetch.dispatched"]
+                == len(program.verification_cases()) == verified.cases)
+        assert counters.get("shadow.cache.miss", 0) == 0
+
+    def test_jobs_do_not_change_results_or_cache_entries(self, runs):
+        serial, parallel = runs[1], runs[2]
+        assert serial[1] == parallel[1]      # ClassifiedProgram
+        assert serial[2] == parallel[2]      # VerifiedProgram
+        assert serial[0].lab.sim_cache._entries == \
+            parallel[0].lab.sim_cache._entries
+        assert serial[0].shadow_cache._entries == \
+            parallel[0].shadow_cache._entries
+        assert len(serial[0].shadow_cache) == serial[2].cases
+
+    def test_warm_simulations_run_only_oracle_halves(self, classifier):
+        program = get_program(self.PROGRAM)
+        ctx = self._context(classifier, 1)
+        ctx.engine.prefetch(ctx.lab, [(program, c) for c in program.cases()])
+        _, verified, counters, spans = self._verify(ctx)
+        n = len(program.verification_cases())
+        assert counters.get("sim.cache.miss", 0) == 0
+        assert "sim.drive" not in spans
+        assert counters["suites.traces"] == counters["engine.tasks"] == n
+        assert counters["shadow.prefetch.dispatched"] == n == verified.cases

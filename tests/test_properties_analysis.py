@@ -23,7 +23,7 @@ from repro.workloads.base import Mode, RunConfig
 from repro.workloads.registry import mt_miniprograms, seq_miniprograms
 
 ANALYZER = StaticSharingAnalyzer()
-ORACLE = ShadowMemoryDetector(track_lines=True)
+ORACLE = ShadowMemoryDetector()
 
 
 def _case_grid():

@@ -58,7 +58,7 @@ class TestShadowProperties:
     @settings(max_examples=30, deadline=None)
     @given(shared_region_programs())
     def test_per_line_totals_match_aggregate(self, prog):
-        rep = ShadowMemoryDetector(track_lines=True).run(prog)
+        rep = ShadowMemoryDetector().run(prog)
         fs = sum(v[0] for v in rep.per_line.values())
         ts = sum(v[1] for v in rep.per_line.values())
         assert fs == rep.fs_misses
@@ -108,13 +108,13 @@ class TestSheriffProperties:
 class TestShadowWindowInvariance:
     @settings(max_examples=60, deadline=None)
     @given(shared_region_programs(n_words=40), st.sampled_from([1, 7, 64]),
-           st.booleans(), st.booleans(), st.integers(1, 8))
+           st.booleans(), st.integers(1, 8))
     def test_report_independent_of_window_size(
-            self, prog, window, fast, track_lines, chunk):
+            self, prog, window, fast, chunk):
         """The oracle walks ``interleave_stream`` windows; state and the
         repeated-word filter's predecessor carry over each window edge, so
         no window size changes a count or a line's attribution."""
-        det = ShadowMemoryDetector(fast=fast, track_lines=track_lines)
+        det = ShadowMemoryDetector(fast=fast)
         whole = det.run(prog, chunk=chunk)
         saved = shadow.DEFAULT_SEGMENT
         shadow.DEFAULT_SEGMENT = window

@@ -68,12 +68,12 @@ def test_engine_results_identical_disabled_vs_enabled():
     lab = Lab(disk_cache=None)
     cases = [RunConfig(threads=t, mode=Mode.GOOD, size=1_500) for t in (2, 3)]
     pairs = [(get_workload("psums"), c) for c in cases]
-    engine.prefetch_simulations(lab, pairs)
+    engine.prefetch(lab, pairs)
     off = [lab.simulate(w, c).counts for w, c in pairs]
 
     TELEMETRY.enable(reset=True)
     lab2 = Lab(disk_cache=None)
-    engine.prefetch_simulations(lab2, pairs)
+    engine.prefetch(lab2, pairs)
     on = [lab2.simulate(w, c).counts for w, c in pairs]
     assert on == off
 
@@ -211,7 +211,7 @@ def test_engine_prefetch_instrumented_matches_serial_results():
 
     TELEMETRY.enable(reset=True)
     lab_par = Lab(disk_cache=None)
-    ExecutionEngine(jobs=2).prefetch_simulations(lab_par, pairs)
+    ExecutionEngine(jobs=2).prefetch(lab_par, pairs)
     parallel = [lab_par.simulate(w, c).counts for w, c in pairs]
     assert parallel == serial
     spans = [s for s in TELEMETRY.spans if s.name == "engine.map"]

@@ -359,7 +359,7 @@ def test_shadow_run_store_matches_in_memory(tmp_path, rng, monkeypatch):
     prog = _random_program(rng, nthreads=3, max_len=800)
     path = tmp_path / "p.rtrc"
     prog.to_file(path)
-    det = ShadowMemoryDetector(track_lines=True)
+    det = ShadowMemoryDetector()
     mem = det.run(prog)
     st = det.run_store(path)
     assert st.counts == mem.counts
