@@ -1,10 +1,14 @@
-"""The simulator's, the oracle's and the tree's outputs match pinned digests.
+"""The generators', simulator's, oracle's and tree's outputs match pinned digests.
 
 A new row belongs here only together with a ``SIM_VERSION`` or
 ``SHADOW_VERSION`` bump (:mod:`repro.versioning`): results that change
-under unchanged versions would be read back from stale disk caches.  See
-:mod:`tests.digests` for the recipe; ``PYTHONPATH=src python -m
-tests.digests`` prints the current digests.
+under unchanged versions would be read back from stale disk caches.  That
+holds for the ``traces`` and ``plans`` layers too: the simulation and
+oracle caches key on ``(workload, case)``, not on the trace bytes, so a
+generator change that alters a trace would silently keep serving the old
+trace's counts until ``SIM_VERSION`` is bumped.  See :mod:`tests.digests`
+for the recipe; ``PYTHONPATH=src python -m tests.digests`` prints the
+current digests.
 """
 
 import math
@@ -16,6 +20,10 @@ from tests.digests import canon, digest, digests
 #: ``(SIM_VERSION, SHADOW_VERSION) -> {layer: sha256}``.
 PINNED = {
     ("v9", "s2"): {
+        "traces":
+            "b1b4386a02c095509bdd447fb7c9bc0acda538b66a1b8cd549d26442d9dcd11a",
+        "plans":
+            "b54e7c9d36639c7b1d197c2ba53777bff35935de57b8788439003b9c4f160bc4",
         "simulator":
             "2946d7c169403a17d113309465943bbb3c3a020b2aaf8887bd53eabdfa5b0d7c",
         "oracle":
