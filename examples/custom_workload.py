@@ -13,7 +13,7 @@ import numpy as np
 from repro import FalseSharingDetector, Lab, Mode, RunConfig, Workload
 from repro.memory.allocator import BumpAllocator
 from repro.trace.access import ThreadTrace
-from repro.workloads.builders import with_sync
+from repro.workloads.builders import interleave, rmw_cols, with_sync
 try:
     from examples.quickstart import compact_training
 except ImportError:  # running from inside examples/
@@ -49,24 +49,14 @@ class WorkerPoolStats(Workload):
             my_stats = stats_base + wid * stride
             jobs = job_queue.addr(
                 np.arange(cfg.size) + wid * cfg.size)
-            n = cfg.size
             # per job: read the job descriptor, bump `processed` (RMW),
             # occasionally bump `errors`
-            err = (np.arange(n) % 37) == 0
-            counts = 3 + 2 * err.astype(np.int64)
-            total = int(counts.sum())
-            addrs = np.empty(total, np.int64)
-            writes = np.zeros(total, bool)
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            addrs[starts] = jobs
-            addrs[starts + 1] = my_stats
-            addrs[starts + 2] = my_stats
-            writes[starts + 2] = True
-            es = starts[err]
-            addrs[es + 3] = my_stats + 8
-            addrs[es + 4] = my_stats + 8
-            writes[es + 4] = True
+            every = np.ones(cfg.size, bool)
+            err = (np.arange(cfg.size) % 37) == 0
+            addrs, writes = interleave([jobs], [
+                (every, rmw_cols(my_stats)),
+                (err, rmw_cols(my_stats + 8)),
+            ])
             addrs, writes = with_sync(addrs, writes, sync, 4096)
             threads.append(ThreadTrace(addrs, writes, instr_per_access=3.0))
         return threads

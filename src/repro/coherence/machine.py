@@ -185,19 +185,16 @@ class MulticoreMachine:
         program: ProgramTrace,
         chunk: int = DEFAULT_CHUNK,
         keep_state: bool = False,
-        max_accesses: int = DEFAULT_SEGMENT,
     ) -> SimulationResult:
         """Simulate ``program`` and return raw counts + timing.
 
         ``keep_state=True`` leaves the final coherence state on the machine
         (``_l1``, ``_l2``, ``_l3``, ``_contenders`` and the ``_RunState``
         with the DTLBs as ``_state``) for post-mortem inspection — used by
-        coherence-invariant and equivalence tests.  ``max_accesses`` bounds the merge
-        window (see :meth:`run_sliced`).
+        coherence-invariant and equivalence tests.
         """
         return self.run_sliced(program, 1, chunk=chunk,
-                               keep_state=keep_state,
-                               max_accesses=max_accesses)[0]
+                               keep_state=keep_state)[0]
 
     def run_sliced(
         self,
@@ -205,7 +202,6 @@ class MulticoreMachine:
         n_slices: int,
         chunk: int = DEFAULT_CHUNK,
         keep_state: bool = False,
-        max_accesses: int = DEFAULT_SEGMENT,
     ) -> List[SimulationResult]:
         """Simulate ``program`` in ``n_slices`` consecutive time slices.
 
@@ -217,7 +213,8 @@ class MulticoreMachine:
 
         The merged order is driven window by window from
         :func:`~repro.trace.streams.interleave_stream` (at most
-        ``max_accesses`` merged rows resident), cut at the slice bounds.
+        ``DEFAULT_SEGMENT`` merged rows resident, read at call time so tests
+        can shrink it), cut at the slice bounds.
         Every piece of a slice accumulates into that slice's one tally
         block, continuing the reference loop's accumulation sequence:
         penalties and stall cycles are order-sensitive IEEE sums, so the
@@ -238,7 +235,7 @@ class MulticoreMachine:
                    for _ in range(n_slices)]
         s_i = pos = 0
         for window in interleave_stream(program, chunk=chunk,
-                                        max_accesses=max_accesses):
+                                        max_accesses=DEFAULT_SEGMENT):
             lo, end = 0, len(window)
             while lo < end:
                 while bounds[s_i + 1] <= pos:

@@ -11,16 +11,14 @@ else.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, WorkloadError
-from repro.telemetry.core import TELEMETRY
-from repro.trace.access import ProgramTrace, ThreadTrace
 from repro.utils.rng import rng_for
+from repro.workloads.base import TraceSource
 
 #: Optimization levels and their modeled effects.  ``instr_scale``
 #: multiplies instruction counts (unoptimized code executes more of them);
@@ -67,8 +65,11 @@ class SuiteCase:
                 f"-s{self.seed}-r{self.rep}")
 
 
-class SuiteProgram(ABC):
+class SuiteProgram(TraceSource):
     """Base class for Phoenix / PARSEC benchmark models."""
+
+    trace_span = "suites.trace"
+    trace_counter = "suites.traces"
 
     name: str = "abstract"
     suite: str = "phoenix"
@@ -113,30 +114,6 @@ class SuiteProgram(ABC):
 
     # ---------------------------------------------------------------- trace
 
-    def trace(self, case: SuiteCase) -> ProgramTrace:
-        self.validate(case)
-        tel = TELEMETRY
-        if tel.enabled:
-            with tel.span("suites.trace", program=self.name,
-                          case=case.run_id()) as sp:
-                threads = self._generate(case)
-                sp.set(accesses=int(sum(t.n_accesses for t in threads)))
-            tel.count("suites.traces")
-        else:
-            threads = self._generate(case)
-        return ProgramTrace(
-            list(threads),
-            name=f"{self.name}[{case.run_id()}]",
-            meta={
-                "workload": self.name,
-                "suite": self.suite,
-                "input": case.input_set,
-                "opt": case.opt,
-                "threads": case.threads,
-                "rep": case.rep,
-            },
-        )
-
     def validate(self, case: SuiteCase) -> None:
         if case.input_set not in self.inputs:
             raise WorkloadError(
@@ -146,29 +123,14 @@ class SuiteProgram(ABC):
         if case.opt not in self.opts:
             raise WorkloadError(f"{self.name}: unsupported opt {case.opt!r}")
 
-    @abstractmethod
-    def _generate(self, case: SuiteCase) -> Sequence[ThreadTrace]:
-        """Produce one ThreadTrace per thread."""
-
-    def plan(self, case: SuiteCase):
-        """Symbolic access plan for one case (no trace generated).
-
-        Returns an :class:`repro.workloads.plan.AccessPlan`; raises
-        :class:`WorkloadError` for models that do not expose one.
-        """
-        self.validate(case)
-        plan = self._plan(case)
-        plan.meta.setdefault("workload", self.name)
-        plan.meta.setdefault("suite", self.suite)
-        plan.meta.setdefault("input", case.input_set)
-        plan.meta.setdefault("opt", case.opt)
-        plan.meta.setdefault("threads", case.threads)
-        return plan.validate()
-
-    def _plan(self, case: SuiteCase):
-        raise WorkloadError(
-            f"{self.name} does not expose a symbolic access plan"
-        )
+    def _meta(self, case: SuiteCase) -> dict:
+        return {
+            "workload": self.name,
+            "suite": self.suite,
+            "input": case.input_set,
+            "opt": case.opt,
+            "threads": case.threads,
+        }
 
     def cache_key(self, case: SuiteCase) -> tuple:
         key = (case.input_set, case.opt, case.threads, case.seed)

@@ -26,8 +26,8 @@ from repro.memory.layout import LINE_SIZE
 from repro.memory.symbols import Symbol
 from repro.suites.base import SuiteCase, SuiteProgram, opt_effects
 from repro.trace.access import ThreadTrace
-from repro.workloads.builders import with_sync
-from repro.workloads.plan import PlanBuilder, gather_bursts, sweeps_of
+from repro.workloads.builders import interleave, rmw, rmw_cols, with_sync
+from repro.workloads.plan import PlanBuilder, sweeps_of
 
 
 class ParamModel(SuiteProgram):
@@ -172,63 +172,30 @@ class ParamModel(SuiteProgram):
         stack_every = self.p_stack_every(case)
         n_merge = self.p_merge_rmws(case)
         ipa = self._ipa(case)
+        it = np.arange(iters, dtype=np.int64)
+        in_chunk = it % chunk_elems
+        # Every thread shares the block masks; a period of 0 disables its
+        # block (the max() only keeps the unused mask's modulo defined).
+        do_gather = it % max(gather_period, 1) == gather_period - 1
+        do_stack = it % max(stack_every, 1) == 0
+        do_acc = it % max(acc_period, 1) == acc_period - 1
         threads = []
         for tid in range(case.threads):
-            rng = self.rng(case, tid)
-            table = tables[tid].layout()
-            stack_slot = stacks[tid].base
-
-            base_elem = tid * chunk_elems
-            stream_idx = base_elem + (np.arange(iters) % chunk_elems)
-            stream = input_arr.addr(stream_idx % input_arr.length)
-
-            it = np.arange(iters, dtype=np.int64)
-            do_gather = (
-                (it % gather_period == gather_period - 1)
-                if gather_period > 0 else np.zeros(iters, bool)
-            )
-            do_acc = (
-                (it % acc_period == acc_period - 1)
-                if acc_period > 0 else np.zeros(iters, bool)
-            )
-            do_stack = (
-                (it % stack_every == 0)
-                if stack_every > 0 else np.zeros(iters, bool)
-            )
-            counts = (
-                1
-                + do_gather.astype(np.int64)
-                + 2 * fields * do_acc.astype(np.int64)
-                + 2 * do_stack.astype(np.int64)
-            )
-            total = int(counts.sum())
-            addrs = np.empty(total, dtype=np.int64)
-            writes = np.zeros(total, dtype=bool)
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            addrs[starts] = stream
-            pos = starts + 1
-            gs = pos[do_gather]
-            if gs.size:
-                g_idx = rng.integers(0, table.length, size=gs.size)
-                addrs[gs] = table.addr(g_idx)
-            pos = pos + do_gather.astype(np.int64)
-            ss = pos[do_stack]
-            addrs[ss] = stack_slot
-            addrs[ss + 1] = stack_slot
-            writes[ss + 1] = True
-            pos = pos + 2 * do_stack.astype(np.int64)
-            accs = pos[do_acc]
-            acc_addr = acc_syms[tid].base
-            for f in range(fields):
-                addrs[accs + 2 * f] = acc_addr + 8 * f
-                addrs[accs + 2 * f + 1] = acc_addr + 8 * f
-                writes[accs + 2 * f + 1] = True
+            stream_idx = tid * chunk_elems + in_chunk
+            blocks = []
+            if gather_period > 0:
+                table = tables[tid].layout()
+                g_idx = self.rng(case, tid).integers(
+                    0, table.length, size=int(do_gather.sum()))
+                blocks.append((do_gather, [(table.addr(g_idx), False)]))
+            if stack_every > 0:
+                blocks.append((do_stack, rmw_cols(stacks[tid].base)))
+            if acc_period > 0:
+                blocks.append((do_acc, rmw_cols(acc_syms[tid].base, fields)))
+            addrs, writes = interleave(
+                [input_arr.addr(stream_idx % input_arr.length)], blocks)
             if n_merge > 0:
-                maddr = merge_syms[tid].base
-                m_a = np.full(2 * n_merge, maddr, dtype=np.int64)
-                m_w = np.zeros(2 * n_merge, dtype=bool)
-                m_w[1::2] = True
+                m_a, m_w = rmw(merge_syms[tid].base, n_merge)
                 addrs = np.concatenate([addrs, m_a])
                 writes = np.concatenate([writes, m_w])
             addrs, writes = with_sync(
@@ -263,34 +230,16 @@ class ParamModel(SuiteProgram):
                    order="linear" if sweeps <= 1 else "scattered",
                    bursts=1.0 if span * 4 <= LINE_SIZE else sweeps)
             n_body = iters
-
-            g_hits = iters // gather_period if gather_period > 0 else 0
-            if g_hits:
-                lines = max(1, tables[tid].size // LINE_SIZE)
-                pb.use(tables[tid], tid, reads=g_hits, order="scattered",
-                       bursts=gather_bursts(g_hits, lines,
-                                            gather_period * float(lines)))
-                n_body += g_hits
-
-            a_hits = iters // acc_period if acc_period > 0 else 0
-            if a_hits:
-                pb.use(acc_syms[tid], tid, reads=a_hits * fields,
-                       writes=a_hits * fields, stop=fields,
-                       order="scattered")
-                n_body += 2 * fields * a_hits
-
-            s_hits = ((iters + stack_every - 1) // stack_every
-                      if stack_every > 0 else 0)
-            if s_hits:
-                pb.use(stacks[tid], tid, reads=s_hits, writes=s_hits,
-                       order="scattered")
-                n_body += 2 * s_hits
-
-            if n_merge:
-                pb.use(merge_syms[tid], tid, reads=n_merge, writes=n_merge,
-                       order="scattered", phase=1)
-                n_body += 2 * n_merge
-
+            if gather_period > 0:
+                n_body += pb.gather_use(tables[tid], tid,
+                                        iters // gather_period, gather_period)
+            if acc_period > 0:
+                n_body += pb.rmw_use(acc_syms[tid], tid, iters // acc_period,
+                                     fields)
+            if stack_every > 0:
+                n_body += pb.rmw_use(stacks[tid], tid,
+                                     -(-iters // stack_every))
+            n_body += pb.rmw_use(merge_syms[tid], tid, n_merge, phase=1)
             pb.sync_use(sync, tid, n_body, sync_every)
             extra.append(max(0, self.p_spin_instr(case, tid)))
         return pb.finish(self._ipa(case), extra=extra)

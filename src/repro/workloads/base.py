@@ -24,6 +24,7 @@ from typing import FrozenSet, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, WorkloadError
+from repro.telemetry.core import TELEMETRY
 from repro.trace.access import ProgramTrace, ThreadTrace
 from repro.utils.rng import rng_for
 
@@ -110,8 +111,76 @@ class RunConfig:
         )
 
 
-class Workload(ABC):
-    """Base class for mini-programs and suite workload models."""
+class TraceSource(ABC):
+    """The one front door to a trace generator: :meth:`trace` and :meth:`plan`.
+
+    Both validate the case, then :meth:`trace` runs :meth:`_generate` under
+    a ``trace_span`` telemetry span (counted under ``trace_counter``) and
+    wraps the threads in a :class:`ProgramTrace`, while :meth:`plan` runs
+    :meth:`_plan`; both stamp the class's :meth:`_meta` (the trace also
+    records ``rep``).
+    """
+
+    name: str = "abstract"
+    trace_span = "workloads.trace"
+    trace_counter = "workloads.traces"
+
+    @abstractmethod
+    def validate(self, case) -> None:
+        """Reject cases this generator cannot run."""
+
+    @abstractmethod
+    def _meta(self, case) -> dict:
+        """What the case is, as trace and plan metadata."""
+
+    @abstractmethod
+    def _generate(self, case) -> Sequence[ThreadTrace]:
+        """Produce one ThreadTrace per thread (already validated case)."""
+
+    def trace(self, case) -> ProgramTrace:
+        """Generate the program trace for this case."""
+        self.validate(case)
+        tel = TELEMETRY
+        if tel.enabled:
+            with tel.span(self.trace_span, program=self.name,
+                          case=case.run_id()) as sp:
+                threads = self._generate(case)
+                sp.set(accesses=int(sum(t.n_accesses for t in threads)))
+            tel.count(self.trace_counter)
+        else:
+            threads = self._generate(case)
+        return ProgramTrace(
+            list(threads),
+            name=f"{self.name}[{case.run_id()}]",
+            meta={**self._meta(case), "rep": case.rep},
+        )
+
+    def plan(self, case):
+        """Symbolic access plan for this case (no trace generated).
+
+        Returns an :class:`repro.workloads.plan.AccessPlan` mirroring what
+        :meth:`trace` would produce: the same allocator layout (as named
+        symbols) and per-thread region accesses, without materializing a
+        single address.  Raises :class:`WorkloadError` for generators that
+        do not expose a plan.
+        """
+        self.validate(case)
+        plan = self._plan(case)
+        for key, value in self._meta(case).items():
+            plan.meta.setdefault(key, value)
+        return plan.validate()
+
+    def _plan(self, case):
+        raise WorkloadError(
+            f"{self.name} does not expose a symbolic access plan"
+        )
+
+
+class Workload(TraceSource):
+    """Base class for the mini-programs and :class:`BuiltWorkload`.
+
+    (Suite models derive from :class:`repro.suites.base.SuiteProgram`.)
+    """
 
     #: Unique registry name, e.g. "pdot".
     name: str = "abstract"
@@ -134,51 +203,15 @@ class Workload(ABC):
         # Note bad-fs with one thread is allowed: the packed layout is
         # harmless then (Table 1's Method 2 at T=1 runs at Method 1 speed).
 
-    def trace(self, cfg: RunConfig) -> ProgramTrace:
-        """Generate the program trace for this configuration."""
-        self.validate(cfg)
-        threads = self._generate(cfg)
-        return ProgramTrace(
-            list(threads),
-            name=f"{self.name}[{cfg.run_id()}]",
-            meta={
-                "workload": self.name,
-                "kind": self.kind,
-                "mode": cfg.mode.value,
-                "threads": cfg.threads,
-                "size": cfg.size,
-                "pattern": cfg.pattern,
-                "rep": cfg.rep,
-            },
-        )
-
-    @abstractmethod
-    def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
-        """Produce one ThreadTrace per thread (already validated config)."""
-
-    def plan(self, cfg: RunConfig):
-        """Symbolic access plan for this configuration (no trace generated).
-
-        Returns an :class:`repro.workloads.plan.AccessPlan` mirroring what
-        :meth:`trace` would produce: the same allocator layout (as named
-        symbols) and per-thread region accesses, without materializing a
-        single address.  Raises :class:`WorkloadError` for workloads that
-        do not expose a plan.
-        """
-        self.validate(cfg)
-        plan = self._plan(cfg)
-        plan.meta.setdefault("workload", self.name)
-        plan.meta.setdefault("kind", self.kind)
-        plan.meta.setdefault("mode", cfg.mode.value)
-        plan.meta.setdefault("threads", cfg.threads)
-        plan.meta.setdefault("size", cfg.size)
-        plan.meta.setdefault("pattern", cfg.pattern)
-        return plan.validate()
-
-    def _plan(self, cfg: RunConfig):
-        raise WorkloadError(
-            f"{self.name} does not expose a symbolic access plan"
-        )
+    def _meta(self, cfg: RunConfig) -> dict:
+        return {
+            "workload": self.name,
+            "kind": self.kind,
+            "mode": cfg.mode.value,
+            "threads": cfg.threads,
+            "size": cfg.size,
+            "pattern": cfg.pattern,
+        }
 
     def cache_key(self, cfg: RunConfig) -> tuple:
         """Simulation-cache key: everything that changes the computation.

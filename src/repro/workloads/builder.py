@@ -30,12 +30,11 @@ from repro.memory.layout import LINE_SIZE
 from repro.memory.symbols import Symbol
 from repro.trace.access import ThreadTrace
 from repro.workloads.base import Mode, RunConfig, Workload, ordered_visit, partition
-from repro.workloads.builders import with_sync
+from repro.workloads.builders import interleave, rmw_cols, with_sync
 from repro.workloads.plan import (
     PlanBuilder,
     clamp_range,
     elems_per_line,
-    gather_bursts,
     hostile_bursts,
     visit_kind,
 )
@@ -145,28 +144,21 @@ class BuiltWorkload(Workload):
             order = (start % n_elems) + ordered_visit(
                 span, cfg.mode, cfg.pattern, rng
             )
-            pieces_a: List[np.ndarray] = [input_arr.addr(order % n_elems)]
-            pieces_w: List[np.ndarray] = [np.zeros(span, bool)]
             it = np.arange(span, dtype=np.int64)
-
-            blocks = [(pieces_a[0], pieces_w[0])]
+            blocks = []
             for tsym, g in zip(tables[tid], self._gathers):
                 table = tsym.layout()
                 hit = it % g.every == g.every - 1
                 idx = rng.integers(0, table.length, size=int(hit.sum()))
-                g_addr = np.zeros(span, np.int64)
-                g_addr[hit] = table.addr(idx)
-                blocks.append(("gather", g_addr, None, hit))
-
+                blocks.append((hit, [(table.addr(idx), False)]))
             for syms, acc in zip(acc_syms, self._accumulators):
-                hit = it % acc.every == acc.every - 1
-                blocks.append(("acc", syms[tid].base, acc, hit))
-
+                blocks.append((it % acc.every == acc.every - 1, rmw_cols(
+                    syms[tid].base, acc.fields, acc.field_size)))
             if self._stack_every:
-                hit = it % self._stack_every == 0
-                blocks.append(("stack", stacks[tid].base, None, hit))
-
-            addrs, writes = _assemble(span, blocks)
+                blocks.append((it % self._stack_every == 0,
+                               rmw_cols(stacks[tid].base)))
+            addrs, writes = interleave([input_arr.addr(order % n_elems)],
+                                       blocks)
             addrs, writes = with_sync(addrs, writes, sync.base,
                                       self._sync_every)
             threads.append(ThreadTrace(addrs, writes,
@@ -187,64 +179,15 @@ class BuiltWorkload(Workload):
                    order=kind, bursts=sbursts)
             n_body = span
             for tsym, g in zip(tables[tid], self._gathers):
-                hits = span // g.every
-                lines = max(1, g.table_bytes // LINE_SIZE)
-                pb.use(tsym, tid, reads=hits, order="scattered",
-                       bursts=gather_bursts(hits, lines,
-                                            g.every * float(lines)))
-                n_body += hits
+                n_body += pb.gather_use(tsym, tid, span // g.every, g.every)
             for syms, acc in zip(acc_syms, self._accumulators):
-                hits = span // acc.every
-                pb.use(syms[tid], tid, reads=hits * acc.fields,
-                       writes=hits * acc.fields, stop=acc.fields,
-                       order="scattered")
-                n_body += 2 * acc.fields * hits
+                n_body += pb.rmw_use(syms[tid], tid, span // acc.every,
+                                     acc.fields)
             if self._stack_every:
-                hits = (span + self._stack_every - 1) // self._stack_every
-                pb.use(stacks[tid], tid, reads=hits, writes=hits,
-                       order="scattered")
-                n_body += 2 * hits
+                n_body += pb.rmw_use(stacks[tid], tid,
+                                     -(-span // self._stack_every))
             pb.sync_use(sync, tid, n_body, self._sync_every)
         return pb.finish(self._ipa)
-
-
-def _assemble(span: int, blocks) -> tuple:
-    """Interleave per-iteration access blocks into one stream."""
-    counts = np.ones(span, dtype=np.int64)  # the stream load
-    specs = []
-    for kind, payload, acc, hit in blocks[1:]:
-        if kind == "acc":
-            counts += 2 * acc.fields * hit.astype(np.int64)
-        elif kind == "stack":
-            counts += 2 * hit.astype(np.int64)
-        else:  # gather
-            counts += hit.astype(np.int64)
-        specs.append((kind, payload, acc, hit))
-    total = int(counts.sum())
-    addrs = np.empty(total, np.int64)
-    writes = np.zeros(total, bool)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    addrs[starts] = blocks[0][0]
-    pos = starts + 1
-    for kind, payload, acc, hit in specs:
-        hs = pos[hit]
-        if kind == "gather":
-            addrs[hs] = payload[hit]
-            pos = pos + hit.astype(np.int64)
-        elif kind == "stack":
-            addrs[hs] = payload
-            addrs[hs + 1] = payload
-            writes[hs + 1] = True
-            pos = pos + 2 * hit.astype(np.int64)
-        else:  # accumulator
-            for f in range(acc.fields):
-                off = payload + f * acc.field_size
-                addrs[hs + 2 * f] = off
-                addrs[hs + 2 * f + 1] = off
-                writes[hs + 2 * f + 1] = True
-            pos = pos + 2 * acc.fields * hit.astype(np.int64)
-    return addrs, writes
 
 
 class WorkloadBuilder:

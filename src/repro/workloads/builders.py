@@ -8,7 +8,7 @@ bad-ma) change.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,16 +33,54 @@ def stores(addr: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.full(n, addr, dtype=np.int64), np.ones(n, dtype=bool)
 
 
-def loop_body(
-    load_addrs: Sequence[np.ndarray],
-    slot: int,
-    slot_op: str = "rmw",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-iteration body: load each stream's element, then touch the slot.
+def rmw_cols(addr, fields: int = 1,
+             field_size: int = 8) -> List[Tuple[object, bool]]:
+    """An :func:`interleave` block's columns for ``acc.f += x`` on each of
+    ``fields`` fields: load then store of ``addr + f * field_size``."""
+    return [(addr + f * field_size, is_write)
+            for f in range(fields) for is_write in (False, True)]
 
-    ``slot_op``: "rmw" (load+store, the `acc += x` shape), "store", or
-    "none" (slot untouched — e.g. predicate loops where no accumulation
-    happens this iteration).
+
+def interleave(
+    loads: Sequence[np.ndarray],
+    blocks: Sequence[Tuple[np.ndarray, Sequence[Tuple[object, bool]]]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Lay a loop's iterations out back to back as one access stream.
+
+    Iteration ``i`` loads ``col[i]`` of every column in ``loads`` (equal
+    length), then runs each ``(mask, cols)`` block, in order, whose boolean
+    ``mask[i]`` is set: one access per ``(addr, is_write)`` column, where
+    ``addr`` is a scalar or holds one address per set mask element.  Fixed
+    bodies are faster with :func:`loop_body`'s strided stores.
+    """
+    counts = np.full(loads[0].size, len(loads), dtype=np.int64)
+    for mask, cols in blocks:
+        counts += len(cols) * mask
+    total = int(counts.sum())
+    addrs = np.empty(total, dtype=np.int64)
+    writes = np.zeros(total, dtype=bool)
+    pos = np.cumsum(counts) - counts
+    for col in loads:
+        addrs[pos] = col
+        pos = pos + 1
+    for mask, cols in blocks:
+        at = pos[mask]
+        for j, (addr, is_write) in enumerate(cols):
+            addrs[at + j] = addr
+            if is_write:
+                writes[at + j] = True
+        pos = pos + len(cols) * mask
+    return addrs, writes
+
+
+def loop_body(
+    load_addrs: Sequence[np.ndarray], slot: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fixed per-iteration body: load each stream's element, then
+    read-modify-write the slot (the ``acc += x`` shape).
+
+    The :func:`interleave` of ``load_addrs`` with an every-iteration
+    ``rmw_cols(slot)`` block, written with strided stores.
     """
     if not load_addrs:
         raise ValueError("need at least one load stream")
@@ -50,19 +88,14 @@ def loop_body(
     for a in load_addrs:
         if a.size != n:
             raise ValueError("load streams must be equal length")
-    extra = {"rmw": 2, "store": 1, "none": 0}[slot_op]
-    k = len(load_addrs) + extra
+    k = len(load_addrs) + 2
     addrs = np.empty(n * k, dtype=np.int64)
     writes = np.zeros(n * k, dtype=bool)
     for j, a in enumerate(load_addrs):
         addrs[j::k] = a
-    if slot_op == "rmw":
-        addrs[len(load_addrs)::k] = slot
-        addrs[len(load_addrs) + 1::k] = slot
-        writes[len(load_addrs) + 1::k] = True
-    elif slot_op == "store":
-        addrs[len(load_addrs)::k] = slot
-        writes[len(load_addrs)::k] = True
+    addrs[k - 2::k] = slot
+    addrs[k - 1::k] = slot
+    writes[k - 1::k] = True
     return addrs, writes
 
 

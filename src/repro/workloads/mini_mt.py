@@ -9,7 +9,7 @@ programs additionally support bad-ma (hostile visit order).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,14 @@ from repro.workloads.base import (
     ordered_visit,
     partition,
 )
-from repro.workloads.builders import loop_body, rmw, stores, with_sync
+from repro.workloads.builders import (
+    interleave,
+    loop_body,
+    rmw,
+    rmw_cols,
+    stores,
+    with_sync,
+)
 from repro.workloads.plan import (
     PlanBuilder,
     clamp_range,
@@ -156,9 +163,9 @@ class False1(_ScalarBase):
 class _VectorBase(Workload):
     """Vector programs: threads process contiguous shares of shared arrays.
 
-    ``cfg.size`` is the total element count; the arrays are read-shared
-    (benign), the accumulators are the false-sharing site, and bad-ma visits
-    each thread's share in a hostile order.
+    ``cfg.size`` is the total element count (:meth:`_elements`); the arrays
+    are read-shared (benign), the accumulators are the false-sharing site,
+    and bad-ma visits each thread's share in a hostile order.
     """
 
     kind = "mt"
@@ -170,55 +177,64 @@ class _VectorBase(Workload):
     #: the read-shared input arrays, loaded once per iteration each
     array_names = ("v",)
     slot_group = "psum"
-    slot_op = "rmw"
+    # Figure 1 declares `int psum[MAXTHREADS]`: 4-byte slots, so even 16
+    # threads' accumulators share a single 64-byte line when packed.
+    slot_size = 4
+    #: ``(mod, residue)``: the slot is read-modify-written only at elements
+    #: ``i % mod == residue``; None updates it every iteration.
+    predicate: Optional[Tuple[int, int]] = None
     sync_every = 2048
     ipa = LOOP_IPA
+
+    def _elements(self, cfg: RunConfig) -> int:
+        return cfg.size
 
     def _layout(self, cfg: RunConfig):
         pb = PlanBuilder(self.name, cfg.threads)
         sync = pb.line_region("sync", 64, size=8, kind="sync")
-        # Figure 1 declares `int psum[MAXTHREADS]`: 4-byte slots, so even 16
-        # threads' accumulators share a single 64-byte line when packed.
-        slots = pb.thread_slots(self.slot_group, cfg.mode, elem_size=4)
-        arrays = [pb.array(name, self.elem_size, cfg.size)
+        slots = pb.thread_slots(self.slot_group, cfg.mode,
+                                elem_size=self.slot_size)
+        arrays = [pb.array(name, self.elem_size, self._elements(cfg))
                   for name in self.array_names]
         return pb, sync, slots, arrays
 
     def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
         _, sync, slots, arrays = self._layout(cfg)
         layouts = [arr.layout() for arr in arrays]
+        n = layouts[0].length
         threads = []
-        for tid, (start, stop) in enumerate(partition(cfg.size, cfg.threads)):
-            span = stop - start
-            if span == 0:
-                span = 1
-                start, stop = 0, 1
-            order = start + ordered_visit(
-                span, cfg.mode, cfg.pattern, self.rng(cfg, tid)
+        for tid, (start, stop) in enumerate(partition(n, cfg.threads)):
+            order = start % n + ordered_visit(
+                max(stop - start, 1), cfg.mode, cfg.pattern,
+                self.rng(cfg, tid)
             )
             loads = [arr.addr(order) for arr in layouts]
-            addrs, writes = loop_body(loads, slots[tid].base, self.slot_op)
+            slot = slots[tid].base
+            if self.predicate is None:
+                addrs, writes = loop_body(loads, slot)
+            else:
+                mod, residue = self.predicate
+                addrs, writes = interleave(
+                    loads, [(order % mod == residue, rmw_cols(slot))])
             addrs, writes = with_sync(addrs, writes, sync.base, self.sync_every)
             threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
         return threads
 
     def _plan(self, cfg: RunConfig):
         pb, sync, slots, arrays = self._layout(cfg)
+        n = arrays[0].length
         kind = visit_kind(cfg.mode, cfg.pattern)
         bursts = hostile_bursts(cfg.mode, cfg.pattern,
                                 elems_per_line(self.elem_size))
-        slot_w = {"rmw": 1, "store": 1, "none": 0}[self.slot_op]
-        slot_r = 1 if self.slot_op == "rmw" else 0
-        for tid, (start, stop) in enumerate(partition(cfg.size, cfg.threads)):
-            span = stop - start
-            if span == 0:
-                span, start, stop = 1, 0, 1
+        for tid, (start, stop) in enumerate(partition(n, cfg.threads)):
+            span = max(stop - start, 1)
+            s0, s1 = clamp_range(start, span, n)
             for arr in arrays:
-                pb.use(arr, tid, reads=span, start=start, stop=stop,
+                pb.use(arr, tid, reads=span, start=s0, stop=s1,
                        order=kind, bursts=bursts)
-            pb.use(slots[tid], tid, reads=slot_r * span,
-                   writes=slot_w * span, order="scattered")
-            n_body = span * (len(arrays) + slot_r + slot_w)
+            hits = (span if self.predicate is None
+                    else _residues_in(s0, s1, *self.predicate))
+            n_body = span * len(arrays) + pb.rmw_use(slots[tid], tid, hits)
             pb.sync_use(sync, tid, n_body, self.sync_every)
         return pb.finish(self.ipa)
 
@@ -255,51 +271,8 @@ class Count(_VectorBase):
     description = "parallel predicate counting"
     array_names = ("a",)
     slot_group = "count"
+    predicate = (64, 1)
     ipa = 3.5
-
-    def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
-        _, sync, slots, (arr,) = self._layout(cfg)
-        layout = arr.layout()
-        threads = []
-        for tid, (start, stop) in enumerate(partition(cfg.size, cfg.threads)):
-            span = max(stop - start, 1)
-            order = start % cfg.size + ordered_visit(
-                span, cfg.mode, cfg.pattern, self.rng(cfg, tid)
-            )
-            hit = ((order & 63) == 1)  # predicate: rare (1/64) matches
-            # Loads of a[i] for every i; RMW of the slot only where hit.
-            base = layout.addr(order)
-            # Build per-iteration blocks vectorized: 1 load always, +2 on hit.
-            counts = 1 + 2 * hit.astype(np.int64)
-            total = int(counts.sum())
-            addrs = np.empty(total, dtype=np.int64)
-            writes = np.zeros(total, dtype=bool)
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            addrs[starts] = base
-            hs = starts[hit]
-            addrs[hs + 1] = slots[tid].base
-            addrs[hs + 2] = slots[tid].base
-            writes[hs + 2] = True
-            addrs, writes = with_sync(addrs, writes, sync.base, self.sync_every)
-            threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
-        return threads
-
-    def _plan(self, cfg: RunConfig):
-        pb, sync, slots, (arr,) = self._layout(cfg)
-        kind = visit_kind(cfg.mode, cfg.pattern)
-        bursts = hostile_bursts(cfg.mode, cfg.pattern,
-                                elems_per_line(self.elem_size))
-        for tid, (start, stop) in enumerate(partition(cfg.size, cfg.threads)):
-            span = max(stop - start, 1)
-            s0, s1 = clamp_range(start, span, cfg.size)
-            hits = _residues_in(s0, s1, 64, 1)
-            pb.use(arr, tid, reads=span, start=s0, stop=s1,
-                   order=kind, bursts=bursts)
-            pb.use(slots[tid], tid, reads=hits, writes=hits,
-                   order="scattered")
-            pb.sync_use(sync, tid, span + 2 * hits, self.sync_every)
-        return pb.finish(self.ipa)
 
 
 class PMatMult(Workload):
@@ -399,72 +372,26 @@ class PMatMult(Workload):
         return pb.finish(self.ipa)
 
 
-class PMatCompare(Workload):
+class PMatCompare(_VectorBase):
     """Parallel matrix compare: per-thread mismatch counters.
 
-    Each thread compares its share of element pairs of two n x n matrices and
-    counts mismatches (a fixed eighth of indices, by index bits, so work is
-    identical across modes).
+    Each thread compares its share of element pairs of two n x n matrices
+    (``cfg.size`` is n) and counts mismatches (a fixed eighth of indices,
+    by index bits, so work is identical across modes).
     """
 
     name = "pmatcompare"
-    kind = "mt"
-    modes = _ALL3
     train_sizes = (96, 144, 192)
     description = "parallel matrix comparison"
+    elem_size = 8
+    array_names = ("A", "B")
+    slot_group = "mismatch"
+    slot_size = 8
+    predicate = (8, 3)
     ipa = 3.0
-    sync_every = 2048
 
-    def _layout(self, cfg: RunConfig):
-        n2 = cfg.size * cfg.size
-        pb = PlanBuilder(self.name, cfg.threads)
-        sync = pb.line_region("sync", 64, size=8, kind="sync")
-        slots = pb.thread_slots("mismatch", cfg.mode)
-        return pb, sync, slots, pb.array("A", 8, n2), pb.array("B", 8, n2)
-
-    def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
-        _, sync, slots, a_sym, b_sym = self._layout(cfg)
-        a, b = a_sym.layout(), b_sym.layout()
-        n2 = a.length
-        threads = []
-        for tid, (start, stop) in enumerate(partition(n2, cfg.threads)):
-            span = max(stop - start, 1)
-            order = start % n2 + ordered_visit(
-                span, cfg.mode, cfg.pattern, self.rng(cfg, tid)
-            )
-            mismatch = (order & 7) == 3  # deterministic 1/8 of indices
-            counts = 2 + 2 * mismatch.astype(np.int64)
-            total = int(counts.sum())
-            addrs = np.empty(total, dtype=np.int64)
-            writes = np.zeros(total, dtype=bool)
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            addrs[starts] = a.addr(order)
-            addrs[starts + 1] = b.addr(order)
-            hs = starts[mismatch]
-            addrs[hs + 2] = slots[tid].base
-            addrs[hs + 3] = slots[tid].base
-            writes[hs + 3] = True
-            addrs, writes = with_sync(addrs, writes, sync.base, self.sync_every)
-            threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
-        return threads
-
-    def _plan(self, cfg: RunConfig):
-        pb, sync, slots, a, b = self._layout(cfg)
-        n2 = a.length
-        kind = visit_kind(cfg.mode, cfg.pattern)
-        bursts = hostile_bursts(cfg.mode, cfg.pattern, elems_per_line(8))
-        for tid, (start, stop) in enumerate(partition(n2, cfg.threads)):
-            span = max(stop - start, 1)
-            s0, s1 = clamp_range(start, span, n2)
-            hits = _residues_in(s0, s1, 8, 3)
-            for arr in (a, b):
-                pb.use(arr, tid, reads=span, start=s0, stop=s1,
-                       order=kind, bursts=bursts)
-            pb.use(slots[tid], tid, reads=hits, writes=hits,
-                   order="scattered")
-            pb.sync_use(sync, tid, 2 * span + 2 * hits, self.sync_every)
-        return pb.finish(self.ipa)
+    def _elements(self, cfg: RunConfig) -> int:
+        return cfg.size * cfg.size
 
 
 MT_PROGRAMS = (PSums, Padding, False1, PSumV, PDot, Count, PMatMult, PMatCompare)

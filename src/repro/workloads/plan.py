@@ -200,18 +200,6 @@ def hostile_bursts(mode: Mode, pattern: str, elems_per_line: int) -> float:
     return float(min(max(stride_of(pattern), 1), k))
 
 
-def gather_bursts(hits: int, table_lines: int, gap: float) -> float:
-    """Visit clusters per line for ``hits`` uniform random table lookups.
-
-    ``gap`` is the expected access distance between touches of one line;
-    below the residency window the table is cache-hot and revisits are
-    free, otherwise every touch lands on a cooled line.
-    """
-    if table_lines <= 0 or hits <= 0 or gap <= HOT_GAP:
-        return 1.0
-    return max(1.0, hits / table_lines)
-
-
 def sync_inserts(n_body: int, every: int) -> int:
     """How many sync RMWs ``with_sync`` injects into an ``n_body`` stream."""
     if every <= 0:
@@ -293,6 +281,32 @@ class PlanBuilder:
             symbol.name, tid, reads, writes, start=start, stop=stop,
             step=step, order=order, phase=phase, bursts_per_line=bursts,
         ))
+
+    def gather_use(self, table: Symbol, tid: int, hits: int,
+                   every: int) -> int:
+        """Record ``hits`` uniform random lookups of ``table``, one every
+        ``every`` iterations (an :func:`~repro.workloads.builders.interleave`
+        gather block); returns the accesses added.
+
+        Each line of the table is touched once per ``every * lines``
+        iterations: below the residency window the table stays cache-hot and
+        revisits are free, otherwise every touch lands on a cooled line.
+        """
+        lines = max(1, table.size // LINE_SIZE)
+        cooled = hits > 0 and every * float(lines) > HOT_GAP
+        self.use(table, tid, reads=hits, order="scattered",
+                 bursts=max(1.0, hits / lines) if cooled else 1.0)
+        return hits
+
+    def rmw_use(self, symbol: Symbol, tid: int, hits: int, fields: int = 1,
+                phase: int = 0) -> int:
+        """Record ``hits`` read-modify-writes of each of ``fields`` fields
+        (an :func:`~repro.workloads.builders.interleave` block of
+        :func:`~repro.workloads.builders.rmw_cols`); returns the accesses
+        added."""
+        self.use(symbol, tid, reads=hits * fields, writes=hits * fields,
+                 stop=fields, order="scattered", phase=phase)
+        return 2 * fields * hits
 
     def sync_use(self, sync: Symbol, tid: int, n_body: int,
                  every: int) -> int:

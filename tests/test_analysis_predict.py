@@ -7,8 +7,9 @@ from repro.analysis.sharing import (
     StaticSharingAnalyzer,
     predict_plan,
 )
-from repro.analysis.crosscheck import default_grid
+from repro.analysis.crosscheck import default_grid, suite_grid
 from repro.workloads.base import RunConfig
+from repro.workloads.builder import WorkloadBuilder
 from repro.workloads.plan import PlanBuilder
 from repro.workloads.registry import all_workloads, get_workload
 
@@ -44,14 +45,43 @@ class TestVerdictParity:
                 f"trace says {static.verdict}")
 
 
+def _parity_cases():
+    """Every registry workload × mode, the 19 suite canonical cases and a
+    built workload in each mode: 51 ``(generator, case)`` pairs."""
+    for w in all_workloads():
+        for mode in sorted(w.modes, key=lambda m: m.value):
+            yield w, _cfg(w, mode)
+    for program, case in suite_grid():
+        yield program, case
+    built = (WorkloadBuilder("parity", threads_hint=4)
+             .stream(elements=6_000)
+             .accumulator(fields=2, packed=True, every=3)
+             .accumulator(fields=1, packed=False, every=2, field_size=4)
+             .gather(table_bytes=4_096, every=5)
+             .gather(table_bytes=65_536, every=2, shared=True)
+             .stack_traffic(every=3)
+             .build())
+    for mode in ("bad-fs", "bad-ma", "good"):
+        yield built, RunConfig(threads=4, mode=mode, size=6_000)
+
+
 class TestPlanFidelity:
-    def test_counts_match_trace(self, predictor):
-        w = get_workload("psums")
-        cfg = _cfg(w, "bad-fs")
-        plan = w.plan(cfg)
-        trace = w.trace(cfg)
-        assert plan.total_accesses == trace.total_accesses
-        assert plan.total_instructions == trace.total_instructions
+    def test_counts_match_trace(self):
+        # The plan helpers mirror the trace helpers count for count
+        # (interleave <-> gather_use/rmw_use, with_sync <-> sync_use), on
+        # every thread of every generator that exposes a plan.
+        cases = list(_parity_cases())
+        assert len(cases) == 51
+        mismatches = []
+        for source, case in cases:
+            plan, trace = source.plan(case), source.trace(case)
+            got = ([plan.thread_accesses(t) for t in range(plan.nthreads)],
+                   plan.total_instructions)
+            want = ([t.n_accesses for t in trace.threads],
+                    trace.total_instructions)
+            if got != want:
+                mismatches.append((trace.name, got, want))
+        assert mismatches == []
 
     def test_fs_lines_name_the_slots(self, predictor):
         w = get_workload("psums")

@@ -197,7 +197,9 @@ def test_path_describes_the_most_recent_run(monkeypatch):
         m.setattr(native, "load", lambda: None)
         machine.run(prog)
         assert machine.path == "ref"
-    machine.run_sliced(prog, 3, max_accesses=1_000)
+    with monkeypatch.context() as m:
+        m.setattr("repro.coherence.machine.DEFAULT_SEGMENT", 1_000)
+        machine.run_sliced(prog, 3)
     assert machine.path == shipped
 
 
@@ -263,15 +265,16 @@ def test_native_replays_dirty_evictions_identically():
     _assert_same_state(mf, mr)
 
 
-def test_native_sliced_replays_warm_resident_lines_identically():
+def test_native_sliced_replays_warm_resident_lines_identically(monkeypatch):
     # Sliced runs hand each window the previous one's warm caches, cut
     # into small windows so the state crosses many calls.
+    monkeypatch.setattr("repro.coherence.machine.DEFAULT_SEGMENT", 3_000)
     w = get_workload("seq_write")
     prog = w.trace(RunConfig(threads=1, mode=Mode.GOOD, size=32_768))
     mf = MulticoreMachine(SCALED_WESTMERE, fast=True)
     mr = MulticoreMachine(SCALED_WESTMERE, fast=False)
-    res = mf.run_sliced(prog, 4, keep_state=True, max_accesses=3_000)
-    ref = mr.run_sliced(prog, 4, keep_state=True, max_accesses=3_000)
+    res = mf.run_sliced(prog, 4, keep_state=True)
+    ref = mr.run_sliced(prog, 4, keep_state=True)
     _assert_native(mf)
     for res_f, res_r in zip(res, ref):
         _assert_identical(res_f, res_r)

@@ -236,6 +236,21 @@ def test_suite_trace_span_counts_accesses():
     assert TELEMETRY.counters["suites.traces"] == 1
 
 
+def test_workload_trace_span_counts_accesses():
+    # Workloads share the suites' front door but record under their own
+    # names.
+    w = get_workload("count")
+    cfg = RunConfig(threads=3, mode=Mode.BAD_FS, size=w.train_sizes[0])
+    TELEMETRY.enable(reset=True)
+    trace = w.trace(cfg)
+    spans = [s for s in TELEMETRY.spans if s.name.endswith(".trace")]
+    assert [s.name for s in spans] == ["workloads.trace"]
+    assert spans[0].attrs == {"program": "count", "case": cfg.run_id(),
+                              "accesses": trace.total_accesses}
+    assert TELEMETRY.counters["workloads.traces"] == 1
+    assert "suites.traces" not in TELEMETRY.counters
+
+
 # ----------------------------------------------------------- shadow cache
 
 

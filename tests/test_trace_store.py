@@ -239,8 +239,17 @@ def _assert_same_result(a, b):
     assert (a.name, a.meta) == (b.name, b.meta)
 
 
+def _windowed(monkeypatch, max_accesses, fn, *args, **kw):
+    """``fn(*args, **kw)`` with the simulator's merge window shrunk to
+    ``max_accesses`` rows."""
+    with monkeypatch.context() as mp:
+        mp.setattr("repro.coherence.machine.DEFAULT_SEGMENT", max_accesses)
+        return fn(*args, **kw)
+
+
 @pytest.mark.parametrize("max_accesses", [64, 333, 1 << 20])
-def test_interleave_stream_matches_monolithic(tmp_path, rng, max_accesses):
+def test_interleave_stream_matches_monolithic(tmp_path, rng, max_accesses,
+                                              monkeypatch):
     for prog in _window_cases(rng):
         whole = _whole_order(prog)
         pieces = list(interleave_stream(prog, max_accesses=max_accesses))
@@ -259,16 +268,17 @@ def test_interleave_stream_matches_monolithic(tmp_path, rng, max_accesses):
                                         hitm_sample_period=3)
 
             _assert_same_result(
-                machine().run(prog, max_accesses=max_accesses),
+                _windowed(monkeypatch, max_accesses, machine().run, prog),
                 machine().run(prog))
-            sliced = machine().run_sliced(prog, 3, max_accesses=max_accesses)
+            sliced = _windowed(monkeypatch, max_accesses,
+                               machine().run_sliced, prog, 3)
             whole = machine().run_sliced(prog, 3)
             assert len(sliced) == len(whole) == 3
             for a, b in zip(sliced, whole):
                 _assert_same_result(a, b)
 
 
-def test_interleave_stream_single_thread(rng):
+def test_interleave_stream_single_thread(rng, monkeypatch):
     prog = ProgramTrace([ThreadTrace(
         rng.integers(0, 1 << 12, size=500, dtype=np.int64),
         rng.random(500) < 0.3)])
@@ -278,18 +288,18 @@ def test_interleave_stream_single_thread(rng):
     assert np.array_equal(np.concatenate([p.addr for p in pieces]), whole.addr)
     assert np.array_equal(whole.addr, prog.threads[0].addrs)
     _assert_same_result(
-        MulticoreMachine(SMALL_SPEC).run(prog, max_accesses=128),
+        _windowed(monkeypatch, 128, MulticoreMachine(SMALL_SPEC).run, prog),
         MulticoreMachine(SMALL_SPEC).run(prog))
 
 
-def test_run_stream_is_bit_identical_to_run(tmp_path, rng):
+def test_run_stream_is_bit_identical_to_run(tmp_path, rng, monkeypatch):
     prog = _random_program(rng, nthreads=4, max_len=2000)
     prog.to_file(tmp_path / "p.rtrc")
     mapped = ProgramTrace.open_mmap(tmp_path / "p.rtrc")
     ref = MulticoreMachine(SMALL_SPEC, fast=True).run(prog)
     for max_accesses in (256, 4096):
-        res = MulticoreMachine(SMALL_SPEC, fast=True).run(
-            mapped, max_accesses=max_accesses)
+        res = _windowed(monkeypatch, max_accesses,
+                        MulticoreMachine(SMALL_SPEC, fast=True).run, mapped)
         assert res.counts == ref.counts
         assert res.cycles_per_core == ref.cycles_per_core
         assert res.instructions_per_core == ref.instructions_per_core
@@ -297,21 +307,22 @@ def test_run_stream_is_bit_identical_to_run(tmp_path, rng):
         assert res.hitm_samples == ref.hitm_samples
 
 
-def test_run_stream_records_drive_path(rng):
+def test_run_stream_records_drive_path(rng, monkeypatch):
+    monkeypatch.setattr("repro.coherence.machine.DEFAULT_SEGMENT", 512)
     prog = _random_program(rng, nthreads=2, max_len=3000)
     m = MulticoreMachine(SMALL_SPEC, fast=True)
     assert m.path is None
-    m.run(prog, max_accesses=512)
+    m.run(prog)
     assert m.path == ("native" if shutil.which("cc") else "ref")
     ref = MulticoreMachine(SMALL_SPEC, fast=False)
-    ref.run(prog, max_accesses=512)
+    ref.run(prog)
     assert ref.path == "ref"
 
 
 # ------------------------------------------------------- store consumers
 
 
-def test_lab_simulate_store_keys_on_digest(tmp_path, rng):
+def test_lab_simulate_store_keys_on_digest(tmp_path, rng, monkeypatch):
     from repro.core.lab import Lab
 
     prog = _random_program(rng, nthreads=2, max_len=800)
@@ -330,8 +341,8 @@ def test_lab_simulate_store_keys_on_digest(tmp_path, rng):
     direct = lab.machine.run(prog, chunk=lab.chunk)
     assert res.counts == direct.counts
     assert res.cycles_per_core == direct.cycles_per_core
-    windowed = lab.machine.run(open_program(p1), chunk=lab.chunk,
-                               max_accesses=64)
+    windowed = _windowed(monkeypatch, 64, lab.machine.run,
+                         open_program(p1), chunk=lab.chunk)
     assert windowed.counts == res.counts
 
 

@@ -7,6 +7,7 @@ from repro.errors import ConfigError
 from repro.memory.layout import line_of
 from repro.workloads.base import RunConfig
 from repro.workloads.builder import WorkloadBuilder
+from repro.workloads.builders import interleave, loop_body, rmw_cols
 
 
 
@@ -14,6 +15,52 @@ def simple(name="w", **kw):
     b = WorkloadBuilder(name)
     b.stream(elements=8_000)
     return b
+
+
+def _interleave_by_hand(loads, blocks):
+    """The per-iteration loop :func:`interleave` vectorizes."""
+    addrs, writes, taken = [], [], [0] * len(blocks)
+    for i in range(len(loads[0])):
+        for col in loads:
+            addrs.append(int(col[i]))
+            writes.append(False)
+        for b, (mask, cols) in enumerate(blocks):
+            if not mask[i]:
+                continue
+            for addr, is_write in cols:
+                addrs.append(int(addr[taken[b]] if np.ndim(addr) else addr))
+                writes.append(is_write)
+            taken[b] += 1
+    return addrs, writes
+
+
+class TestInterleave:
+    def test_matches_the_iteration_loop(self):
+        rng = np.random.default_rng(7)
+        n = 200
+        loads = [rng.integers(0, 1 << 20, size=n) for _ in range(2)]
+        gather = rng.random(n) < 0.3
+        acc = rng.random(n) < 0.5
+        blocks = [
+            (gather, [(rng.integers(0, 1 << 20, size=int(gather.sum())),
+                       False)]),
+            (acc, rmw_cols(4096, fields=3, field_size=4)),
+            (np.zeros(n, bool), rmw_cols(8192)),
+        ]
+        addrs, writes = interleave(loads, blocks)
+        want_a, want_w = _interleave_by_hand(loads, blocks)
+        assert addrs.tolist() == want_a
+        assert writes.tolist() == want_w
+
+    def test_fixed_body_equals_loop_body(self):
+        loads = [np.arange(50) * 8, np.arange(50) * 8 + 4096]
+        got = interleave(loads, [(np.ones(50, bool), rmw_cols(64))])
+        want = loop_body(loads, 64)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_rmw_cols_is_load_then_store_per_field(self):
+        assert rmw_cols(100, fields=2, field_size=4) == [
+            (100, False), (100, True), (104, False), (104, True)]
 
 
 class TestBuilderValidation:
