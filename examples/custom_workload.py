@@ -51,12 +51,10 @@ class WorkerPoolStats(Workload):
                 np.arange(cfg.size) + wid * cfg.size)
             # per job: read the job descriptor, bump `processed` (RMW),
             # occasionally bump `errors`
-            every = np.ones(cfg.size, bool)
             err = (np.arange(cfg.size) % 37) == 0
-            addrs, writes = interleave([jobs], [
-                (every, rmw_cols(my_stats)),
-                (err, rmw_cols(my_stats + 8)),
-            ])
+            addrs, writes = interleave(
+                [(jobs, False), *rmw_cols(my_stats)],
+                [(err, rmw_cols(my_stats + 8))])
             addrs, writes = with_sync(addrs, writes, sync, 4096)
             threads.append(ThreadTrace(addrs, writes, instr_per_access=3.0))
         return threads

@@ -26,7 +26,7 @@ from repro.memory.layout import LINE_SIZE
 from repro.memory.symbols import Symbol
 from repro.suites.base import SuiteCase, SuiteProgram, opt_effects
 from repro.trace.access import ThreadTrace
-from repro.workloads.builders import interleave, rmw, rmw_cols, with_sync
+from repro.workloads.builders import interleave, rmw_cols, with_sync
 from repro.workloads.plan import PlanBuilder, sweeps_of
 
 
@@ -193,9 +193,11 @@ class ParamModel(SuiteProgram):
             if acc_period > 0:
                 blocks.append((do_acc, rmw_cols(acc_syms[tid].base, fields)))
             addrs, writes = interleave(
-                [input_arr.addr(stream_idx % input_arr.length)], blocks)
+                [(input_arr.addr(stream_idx % input_arr.length), False)],
+                blocks)
             if n_merge > 0:
-                m_a, m_w = rmw(merge_syms[tid].base, n_merge)
+                m_a, m_w = interleave(rmw_cols(merge_syms[tid].base),
+                                      n=n_merge)
                 addrs = np.concatenate([addrs, m_a])
                 writes = np.concatenate([writes, m_w])
             addrs, writes = with_sync(

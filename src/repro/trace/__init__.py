@@ -1,14 +1,6 @@
-"""Access-trace containers, pattern generators, and the interleaver."""
+"""Access-trace containers, the trace store, and the interleaver."""
 
 from repro.trace.access import ProgramTrace, ThreadTrace, empty_thread, make_thread
-from repro.trace.generators import (
-    interleave_streams,
-    linear_indices,
-    permuted_indices,
-    random_indices,
-    strided_indices,
-    tiled_indices,
-)
 from repro.trace.store import (
     TraceStore,
     open_program,
@@ -29,12 +21,6 @@ __all__ = [
     "ThreadTrace",
     "empty_thread",
     "make_thread",
-    "linear_indices",
-    "strided_indices",
-    "random_indices",
-    "permuted_indices",
-    "tiled_indices",
-    "interleave_streams",
     "DEFAULT_CHUNK",
     "DEFAULT_SEGMENT",
     "MergedTrace",

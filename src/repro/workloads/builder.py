@@ -157,8 +157,8 @@ class BuiltWorkload(Workload):
             if self._stack_every:
                 blocks.append((it % self._stack_every == 0,
                                rmw_cols(stacks[tid].base)))
-            addrs, writes = interleave([input_arr.addr(order % n_elems)],
-                                       blocks)
+            addrs, writes = interleave(
+                [(input_arr.addr(order % n_elems), False)], blocks)
             addrs, writes = with_sync(addrs, writes, sync.base,
                                       self._sync_every)
             threads.append(ThreadTrace(addrs, writes,

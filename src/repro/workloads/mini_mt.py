@@ -9,7 +9,7 @@ programs additionally support bad-ma (hostile visit order).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -22,14 +22,7 @@ from repro.workloads.base import (
     ordered_visit,
     partition,
 )
-from repro.workloads.builders import (
-    interleave,
-    loop_body,
-    rmw,
-    rmw_cols,
-    stores,
-    with_sync,
-)
+from repro.workloads.builders import interleave, rmw_cols, with_sync
 from repro.workloads.plan import (
     PlanBuilder,
     clamp_range,
@@ -52,7 +45,12 @@ def _residues_in(lo: int, hi: int, mod: int, residue: int) -> int:
 
 
 class _ScalarBase(Workload):
-    """Common machinery for the scalar programs: no vector data at all."""
+    """Common machinery for the scalar programs: no vector data at all.
+
+    Each iteration runs ``slot_cols`` on the thread's slot: ``(offset,
+    is_write)`` columns, from which the slot's size and the plan's reads,
+    writes and fields all follow.
+    """
 
     kind = "mt"
     modes = _FS2
@@ -62,40 +60,38 @@ class _ScalarBase(Workload):
     #: the training set sees a range of benign-sharing floors.
     sync_every = 1024
 
-    slot_size = 8
+    slot_cols = rmw_cols(0)
     slot_group = "psum"
     ipa = LOOP_IPA
 
     def _layout(self, cfg: RunConfig):
         pb = PlanBuilder(self.name, cfg.threads)
         sync = pb.line_region("sync", 64, size=8, kind="sync")
-        slots = pb.thread_slots(self.slot_group, cfg.mode,
-                                elem_size=self.slot_size)
+        size = 8 + max(off for off, _ in self.slot_cols)
+        slots = pb.thread_slots(self.slot_group, cfg.mode, elem_size=size)
         return pb, sync, slots
 
     def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
         _, sync, slots = self._layout(cfg)
         threads = []
         for tid in range(cfg.threads):
-            addrs, writes = self._body(slots[tid].base, cfg.size)
+            base = slots[tid].base
+            addrs, writes = interleave(
+                [(base + off, w) for off, w in self.slot_cols], n=cfg.size)
             addrs, writes = with_sync(addrs, writes, sync.base, self.sync_every)
             threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
         return threads
 
-    def _body(self, slot: int, iters: int):
-        raise NotImplementedError
-
-    def _slot_plan(self, iters: int):
-        """(reads, writes, fields) the per-thread body performs on its slot."""
-        raise NotImplementedError
-
     def _plan(self, cfg: RunConfig):
         pb, sync, slots = self._layout(cfg)
-        reads, writes, fields = self._slot_plan(cfg.size)
+        writes = sum(w for _, w in self.slot_cols)
+        reads = len(self.slot_cols) - writes
+        fields = len({off for off, _ in self.slot_cols})
         for tid in range(cfg.threads):
-            pb.use(slots[tid], tid, reads=reads, writes=writes,
-                   stop=fields, order="scattered")
-            pb.sync_use(sync, tid, reads + writes, self.sync_every)
+            pb.use(slots[tid], tid, reads=reads * cfg.size,
+                   writes=writes * cfg.size, stop=fields, order="scattered")
+            pb.sync_use(sync, tid, len(self.slot_cols) * cfg.size,
+                        self.sync_every)
         return pb.finish(self.ipa)
 
 
@@ -105,12 +101,6 @@ class PSums(_ScalarBase):
     name = "psums"
     description = "per-thread scalar accumulation (RMW loop)"
     sync_every = 1024
-
-    def _body(self, slot: int, iters: int):
-        return rmw(slot, iters)
-
-    def _slot_plan(self, iters: int):
-        return iters, iters, 1
 
 
 class Padding(_ScalarBase):
@@ -122,25 +112,10 @@ class Padding(_ScalarBase):
 
     name = "padding"
     description = "per-thread two-field struct updates"
-    slot_size = 16
+    slot_cols = rmw_cols(0, fields=2)
+    slot_group = "stats"
     sync_every = 2048
     ipa = 3.5
-
-    def _body(self, slot: int, iters: int):
-        a0, w0 = rmw(slot, iters)
-        a1, w1 = rmw(slot + 8, iters)
-        addrs = np.empty(4 * iters, dtype=np.int64)
-        writes = np.empty(4 * iters, dtype=bool)
-        addrs[0::4], addrs[1::4] = a0[0::2], a0[1::2]
-        addrs[2::4], addrs[3::4] = a1[0::2], a1[1::2]
-        writes[0::4], writes[1::4] = w0[0::2], w0[1::2]
-        writes[2::4], writes[3::4] = w1[0::2], w1[1::2]
-        return addrs, writes
-
-    slot_group = "stats"
-
-    def _slot_plan(self, iters: int):
-        return 2 * iters, 2 * iters, 2
 
 
 class False1(_ScalarBase):
@@ -148,16 +123,10 @@ class False1(_ScalarBase):
 
     name = "false1"
     description = "per-thread store-only flag updates"
+    slot_cols = [(0, True)]
+    slot_group = "flag"
     sync_every = 1536
     ipa = 2.5
-
-    def _body(self, slot: int, iters: int):
-        return stores(slot, iters)
-
-    slot_group = "flag"
-
-    def _slot_plan(self, iters: int):
-        return 0, iters, 1
 
 
 class _VectorBase(Workload):
@@ -181,8 +150,8 @@ class _VectorBase(Workload):
     # threads' accumulators share a single 64-byte line when packed.
     slot_size = 4
     #: ``(mod, residue)``: the slot is read-modify-written only at elements
-    #: ``i % mod == residue``; None updates it every iteration.
-    predicate: Optional[Tuple[int, int]] = None
+    #: ``i % mod == residue``; ``(1, 0)`` updates it every iteration.
+    predicate: Tuple[int, int] = (1, 0)
     sync_every = 2048
     ipa = LOOP_IPA
 
@@ -202,20 +171,16 @@ class _VectorBase(Workload):
         _, sync, slots, arrays = self._layout(cfg)
         layouts = [arr.layout() for arr in arrays]
         n = layouts[0].length
+        mod, residue = self.predicate
         threads = []
         for tid, (start, stop) in enumerate(partition(n, cfg.threads)):
             order = start % n + ordered_visit(
                 max(stop - start, 1), cfg.mode, cfg.pattern,
                 self.rng(cfg, tid)
             )
-            loads = [arr.addr(order) for arr in layouts]
-            slot = slots[tid].base
-            if self.predicate is None:
-                addrs, writes = loop_body(loads, slot)
-            else:
-                mod, residue = self.predicate
-                addrs, writes = interleave(
-                    loads, [(order % mod == residue, rmw_cols(slot))])
+            addrs, writes = interleave(
+                [(arr.addr(order), False) for arr in layouts],
+                [(order % mod == residue, rmw_cols(slots[tid].base))])
             addrs, writes = with_sync(addrs, writes, sync.base, self.sync_every)
             threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
         return threads
@@ -232,8 +197,7 @@ class _VectorBase(Workload):
             for arr in arrays:
                 pb.use(arr, tid, reads=span, start=s0, stop=s1,
                        order=kind, bursts=bursts)
-            hits = (span if self.predicate is None
-                    else _residues_in(s0, s1, *self.predicate))
+            hits = _residues_in(s0, s1, *self.predicate)
             n_body = span * len(arrays) + pb.rmw_use(slots[tid], tid, hits)
             pb.sync_use(sync, tid, n_body, self.sync_every)
         return pb.finish(self.ipa)
@@ -325,18 +289,11 @@ class PMatMult(Workload):
             i = cells // n
             j = cells % n
             # Inner loop over k for each owned cell: 4 accesses per k.
-            nk = n
-            m = cells.size
             a_idx = (i[:, None] * n + korder[None, :]).ravel()
             b_idx = (korder[None, :] * n + j[:, None]).ravel()
-            c_addr = c.addr(cells)
-            addrs = np.empty(m * nk * 4, dtype=np.int64)
-            writes = np.zeros(m * nk * 4, dtype=bool)
-            addrs[0::4] = a.addr(a_idx)
-            addrs[1::4] = b.addr(b_idx)
-            addrs[2::4] = np.repeat(c_addr, nk)
-            addrs[3::4] = np.repeat(c_addr, nk)
-            writes[3::4] = True
+            addrs, writes = interleave(
+                [(a.addr(a_idx), False), (b.addr(b_idx), False),
+                 *rmw_cols(np.repeat(c.addr(cells), n))])
             addrs, writes = with_sync(addrs, writes, sync.base, self.sync_every)
             threads.append(ThreadTrace(addrs, writes, instr_per_access=self.ipa))
         return threads

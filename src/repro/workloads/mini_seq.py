@@ -20,6 +20,7 @@ from repro.workloads.base import (
     Workload,
     ordered_visit,
 )
+from repro.workloads.builders import interleave, rmw_cols
 from repro.workloads.plan import (
     PlanBuilder,
     elems_per_line,
@@ -33,6 +34,9 @@ _SEQ_MODES = frozenset({Mode.GOOD, Mode.BAD_MA})
 class _SeqArrayBase(Workload):
     """Element-wise pass over an array; ``cfg.size`` is the element count.
 
+    ``visit`` lists the accesses each visited element gets, one entry per
+    access: True for a store.
+
     Sizes are chosen so the footprint exceeds L2 (and for the larger sizes
     the DTLB reach), making the good/bad-ma contrast architectural rather
     than accidental: 8-byte elements mean 96k elements = 768 KiB.
@@ -43,7 +47,7 @@ class _SeqArrayBase(Workload):
     train_sizes = (49_152, 131_072, 262_144)
     elem_size = 8
     ipa = 3.0
-    sweeps = 1
+    visit = (False,)
 
     def _layout(self, cfg: RunConfig):
         pb = PlanBuilder(self.name, 1)
@@ -51,33 +55,20 @@ class _SeqArrayBase(Workload):
 
     def _generate(self, cfg: RunConfig) -> Sequence[ThreadTrace]:
         arr = self._layout(cfg)[1].layout()
-        pieces_a = []
-        pieces_w = []
-        for s in range(self.sweeps):
-            order = ordered_visit(cfg.size, cfg.mode, cfg.pattern,
-                                  self.rng(cfg, s))
-            a, w = self._visit(arr.addr(order))
-            pieces_a.append(a)
-            pieces_w.append(w)
-        return [ThreadTrace(np.concatenate(pieces_a),
-                            np.concatenate(pieces_w),
+        order = ordered_visit(cfg.size, cfg.mode, cfg.pattern,
+                              self.rng(cfg, 0))
+        addrs = arr.addr(order)
+        return [ThreadTrace(*interleave([(addrs, w) for w in self.visit]),
                             instr_per_access=self.ipa)]
-
-    def _visit(self, addrs: np.ndarray):
-        raise NotImplementedError
-
-    #: (reads, writes) one visited element produces.
-    visit_rw = (1, 0)
 
     def _plan(self, cfg: RunConfig):
         pb, arr = self._layout(cfg)
-        kind = visit_kind(cfg.mode, cfg.pattern)
-        per_sweep = hostile_bursts(cfg.mode, cfg.pattern,
-                                   elems_per_line(self.elem_size))
-        r, w = self.visit_rw
-        pb.use(arr, 0, reads=r * cfg.size * self.sweeps,
-               writes=w * cfg.size * self.sweeps,
-               order=kind, bursts=per_sweep * self.sweeps)
+        writes = sum(self.visit)
+        pb.use(arr, 0, reads=(len(self.visit) - writes) * cfg.size,
+               writes=writes * cfg.size,
+               order=visit_kind(cfg.mode, cfg.pattern),
+               bursts=hostile_bursts(cfg.mode, cfg.pattern,
+                                     elems_per_line(self.elem_size)))
         return pb.finish(self.ipa)
 
 
@@ -87,11 +78,6 @@ class SeqRead(_SeqArrayBase):
     name = "seq_read"
     description = "element-wise array read"
 
-    visit_rw = (1, 0)
-
-    def _visit(self, addrs):
-        return addrs, np.zeros(addrs.size, dtype=bool)
-
 
 class SeqWrite(_SeqArrayBase):
     """Write every element of an array."""
@@ -99,11 +85,7 @@ class SeqWrite(_SeqArrayBase):
     name = "seq_write"
     description = "element-wise array write"
     ipa = 2.5
-
-    visit_rw = (0, 1)
-
-    def _visit(self, addrs):
-        return addrs, np.ones(addrs.size, dtype=bool)
+    visit = (True,)
 
 
 class SeqRMW(_SeqArrayBase):
@@ -112,14 +94,7 @@ class SeqRMW(_SeqArrayBase):
     name = "seq_rmw"
     description = "element-wise read-modify-write"
     ipa = 3.5
-
-    visit_rw = (1, 1)
-
-    def _visit(self, addrs):
-        out_a = np.repeat(addrs, 2)
-        out_w = np.zeros(out_a.size, dtype=bool)
-        out_w[1::2] = True
-        return out_a, out_w
+    visit = (False, True)
 
 
 class SeqMatMul(Workload):
@@ -166,15 +141,10 @@ class SeqMatMul(Workload):
                 np.arange(m), np.arange(n), np.arange(big_k), indexing="ij"
             )
         ii, jj, kk = ii.ravel(), jj.ravel(), kk.ravel()
-        total = ii.size
-        addrs = np.empty(total * 4, dtype=np.int64)
-        writes = np.zeros(total * 4, dtype=bool)
-        addrs[0::4] = a.addr(ii * big_k + kk)
-        addrs[1::4] = b.addr(kk * n + jj)
-        addrs[2::4] = c.addr(ii * n + jj)
-        addrs[3::4] = c.addr(ii * n + jj)
-        writes[3::4] = True
-        return [ThreadTrace(addrs, writes, instr_per_access=self.ipa)]
+        body = interleave([(a.addr(ii * big_k + kk), False),
+                           (b.addr(kk * n + jj), False),
+                           *rmw_cols(c.addr(ii * n + jj))])
+        return [ThreadTrace(*body, instr_per_access=self.ipa)]
 
     def _plan(self, cfg: RunConfig):
         m, n = self.m_rows, self.n_cols

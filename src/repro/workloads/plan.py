@@ -43,6 +43,7 @@ from repro.memory.allocator import BumpAllocator
 from repro.memory.layout import LINE_SIZE
 from repro.memory.symbols import Symbol, SymbolTable
 from repro.workloads.base import Mode, stride_of
+from repro.workloads.builders import sync_count
 
 #: Intra-use visit-order kinds.
 USE_ORDERS = ("linear", "scattered")
@@ -200,13 +201,6 @@ def hostile_bursts(mode: Mode, pattern: str, elems_per_line: int) -> float:
     return float(min(max(stride_of(pattern), 1), k))
 
 
-def sync_inserts(n_body: int, every: int) -> int:
-    """How many sync RMWs ``with_sync`` injects into an ``n_body`` stream."""
-    if every <= 0:
-        return 0
-    return n_body // every
-
-
 class PlanBuilder:
     """A workload's one layout pass, then the plan's uses over it.
 
@@ -310,8 +304,9 @@ class PlanBuilder:
 
     def sync_use(self, sync: Symbol, tid: int, n_body: int,
                  every: int) -> int:
-        """Record the periodic sync-word RMWs ``with_sync`` would inject."""
-        n = sync_inserts(n_body, every)
+        """Record the periodic sync-word RMWs ``with_sync`` would splice
+        into ``n_body`` accesses."""
+        n = sync_count(n_body, every)
         self.use(sync, tid, reads=n, writes=n, order="scattered",
                  bursts=float(max(n, 1)))
         return n

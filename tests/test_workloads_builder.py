@@ -7,8 +7,13 @@ from repro.errors import ConfigError
 from repro.memory.layout import line_of
 from repro.workloads.base import RunConfig
 from repro.workloads.builder import WorkloadBuilder
-from repro.workloads.builders import interleave, loop_body, rmw_cols
-
+from repro.workloads.builders import (
+    interleave,
+    rmw_cols,
+    sync_count,
+    with_sync,
+)
+from repro.workloads.plan import PlanBuilder
 
 
 def simple(name="w", **kw):
@@ -17,50 +22,117 @@ def simple(name="w", **kw):
     return b
 
 
-def _interleave_by_hand(loads, blocks):
+def _col(addr, k):
+    return int(addr[k] if np.ndim(addr) else addr)
+
+
+def _interleave_by_hand(cols, blocks, n):
     """The per-iteration loop :func:`interleave` vectorizes."""
     addrs, writes, taken = [], [], [0] * len(blocks)
-    for i in range(len(loads[0])):
-        for col in loads:
-            addrs.append(int(col[i]))
-            writes.append(False)
-        for b, (mask, cols) in enumerate(blocks):
+    for i in range(n):
+        for addr, is_write in cols:
+            addrs.append(_col(addr, i))
+            writes.append(is_write)
+        for b, (mask, bcols) in enumerate(blocks):
             if not mask[i]:
                 continue
-            for addr, is_write in cols:
-                addrs.append(int(addr[taken[b]] if np.ndim(addr) else addr))
+            for addr, is_write in bcols:
+                addrs.append(_col(addr, taken[b]))
                 writes.append(is_write)
             taken[b] += 1
     return addrs, writes
 
 
+def _with_sync_by_hand(addrs, writes, word, every):
+    """The per-access loop :func:`with_sync` vectorizes."""
+    out_a, out_w = [], []
+    for k, (a, w) in enumerate(zip(addrs, writes), start=1):
+        out_a.append(a)
+        out_w.append(w)
+        if k % every == 0:
+            out_a += [word, word]
+            out_w += [False, True]
+    return out_a, out_w
+
+
+def _random_cols(rng, n, count):
+    """``count`` columns, each a scalar or one address per iteration, and
+    each a load or a store."""
+    return [(rng.integers(0, 1 << 20, size=n) if rng.random() < 0.5
+             else int(rng.integers(0, 1 << 20)), bool(rng.random() < 0.5))
+            for _ in range(count)]
+
+
+def _random_body(rng, n, masked):
+    cols = _random_cols(rng, n, int(rng.integers(0, 4)))
+    blocks = []
+    for _ in range(int(rng.integers(0, 4))):
+        mask = (rng.random(n) < rng.random() if masked
+                else np.ones(n, bool))
+        blocks.append((mask, _random_cols(rng, int(mask.sum()),
+                                          int(rng.integers(1, 4)))))
+    return cols, blocks
+
+
 class TestInterleave:
-    def test_matches_the_iteration_loop(self):
-        rng = np.random.default_rng(7)
-        n = 200
-        loads = [rng.integers(0, 1 << 20, size=n) for _ in range(2)]
-        gather = rng.random(n) < 0.3
-        acc = rng.random(n) < 0.5
-        blocks = [
-            (gather, [(rng.integers(0, 1 << 20, size=int(gather.sum())),
-                       False)]),
-            (acc, rmw_cols(4096, fields=3, field_size=4)),
-            (np.zeros(n, bool), rmw_cols(8192)),
-        ]
-        addrs, writes = interleave(loads, blocks)
-        want_a, want_w = _interleave_by_hand(loads, blocks)
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_iteration_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 120))
+        cols, blocks = _random_body(rng, n, masked=seed % 2 == 0)
+        addrs, writes = interleave(cols, blocks, n=n)
+        want_a, want_w = _interleave_by_hand(cols, blocks, n)
+        assert addrs.dtype == np.int64 and writes.dtype == bool
         assert addrs.tolist() == want_a
         assert writes.tolist() == want_w
 
-    def test_fixed_body_equals_loop_body(self):
-        loads = [np.arange(50) * 8, np.arange(50) * 8 + 4096]
-        got = interleave(loads, [(np.ones(50, bool), rmw_cols(64))])
-        want = loop_body(loads, 64)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    def test_iteration_count_defaults_to_the_first_column(self):
+        loads = np.arange(7) * 64
+        cols = [(loads, False), *rmw_cols(8)]
+        assert all(np.array_equal(g, w) for g, w in
+                   zip(interleave(cols), interleave(cols, n=7)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_strided_path_equals_masked_path(self, seed):
+        # An all-false block adds no access but forces the masked walk.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        cols, blocks = _random_body(rng, n, masked=False)
+        strided = interleave(cols, blocks, n=n)
+        masked = interleave(cols, [*blocks, (np.zeros(n, bool),
+                                             rmw_cols(4096))], n=n)
+        assert all(np.array_equal(g, w) for g, w in zip(strided, masked))
 
     def test_rmw_cols_is_load_then_store_per_field(self):
         assert rmw_cols(100, fields=2, field_size=4) == [
             (100, False), (100, True), (104, False), (104, True)]
+
+
+class TestWithSync:
+    @pytest.mark.parametrize("n,every", [
+        (0, 4), (3, 4), (4, 4), (12, 4), (13, 4), (5, 1), (1000, 7)])
+    def test_matches_the_access_loop(self, n, every):
+        rng = np.random.default_rng(n * 31 + every)
+        addrs = rng.integers(0, 1 << 20, size=n)
+        writes = rng.random(n) < 0.5
+        got_a, got_w = with_sync(addrs, writes, 64, every)
+        want_a, want_w = _with_sync_by_hand(addrs.tolist(),
+                                            writes.tolist(), 64, every)
+        assert got_a.tolist() == want_a
+        assert got_w.tolist() == want_w
+        assert got_a.size == n + 2 * sync_count(n, every)
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_rejects_a_non_positive_period(self, every):
+        addrs, writes = np.arange(8), np.zeros(8, bool)
+        with pytest.raises(ConfigError):
+            sync_count(8, every)
+        with pytest.raises(ConfigError):
+            with_sync(addrs, writes, 64, every)
+        pb = PlanBuilder("w", 1)
+        sync = pb.line_region("sync", 64, size=8, kind="sync")
+        with pytest.raises(ConfigError):
+            pb.sync_use(sync, 0, 8, every)
 
 
 class TestBuilderValidation:
