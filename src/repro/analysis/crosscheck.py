@@ -505,7 +505,6 @@ class CrossChecker:
                 w.plan(cfg))
         except WorkloadError:
             pred = None
-        per_line = oracle.per_line or {}
         rec = CaseRecord(
             workload=w.name,
             case=_case_label(cfg),
@@ -520,7 +519,7 @@ class CrossChecker:
             rec.predicted_lines = sorted(pl.line
                                          for pl in pred.false_shared())
             rec.oracle_lines = sorted(line for line, (fs, _ts)
-                                      in per_line.items()
+                                      in oracle.per_line.items()
                                       if fs >= MIN_ORACLE_MISSES)
-            _explain(rec, pred, per_line)
+            _explain(rec, pred, oracle.per_line)
         return rec

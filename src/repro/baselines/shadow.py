@@ -50,12 +50,10 @@ class ShadowReport:
     cold_misses: int
     instructions: int
     nthreads: int
-    per_line: Optional[Dict[int, tuple]] = None
+    per_line: Dict[int, tuple]
 
     def hottest_fs_lines(self, n: int = 8):
         """Lines with the most false-sharing misses, hottest first."""
-        if not self.per_line:
-            return []
         items = [(line, fs, ts) for line, (fs, ts) in self.per_line.items()
                  if fs > 0]
         items.sort(key=lambda x: (-x[1], x[0]))
@@ -227,14 +225,3 @@ class ShadowMemoryDetector:
             nthreads=nt,
             per_line=per_line,
         )
-
-    def run_store(self, path, chunk: int = DEFAULT_CHUNK) -> ShadowReport:
-        """Shadow a program persisted as a binary trace store.
-
-        The store is opened as read-only memmap views (zero-copy) and
-        walked in bounded windows like any program, so the merged order is
-        never resident as a whole.  Results are identical to :meth:`run`.
-        """
-        from repro.trace.store import open_program
-
-        return self.run(open_program(path), chunk=chunk)

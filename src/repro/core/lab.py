@@ -69,7 +69,6 @@ class Lab:
     seed: int = 0
     noisy: bool = True
     chunk: int = DEFAULT_CHUNK
-    prefetch: bool = True
     #: Drive loop, forwarded to :class:`MulticoreMachine` (and to worker
     #: processes by the execution engine): ``True`` drives with the
     #: compiled loop, ``False`` with the Python spec; results are
@@ -82,9 +81,8 @@ class Lab:
     disk_cache: Union[str, Path, None] = "auto"
 
     def __post_init__(self) -> None:
-        self._machine = MulticoreMachine(
-            self.spec, self.latency, prefetch=self.prefetch, fast=self.fast
-        )
+        self._machine = MulticoreMachine(self.spec, self.latency,
+                                         fast=self.fast)
         self._sampler = PMUSampler(seed=self.seed, noisy=self.noisy)
         path = (default_path(f"{self.spec.name}-c{self.chunk}-{SIM_VERSION}.pkl")
                 if self.disk_cache == "auto" else self.disk_cache)
@@ -115,30 +113,14 @@ class Lab:
         """Run (or fetch from cache) the simulation for one configuration.
 
         ``workload`` is anything with ``name``, ``trace(cfg)`` and
-        ``cache_key(cfg)`` — mini-programs and suite models alike.  The rep
-        index is excluded from the cache key: repeats re-measure, they do
-        not re-execute different computations.
+        ``cache_key(cfg)`` — mini-programs, suite models and persisted
+        traces (:data:`repro.trace.store.STORED`) alike.  The rep index is
+        excluded from the cache key: repeats re-measure, they do not
+        re-execute different computations.
         """
         return self.sim_cache.get_or_compute(
             self.simulation_key(workload, cfg),
             lambda: self._machine.run(workload.trace(cfg), chunk=self.chunk))
-
-    def simulate_store(self, path: Union[str, Path]) -> SimulationResult:
-        """Run (or fetch from cache) the simulation of a persisted trace.
-
-        ``path`` names a program store written by
-        :func:`repro.trace.store.save_program`.  The cache key is the
-        store's **content digest**, read from the header in O(1): renamed
-        or copied files hit the same entry, and a regenerated trace with
-        different bytes misses regardless of its name.  The trace is
-        driven off the memmap window by window, so multi-GB stores never
-        materialize a merged copy.
-        """
-        from repro.trace.store import open_program, open_store
-
-        return self.sim_cache.get_or_compute(
-            ("store", open_store(path).digest, self.chunk),
-            lambda: self._machine.run(open_program(path), chunk=self.chunk))
 
     def measure(
         self,

@@ -35,7 +35,8 @@ def _valid_shadow_entry(value: Any) -> Optional[ShadowReport]:
     """The shadow cache's ``admit``: a :class:`ShadowReport` with integer
     counts and its ``per_line`` dict, else None (so a counts-only entry of
     an older cache is dropped, never read as a report)."""
-    if (isinstance(value, ShadowReport) and isinstance(value.per_line, dict)
+    if (isinstance(value, ShadowReport)
+            and isinstance(getattr(value, "per_line", None), dict)
             and all(isinstance(v, int) and not isinstance(v, bool)
                     for v in value.counts)):
         return value
@@ -162,8 +163,9 @@ class PipelineContext:
     # ------------------------------------------------------------ shadow oracle
 
     def shadow_report(self, program, case) -> ShadowReport:
-        """The oracle's report, ``per_line`` included, for one suite
-        program or registry workload case (cached)."""
+        """The oracle's report, ``per_line`` included, for one case of a
+        suite program, registry workload or
+        :data:`repro.trace.store.STORED` (cached)."""
         def run() -> ShadowReport:
             with TELEMETRY.span("shadow.run", program=program.name,
                                 case=case.run_id()):
@@ -180,25 +182,6 @@ class PipelineContext:
                              shadow_cache=self.shadow_cache,
                              oracle=self.shadow)
         return [self.shadow_report(program, case) for program, case in pairs]
-
-    def shadow_report_store(self, path) -> ShadowReport:
-        """Oracle report for a persisted trace store, cached by digest.
-
-        The cache key is the store's content digest (header field, O(1) to
-        read), so the entry survives renames and copies and misses when the
-        trace bytes change — the same contract as
-        :meth:`repro.core.lab.Lab.simulate_store`.
-        """
-        from repro.trace.store import open_store
-
-        store = open_store(path)
-
-        def run() -> ShadowReport:
-            with TELEMETRY.span("shadow.run_store", digest=store.digest):
-                return self.shadow.run_store(path, chunk=self.lab.chunk)
-
-        return self.shadow_cache.get_or_compute(
-            ("store", store.digest, self.lab.chunk), run)
 
     # ------------------------------------------------------------ verification
 

@@ -29,7 +29,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
-                    Sequence, Tuple)
+                    Tuple)
 
 from repro.errors import ReproError
 from repro.telemetry.core import TELEMETRY
@@ -60,10 +60,14 @@ def set_default_jobs(jobs: Optional[int]) -> None:
 
 
 def resolve_target(name: str):
-    """A mini-program or suite program by registry name (workers use this)."""
+    """A mini-program, suite program or :data:`repro.trace.store.STORED` by
+    name (workers use this)."""
     from repro.errors import WorkloadError
+    from repro.trace.store import STORED
     from repro.workloads.registry import get_workload
 
+    if name == STORED.name:
+        return STORED
     try:
         return get_workload(name)
     except WorkloadError:
@@ -89,7 +93,8 @@ def shadow_key(target, case) -> Tuple[Hashable, ...]:
 # --------------------------------------------------------------------- tasks
 #
 # Worker entry points must be module-level functions (pickled by reference).
-# Tasks are self-contained tuples: workloads travel as registry names, specs
+# Tasks are self-contained tuples: targets travel as names (a stored trace
+# as STORED's name and a path-and-digest case, never as trace bytes), specs
 # as the frozen dataclasses they already are.
 
 
@@ -99,7 +104,7 @@ def case_task(task: Tuple) -> Tuple[object, object]:
     None)``.
 
     A task is ``(name, case, chunk, machine, oracle_fast)``: ``machine`` is
-    the simulation's ``(spec, latency, prefetch, fast)`` and ``oracle_fast``
+    the simulation's ``(spec, latency, fast)`` and ``oracle_fast``
     the shadow oracle's ``fast``, each None when that half is not wanted.
     """
     name, case, chunk, machine, oracle_fast = task
@@ -109,39 +114,14 @@ def case_task(task: Tuple) -> Tuple[object, object]:
     trace = resolve_target(name).trace(case)
     result = report = None
     if machine is not None:
-        spec, latency, prefetch, fast = machine
-        result = MulticoreMachine(spec, latency, prefetch=prefetch,
-                                  fast=fast).run(trace, chunk=chunk)
+        spec, latency, fast = machine
+        result = MulticoreMachine(spec, latency, fast=fast).run(trace,
+                                                                chunk=chunk)
     if oracle_fast is not None:
         with TELEMETRY.span("shadow.run", program=name, case=case.run_id()):
             report = ShadowMemoryDetector(fast=oracle_fast).run(trace,
                                                                 chunk=chunk)
     return result, report
-
-
-def _simulate_store_task(task: Tuple) -> Tuple[object, int]:
-    """Worker: memmap one program store locally and simulate it.
-
-    The task carries a *path* plus machine parameters — never trace bytes.
-    The worker reconstructs zero-copy :class:`ThreadTrace` views from the
-    store header's per-thread ``(offset, length)`` spans, so every process
-    reads the same OS page-cache pages instead of holding a pickled private
-    copy of the trace.  Returns ``(SimulationResult, peak_rss_kib)``: the
-    worker's max resident set, reported so callers (the bench harness) can
-    document that N workers over a GB-scale trace do not cost N trace-sized
-    residencies.
-    """
-    path, spec, latency, prefetch, fast, chunk = task
-    import resource
-
-    from repro.coherence.machine import MulticoreMachine
-    from repro.trace.store import open_program
-
-    program = open_program(path)
-    machine = MulticoreMachine(spec, latency, prefetch=prefetch, fast=fast)
-    result = machine.run(program, chunk=chunk)
-    rss_kib = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    return result, rss_kib
 
 
 def _timed_call(payload: Tuple) -> Tuple[float, object]:
@@ -243,9 +223,9 @@ class ExecutionEngine:
         Each pair missing either is one :func:`case_task`, which builds its
         trace once and runs only the missing halves; each half is installed
         in its cache under its usual key and flushed, so the caller's
-        serial loop reads cache hits.  Targets that are not resolvable by
-        registry name (some ad-hoc object) are skipped: that loop computes
-        them.  Returns the number of case tasks run.
+        serial loop reads cache hits.  Targets that :func:`resolve_target`
+        does not return by name (some ad-hoc object) are skipped: that
+        loop computes them.  Returns the number of case tasks run.
         """
         halves = [(lab.sim_cache, lab.simulation_key, pairs),
                   (shadow_cache, shadow_key, shadowed)]
@@ -258,7 +238,7 @@ class ExecutionEngine:
         if not todo:
             return 0
         rows = list(todo.values())
-        machine = (lab.spec, lab.latency, lab.prefetch, lab.fast)
+        machine = (lab.spec, lab.latency, lab.fast)
         results = self.map(case_task, [
             (t.name, c, lab.chunk, None if sim is None else machine,
              None if orc is None else oracle.fast)
@@ -272,30 +252,3 @@ class ExecutionEngine:
                 if half:
                     TELEMETRY.count("shadow.prefetch.dispatched", len(done))
         return len(rows)
-
-    def simulate_stores(
-        self,
-        paths: Sequence,
-        spec,
-        latency=None,
-        prefetch: bool = True,
-        fast: bool = True,
-        chunk: Optional[int] = None,
-    ) -> List[Tuple[object, int]]:
-        """Simulate persisted program stores, one worker memmap per path.
-
-        Workers receive ``(path, machine params)`` handles only; each opens
-        the store read-only and drives it straight off the memmap (the
-        windowed drive never materializes the whole interleaved order).
-        Returns ``(SimulationResult, worker_peak_rss_kib)`` pairs in input
-        order — the RSS figures substantiate the zero-copy claim in bench
-        reports.
-        """
-        from repro.coherence.timing import DEFAULT_LATENCY
-        from repro.trace.streams import DEFAULT_CHUNK
-
-        latency = latency if latency is not None else DEFAULT_LATENCY
-        chunk = int(chunk) if chunk is not None else DEFAULT_CHUNK
-        tasks = [(str(p), spec, latency, prefetch, fast, chunk)
-                 for p in paths]
-        return self.map(_simulate_store_task, tasks)

@@ -20,7 +20,7 @@ from repro.pmu.events import (
     event_number,
     feature_events,
 )
-from repro.pmu.sampler import PROGRAMMABLE_COUNTERS, PMUSampler, measure_run
+from repro.pmu.sampler import PROGRAMMABLE_COUNTERS, PMUSampler
 
 __all__ = [
     "EventVector",
@@ -41,5 +41,4 @@ __all__ = [
     "feature_events",
     "PROGRAMMABLE_COUNTERS",
     "PMUSampler",
-    "measure_run",
 ]

@@ -187,14 +187,3 @@ class PMUSampler:
                 groups.append(k // self.counters)
                 k += 1
         return groups
-
-
-def measure_run(
-    result: SimulationResult,
-    events: Sequence[Event],
-    seed: int = 0,
-    run_id: Optional[str] = None,
-    noisy: bool = True,
-) -> EventVector:
-    """One-shot convenience: sample ``events`` from ``result``."""
-    return PMUSampler(seed=seed, noisy=noisy).measure(result, events, run_id)

@@ -162,21 +162,34 @@ def measure_drive(repeats: int = 3) -> Dict[str, Dict[str, Any]]:
     return out
 
 
+def _store_worker_rss(task: Tuple) -> int:
+    """Worker: run one :func:`repro.parallel.case_task`, then return this
+    process's peak resident set in KiB."""
+    import resource
+
+    from repro.parallel import case_task
+
+    case_task(task)
+    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
 def measure_store_workers(tmp_dir: Optional[Path] = None) -> Dict[str, Any]:
     """Drive a persisted trace store through memmap workers; report RSS.
 
     Writes the contended ``psums`` trace to a binary store, fans the same
-    path out over worker processes (each opens its own read-only memmap),
-    and records every worker's peak resident set.  The note substantiates
-    the zero-copy claim in ``BENCH_simulator.json``: workers share the
-    store's OS page-cache pages, so N workers do not cost N trace-sized
-    private copies.
+    stored case out over worker processes (each case task opens its own
+    read-only memmap), and records every worker's peak resident set.  The
+    note substantiates the zero-copy claim in ``BENCH_simulator.json``:
+    workers share the store's OS page-cache pages, so N workers do not cost
+    N trace-sized private copies.
     """
     import tempfile
 
-    from repro.parallel import ExecutionEngine
-    from repro.trace.store import save_program
     from repro.coherence.machine import SCALED_WESTMERE
+    from repro.coherence.timing import DEFAULT_LATENCY
+    from repro.parallel import ExecutionEngine
+    from repro.trace.store import STORED, save_program
+    from repro.trace.streams import DEFAULT_CHUNK
     from repro.workloads.base import Mode, RunConfig
     from repro.workloads.registry import get_workload
 
@@ -188,9 +201,10 @@ def measure_store_workers(tmp_dir: Optional[Path] = None) -> Dict[str, Any]:
             path = Path(td) / "psums-bad-fs.rtrc"
             save_program(prog, path)
             store_bytes = path.stat().st_size
-            engine = ExecutionEngine(jobs=2, chunksize=1)
-            pairs = engine.simulate_stores([path, path], SCALED_WESTMERE)
-    rss = [int(r) for _, r in pairs]
+            task = (STORED.name, STORED.case(path), DEFAULT_CHUNK,
+                    (SCALED_WESTMERE, DEFAULT_LATENCY, True), None)
+            rss = ExecutionEngine(jobs=2, chunksize=1).map(
+                _store_worker_rss, [task, task])
     return {
         "case": "psums/bad-fs/t4",
         "workers": len(rss),

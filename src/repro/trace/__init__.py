@@ -5,7 +5,6 @@ from repro.trace.store import (
     TraceStore,
     open_program,
     open_store,
-    read_store,
     save_program,
     write_store,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "TraceStore",
     "open_program",
     "open_store",
-    "read_store",
     "save_program",
     "write_store",
 ]

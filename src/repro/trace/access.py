@@ -10,8 +10,7 @@ program-level metadata; it is what the multicore machine consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -183,28 +182,6 @@ class ProgramTrace:
         if not arrays:
             return 0
         return int(np.unique(np.concatenate(arrays)).size)
-
-    # ------------------------------------------------------------ store IO
-
-    def to_file(self, path: Union[str, Path]) -> str:
-        """Write the whole program as one trace store; returns the digest."""
-        from repro.trace.store import save_program
-
-        return save_program(self, path)
-
-    @classmethod
-    def open_mmap(cls, path: Union[str, Path]) -> "ProgramTrace":
-        """Open a program store as zero-copy memmap-backed thread views."""
-        from repro.trace.store import open_program
-
-        return open_program(path, mmap=True)
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "ProgramTrace":
-        """Load a program store into private writable arrays."""
-        from repro.trace.store import open_program
-
-        return open_program(path, mmap=False)
 
 
 def empty_thread(instr: int = 0) -> ThreadTrace:

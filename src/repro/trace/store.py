@@ -15,10 +15,15 @@ gives traces the same shape:
 * :func:`open_store` maps the file as a read-only :class:`numpy.memmap`:
   opening is O(1) regardless of size, workers that open the same path share
   pages through the OS cache instead of holding private copies, and slicing
-  a column is a view, never a copy.
+  a column is a view, never a copy;
+* :data:`STORED` makes program stores one more target of the pipeline
+  (``Lab.simulate``, ``PipelineContext.shadow_report`` and the engine's
+  case tasks): a :class:`StoreCase` names a file by path and digest, and
+  workers open that path themselves, so no trace bytes are pickled.
 
 Anything malformed — bad magic, truncated header or columns, an unknown
-format version, a directory that does not parse — is a hard
+format version, a directory that does not parse, a column that overlaps the
+header or another column — is a hard
 :class:`~repro.errors.TraceError`: a trace store is an input, not an
 accelerator, so silent degradation is never correct (contrast the shadow
 cache in :mod:`repro.experiments.context`, which may legitimately drop
@@ -36,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import TraceError
+from repro.trace.access import ProgramTrace, ThreadTrace
 
 __all__ = [
     "STORE_MAGIC",
@@ -44,9 +50,10 @@ __all__ = [
     "TraceStore",
     "write_store",
     "open_store",
-    "read_store",
     "save_program",
     "open_program",
+    "StoreCase",
+    "STORED",
 ]
 
 #: File magic ("Repro TRaCe").
@@ -54,8 +61,9 @@ STORE_MAGIC = b"RTRC"
 
 #: Current on-disk format version.  Readers demand an exact match: a store
 #: written by a different format revision must be regenerated, not guessed
-#: at.
-STORE_VERSION = 1
+#: at.  Version 1 writers could place a header's columns 64 bytes past the
+#: offsets it records; no version 1 file is read.
+STORE_VERSION = 2
 
 #: Column blobs start on 64-byte boundaries (one cache line): memmap views
 #: are aligned for every dtype the format carries.
@@ -155,10 +163,7 @@ def write_store(
             arr, dtype=_DTYPES[_dtype_name(arr.dtype)])))
     digest = _content_digest(arrays)
 
-    # Header length depends on offsets, which depend on header length; the
-    # padding after the header absorbs the fixpoint (two passes suffice:
-    # the second header differs only in offset digits).
-    def _directory(base: int) -> Tuple[List[Dict[str, object]], int]:
+    def _directory(base: int) -> List[Dict[str, object]]:
         entries = []
         off = base
         for name, arr in arrays:
@@ -166,12 +171,16 @@ def write_store(
             entries.append({"name": name, "dtype": _dtype_name(arr.dtype),
                             "offset": off, "n": int(arr.size)})
             off += arr.nbytes
-        return entries, off
+        return entries
 
+    # Header length depends on the offsets, which depend on header length.
+    # Both only grow with ``base``, so iterating from the smallest base
+    # reaches the fixpoint, however many 64-byte boundaries the header's
+    # offset digits push it across; the columns go where that header says.
     meta = dict(meta or {})
     base = len(STORE_MAGIC) + 4
-    for _ in range(2):
-        entries, _ = _directory(base)
+    while True:
+        entries = _directory(base)
         header = json.dumps({
             "version": STORE_VERSION,
             "n": n,
@@ -184,7 +193,6 @@ def write_store(
         if base == data_base:
             break
         base = data_base
-    entries, _ = _directory(base)
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -246,8 +254,7 @@ def open_store(path: Union[str, Path]) -> TraceStore:
         entries = list(header["columns"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"trace store {path} has a corrupt header: {exc}")
-    mm = np.memmap(path, dtype=np.uint8, mode="r")
-    columns: Dict[str, np.ndarray] = {}
+    specs = []
     for entry in entries:
         try:
             spec = ColumnSpec(str(entry["name"]), str(entry["dtype"]),
@@ -259,34 +266,38 @@ def open_store(path: Union[str, Path]) -> TraceStore:
             raise TraceError(
                 f"trace store {path} column {spec.name!r} has unsupported "
                 f"dtype {spec.dtype!r}")
+        specs.append(spec)
+    mm = np.memmap(path, dtype=np.uint8, mode="r")
+    columns: Dict[str, np.ndarray] = {}
+    taken = len(raw)  # the header's end (_parse_header checked it is whole)
+    for spec in sorted(specs, key=lambda s: s.offset):
         end = spec.offset + spec.nbytes
-        if spec.offset < 0 or end > size:
+        if spec.offset < taken:
+            raise TraceError(
+                f"trace store {path} column {spec.name!r} starts at byte "
+                f"{spec.offset}, inside the header or another column "
+                f"(which end at byte {taken})")
+        if end > size:
             raise TraceError(
                 f"trace store {path} is truncated: column {spec.name!r} "
                 f"needs bytes [{spec.offset}, {end}) but the file has {size}")
         columns[spec.name] = mm[spec.offset:end].view(
             _DTYPES[spec.dtype])
+        taken = end
     return TraceStore(path=path, version=STORE_VERSION, n=n,
                       digest=digest, meta=meta, columns=columns)
-
-
-def read_store(path: Union[str, Path]) -> TraceStore:
-    """Like :func:`open_store` but with private writable column copies."""
-    store = open_store(path)
-    store.columns = {k: np.array(v) for k, v in store.columns.items()}
-    return store
 
 
 # -------------------------------------------------------- program packing
 #
 # A whole ProgramTrace packs into one store: per-thread columns are
 # concatenated and the header's meta records each thread's (offset, length)
-# row span plus its instruction weights.  Workers therefore receive a
-# (path, offset, length) handle per thread — the file — and reconstruct
-# zero-copy ThreadTrace views locally instead of unpickling arrays.
+# row span plus its instruction weights.  A worker therefore receives the
+# file's path and reconstructs zero-copy ThreadTrace views locally instead
+# of unpickling arrays.
 
 
-def save_program(program, path: Union[str, Path]) -> str:
+def save_program(program: ProgramTrace, path: Union[str, Path]) -> str:
     """Persist a :class:`~repro.trace.access.ProgramTrace`; returns digest."""
     spans = []
     off = 0
@@ -314,16 +325,13 @@ def save_program(program, path: Union[str, Path]) -> str:
     ], meta=meta)
 
 
-def open_program(path: Union[str, Path], mmap: bool = True):
-    """Open a program store as a ProgramTrace of zero-copy thread views.
+def open_program(path: Union[str, Path]) -> ProgramTrace:
+    """Open a program store as a ProgramTrace of zero-copy thread views."""
+    return _program(open_store(path))
 
-    ``mmap=False`` copies the columns into private writable arrays (for
-    callers that want to mutate); the default keeps everything a read-only
-    view of the file.
-    """
-    from repro.trace.access import ProgramTrace, ThreadTrace
 
-    store = open_store(path) if mmap else read_store(path)
+def _program(store: TraceStore) -> ProgramTrace:
+    path = store.path
     meta = store.meta
     if meta.get("kind") != "program":
         raise TraceError(
@@ -354,5 +362,52 @@ def open_program(path: Union[str, Path], mmap: bool = True):
             instr_per_access=ipa, extra_instructions=extra))
     prog = ProgramTrace(threads, name=str(meta.get("name", "anonymous")),
                         meta=dict(meta.get("meta") or {}))
-    prog.meta.setdefault("store_digest", store.digest)
+    prog.meta["store_digest"] = store.digest
     return prog
+
+
+# ------------------------------------------------------ the stored target
+
+
+@dataclass(frozen=True)
+class StoreCase:
+    """One program store as a case of :data:`STORED`: its path and the
+    content digest its header held when the case was made."""
+
+    path: str
+    digest: str
+
+    def run_id(self) -> str:
+        return f"store-{self.digest}"
+
+
+class _StoredTraces:
+    """Program stores as a target of ``Lab.simulate``/``measure``,
+    ``PipelineContext.shadow_report(s)`` and ``ExecutionEngine.prefetch``.
+
+    Cache keys are ``(STORE_VERSION, digest)``: renamed or copied files
+    share one entry, a file with other bytes misses whatever its name, and
+    no result of an older format revision is served.
+    """
+
+    name = "store"
+
+    def case(self, path: Union[str, Path]) -> StoreCase:
+        """The case of the program store at ``path`` (reads its header)."""
+        return StoreCase(str(path), open_store(path).digest)
+
+    def trace(self, case: StoreCase) -> ProgramTrace:
+        store = open_store(case.path)
+        if store.digest != case.digest:
+            raise TraceError(
+                f"trace store {case.path} has digest {store.digest}, not "
+                f"the {case.digest} its case was made from")
+        return _program(store)
+
+    def cache_key(self, case: StoreCase) -> Tuple:
+        return (STORE_VERSION, case.digest)
+
+
+#: The stored-trace target; :func:`repro.parallel.resolve_target` resolves
+#: its name, so case tasks open the store in the worker.
+STORED = _StoredTraces()

@@ -206,6 +206,18 @@ def generator_digests(items) -> Dict[str, str]:
     return {"traces": th.hexdigest(), "plans": ph.hexdigest()}
 
 
+def simulator_row(label: str, result) -> List[Any]:
+    """One trace's entry in the ``simulator`` layer."""
+    return [label, result.counts, result.cycles_per_core,
+            result.instructions_per_core, result.seconds,
+            result.hitm_samples]
+
+
+def oracle_row(label: str, report) -> List[Any]:
+    """One trace's entry in the ``oracle`` layer."""
+    return [label, list(report.counts), report.per_line]
+
+
 def outputs() -> Dict[str, List[Any]]:
     """Each layer's canonical outputs over :func:`traces`, in order."""
     from repro.baselines.shadow import ShadowMemoryDetector
@@ -223,11 +235,8 @@ def outputs() -> Dict[str, List[Any]]:
     for label, trace in traces():
         result = machine.run(trace)
         report = oracle.run(trace)
-        out["simulator"].append([
-            label, result.counts, result.cycles_per_core,
-            result.instructions_per_core, result.seconds,
-            result.hitm_samples])
-        out["oracle"].append([label, list(report.counts), report.per_line])
+        out["simulator"].append(simulator_row(label, result))
+        out["oracle"].append(oracle_row(label, report))
         vec = sampler.measure(result, TABLE2_EVENTS, run_id=label)
         out["labels"].append([label, tree.classify_vector(vec)])
     return out

@@ -73,14 +73,14 @@ class TestRate:
 
     def test_threshold_boundary(self):
         rep = ShadowReport(fs_misses=11, ts_misses=0, cold_misses=0,
-                           instructions=10_000, nthreads=2)
+                           instructions=10_000, nthreads=2, per_line={})
         assert rep.has_false_sharing
         rep2 = ShadowReport(fs_misses=9, ts_misses=0, cold_misses=0,
-                            instructions=10_000, nthreads=2)
+                            instructions=10_000, nthreads=2, per_line={})
         assert not rep2.has_false_sharing
 
     def test_zero_instructions_rejected(self):
-        rep = ShadowReport(0, 0, 0, 0, 1)
+        rep = ShadowReport(0, 0, 0, 0, 1, per_line={})
         with pytest.raises(BaselineError):
             _ = rep.fs_rate
 

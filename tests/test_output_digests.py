@@ -13,9 +13,14 @@ current digests.
 
 import math
 
+from repro.core.lab import Lab
+from repro.experiments.context import PipelineContext
+from repro.parallel import ExecutionEngine
+from repro.trace.store import STORED, save_program
 from repro.versioning import SHADOW_VERSION, SIM_VERSION
 
-from tests.digests import canon, digest, digests
+from tests.digests import (canon, digest, digests, oracle_row,
+                           simulator_row, traces)
 
 #: ``(SIM_VERSION, SHADOW_VERSION) -> {layer: sha256}``.
 PINNED = {
@@ -40,6 +45,33 @@ def test_outputs_match_the_pinned_digests():
         f"no pinned digests for {versions}: add the row printed by "
         "`python -m tests.digests`")
     assert digests() == PINNED[versions]
+
+
+def test_stored_pinned_traces_match_the_pinned_digests(tmp_path):
+    # The pinned traces saved as program stores, simulated and shadowed in
+    # one visit per case by the stored target's case tasks at two jobs.
+    labels, pairs = [], []
+    for i, (label, trace) in enumerate(traces()):
+        path = tmp_path / f"{i}.rtrc"
+        save_program(trace, path)
+        labels.append(label)
+        pairs.append((STORED, STORED.case(path)))
+    lab = Lab(disk_cache=None)
+    ctx = PipelineContext(lab=lab, engine=ExecutionEngine(jobs=2))
+    tasks = ctx.engine.prefetch(lab, pairs, shadowed=pairs,
+                                shadow_cache=ctx.shadow_cache,
+                                oracle=ctx.shadow)
+    # One case task per distinct trace (byte-identical stores share one),
+    # which installed both halves: the reads below are cache hits.
+    assert tasks == len({case.digest for _, case in pairs})
+    assert len(lab.sim_cache) == len(ctx.shadow_cache) == tasks
+    pinned = PINNED[(SIM_VERSION, SHADOW_VERSION)]
+    assert digest([simulator_row(label, lab.simulate(*pair))
+                   for label, pair in zip(labels, pairs)]
+                  ) == pinned["simulator"]
+    assert digest([oracle_row(label, report) for label, report in
+                   zip(labels, ctx.shadow_reports(pairs))]
+                  ) == pinned["oracle"]
 
 
 def test_canonical_form_is_exact_and_order_free():

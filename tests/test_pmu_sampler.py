@@ -6,7 +6,7 @@ import pytest
 from repro.coherence.machine import MachineSpec, SimulationResult
 from repro.errors import PMUError
 from repro.pmu.events import NORMALIZER, TABLE2_EVENTS, event_by_raw_key
-from repro.pmu.sampler import PMUSampler, measure_run
+from repro.pmu.sampler import PMUSampler
 
 
 def fake_result(counts=None, name="run"):
@@ -36,44 +36,44 @@ DTLB = TABLE2_EVENTS[12]
 
 class TestMeasurement:
     def test_noiseless_exact(self):
-        v = measure_run(fake_result(), [HITM, NORMALIZER], noisy=False)
+        v = PMUSampler(noisy=False).measure(fake_result(), [HITM, NORMALIZER])
         assert v.count(HITM) == 5000.0
         assert v.count(NORMALIZER) == 1_000_000.0
 
     def test_noise_bounded(self):
-        v = measure_run(fake_result(), [HITM, NORMALIZER], noisy=True)
+        v = PMUSampler(noisy=True).measure(fake_result(), [HITM, NORMALIZER])
         assert 0.7 * 5000 < v.count(HITM) < 1.4 * 5000
 
     def test_noise_reproducible(self):
-        a = measure_run(fake_result(), [HITM], run_id="r1")
-        b = measure_run(fake_result(), [HITM], run_id="r1")
+        a = PMUSampler().measure(fake_result(), [HITM], run_id="r1")
+        b = PMUSampler().measure(fake_result(), [HITM], run_id="r1")
         assert a.count(HITM) == b.count(HITM)
 
     def test_repeats_differ(self):
-        a = measure_run(fake_result(), [HITM], run_id="r1")
-        b = measure_run(fake_result(), [HITM], run_id="r2")
+        a = PMUSampler().measure(fake_result(), [HITM], run_id="r1")
+        b = PMUSampler().measure(fake_result(), [HITM], run_id="r2")
         assert a.count(HITM) != b.count(HITM)
 
     def test_zero_counts_get_a_floor(self):
-        v = measure_run(fake_result(), [DTLB, HITM], run_id="x")
+        v = PMUSampler().measure(fake_result(), [DTLB, HITM], run_id="x")
         # unmeasured-but-requested events never come back exactly zero
         res = fake_result({"DTLB_MISSES.ANY": 0.0})
-        v = measure_run(res, [DTLB], run_id="x")
+        v = PMUSampler().measure(res, [DTLB], run_id="x")
         assert v.count(DTLB) > 0.0
 
     def test_empty_request_rejected(self):
         with pytest.raises(PMUError):
-            measure_run(fake_result(), [])
+            PMUSampler().measure(fake_result(), [])
 
     def test_duplicate_request_rejected(self):
         with pytest.raises(PMUError):
-            measure_run(fake_result(), [HITM, HITM])
+            PMUSampler().measure(fake_result(), [HITM, HITM])
 
 
 class TestErraticCounter:
     def test_uncore_hitm_dominated_by_loads(self):
         e = event_by_raw_key("MEM_UNCORE_RETIRED.OTHER_CORE_L2_HITM")
-        v = measure_run(fake_result(), [e, HITM], noisy=False)
+        v = PMUSampler(noisy=False).measure(fake_result(), [e, HITM])
         # erratum model: mostly unrelated load traffic, not the true 5000
         assert v.values[e.name] < 1000.0
         assert v.values[e.name] > 100.0  # load bleed-through
@@ -101,7 +101,7 @@ class TestOverheadAndMux:
         draws_low, draws_high = [], []
         events14 = TABLE2_EVENTS[:15]
         for rid in range(60):
-            v = measure_run(fake_result(
+            v = PMUSampler().measure(fake_result(
                 {e.raw_key: 10_000.0 for e in events14}),
                 events14, run_id=str(rid))
             draws_low.append(v.values[events14[0].name])

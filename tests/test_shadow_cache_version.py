@@ -151,7 +151,11 @@ def test_valid_shadow_entry_predicate():
     assert not _valid_shadow_entry(COUNTS)             # the old entry form
     assert not _valid_shadow_entry(list(COUNTS))
     assert not _valid_shadow_entry(
-        ShadowReport(*COUNTS, nthreads=4))             # no per_line
+        ShadowReport(*COUNTS, nthreads=4, per_line=None))  # older pickles
+    bare = object.__new__(ShadowReport)                     # no attribute
+    bare.__dict__.update(zip(("fs_misses", "ts_misses", "cold_misses",
+                              "instructions"), COUNTS), nthreads=4)
+    assert not _valid_shadow_entry(bare)
     assert not _valid_shadow_entry(
         ShadowReport(1.0, 2, 3, 4, nthreads=4, per_line={}))  # non-int count
     assert not _valid_shadow_entry(

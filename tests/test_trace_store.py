@@ -5,7 +5,9 @@ fixed-width little-endian columns behind a versioned JSON header, opened as
 read-only memmap views.  These tests pin the format contract — bit-exact
 round-trips (including through a simulator drive), hard ``TraceError`` on
 any corrupt/truncated/foreign file, and the streamed-merge/streamed-run
-equivalences the memmap path relies on.
+equivalences the memmap path relies on — and the stored target
+(``STORED``), through which stores reach the simulator, the oracle and the
+engine's case tasks.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from repro.trace import (
     interleave_stream,
     open_program,
     open_store,
-    read_store,
     save_program,
     write_store,
 )
-from repro.trace.store import STORE_MAGIC, STORE_VERSION
+from repro.trace.store import STORE_MAGIC, STORE_VERSION, STORED
 
 from tests.conftest import SMALL_SPEC
 
@@ -65,9 +66,22 @@ def test_store_round_trips_columns_bitwise(tmp_path, rng):
     assert np.array_equal(st["is_write"], b)
     # memmap views are read-only and zero-copy
     assert not st["addr"].flags.writeable
-    rd = read_store(path)
-    assert rd["addr"].flags.writeable
-    assert np.array_equal(rd["addr"], a)
+
+
+def test_header_length_sweep_round_trips_every_column(tmp_path, rng):
+    # Padding ``meta`` walks the header's length across 64-byte boundaries;
+    # where the offsets' extra digits push it across one, the columns move
+    # by a line and the header written must be the one that says so.
+    n = 3000
+    cols = [("addr", rng.integers(0, 1 << 40, size=n, dtype=np.int64)),
+            ("is_write", rng.integers(0, 2, size=n).astype(np.uint8)),
+            ("core", rng.integers(0, 12, size=n).astype(np.int32))]
+    path = tmp_path / "pad.rtrc"
+    for k in range(128):
+        write_store(path, cols, meta={"pad": "x" * k})
+        st = open_store(path)
+        for name, arr in cols:
+            assert np.array_equal(st[name], arr), (k, name)
 
 
 def test_store_digest_is_content_stable(tmp_path, rng):
@@ -82,19 +96,18 @@ def test_store_digest_is_content_stable(tmp_path, rng):
 def test_program_round_trip_drives_bit_identical(tmp_path, rng):
     prog = _random_program(rng)
     path = tmp_path / "prog.rtrc"
-    prog.to_file(path)
-    for loader in (ProgramTrace.open_mmap, ProgramTrace.from_file):
-        back = loader(path)
-        assert back.nthreads == prog.nthreads
-        for t0, t1 in zip(prog.threads, back.threads):
-            assert np.array_equal(t0.addrs, t1.addrs)
-            assert np.array_equal(t0.is_write, t1.is_write)
-            assert t0.instr_per_access == t1.instr_per_access
-            assert t0.extra_instructions == t1.extra_instructions
-        res_a = MulticoreMachine(SMALL_SPEC, fast=True).run(prog)
-        res_b = MulticoreMachine(SMALL_SPEC, fast=True).run(back)
-        assert res_a.counts == res_b.counts
-        assert res_a.cycles_per_core == res_b.cycles_per_core
+    save_program(prog, path)
+    back = open_program(path)
+    assert back.nthreads == prog.nthreads
+    for t0, t1 in zip(prog.threads, back.threads):
+        assert np.array_equal(t0.addrs, t1.addrs)
+        assert np.array_equal(t0.is_write, t1.is_write)
+        assert t0.instr_per_access == t1.instr_per_access
+        assert t0.extra_instructions == t1.extra_instructions
+    res_a = MulticoreMachine(SMALL_SPEC, fast=True).run(prog)
+    res_b = MulticoreMachine(SMALL_SPEC, fast=True).run(back)
+    assert res_a.counts == res_b.counts
+    assert res_a.cycles_per_core == res_b.cycles_per_core
 
 
 def test_program_store_records_digest_and_kind(tmp_path, rng):
@@ -105,6 +118,12 @@ def test_program_store_records_digest_and_kind(tmp_path, rng):
     assert back.meta["store_digest"] == digest
     assert back.meta["mode"] == "unit"
     assert back.name == "rand"
+    # Re-saved with other bytes, the program names the new file's digest.
+    extra = ThreadTrace(np.array([64], np.int64), np.array([True]))
+    again = ProgramTrace([extra] + back.threads, meta=back.meta)
+    digest2 = save_program(again, tmp_path / "q.rtrc")
+    assert digest2 != digest
+    assert open_program(tmp_path / "q.rtrc").meta["store_digest"] == digest2
 
 
 def test_wrong_kind_is_a_trace_error(tmp_path, rng):
@@ -182,23 +201,42 @@ def test_corrupt_stores_raise_trace_error(tmp_path, rng, mangle):
     bad.write_bytes(raw)
     with pytest.raises(TraceError):
         open_store(bad)
-    with pytest.raises(TraceError):
-        read_store(bad)
 
 
-def test_wrong_version_is_a_trace_error(tmp_path, rng):
+def _rewritten(tmp_path, rng, edit):
+    """A valid store whose header ``edit`` changed in place."""
     raw = _valid_store_bytes(tmp_path, rng)
     (hlen,) = struct.unpack_from("<I", raw, 4)
     header = json.loads(raw[8:8 + hlen].decode("utf-8"))
-    header["version"] = STORE_VERSION + 41
+    edit(header)
     enc = json.dumps(header, sort_keys=True).encode("utf-8")
-    bad = tmp_path / "ver.rtrc"
+    bad = tmp_path / "bad.rtrc"
     # keep the payload offsets stable by padding the header back to size
     enc = enc.ljust(hlen, b" ")
     bad.write_bytes(STORE_MAGIC + struct.pack("<I", len(enc)) + enc
                     + raw[8 + hlen:])
+    return bad
+
+
+def test_wrong_version_is_a_trace_error(tmp_path, rng):
+    def edit(header):
+        header["version"] = STORE_VERSION + 41
+
     with pytest.raises(TraceError, match="version"):
-        open_store(bad)
+        open_store(_rewritten(tmp_path, rng, edit))
+
+
+@pytest.mark.parametrize("where", ["in-header", "overlapping"])
+def test_misplaced_column_is_a_trace_error(tmp_path, rng, where):
+    def edit(header):
+        addr, is_write = header["columns"]
+        if where == "in-header":
+            addr["offset"] = 8
+        else:
+            is_write["offset"] = addr["offset"] + 8
+
+    with pytest.raises(TraceError, match="inside the header or another"):
+        open_store(_rewritten(tmp_path, rng, edit))
 
 
 def test_missing_file_and_missing_column(tmp_path, rng):
@@ -294,8 +332,8 @@ def test_interleave_stream_single_thread(rng, monkeypatch):
 
 def test_run_stream_is_bit_identical_to_run(tmp_path, rng, monkeypatch):
     prog = _random_program(rng, nthreads=4, max_len=2000)
-    prog.to_file(tmp_path / "p.rtrc")
-    mapped = ProgramTrace.open_mmap(tmp_path / "p.rtrc")
+    save_program(prog, tmp_path / "p.rtrc")
+    mapped = open_program(tmp_path / "p.rtrc")
     ref = MulticoreMachine(SMALL_SPEC, fast=True).run(prog)
     for max_accesses in (256, 4096):
         res = _windowed(monkeypatch, max_accesses,
@@ -319,90 +357,97 @@ def test_run_stream_records_drive_path(rng, monkeypatch):
     assert ref.path == "ref"
 
 
-# ------------------------------------------------------- store consumers
+# ------------------------------------------------------- the stored target
 
 
-def test_lab_simulate_store_keys_on_digest(tmp_path, rng, monkeypatch):
+def _renamed_copies(tmp_path, rng):
+    """A random program saved twice under different names."""
+    prog = _random_program(rng, nthreads=3, max_len=800)
+    paths = [tmp_path / "a" / "trace.rtrc", tmp_path / "b" / "renamed.rtrc"]
+    for path in paths:
+        save_program(prog, path)
+    return prog, [STORED.case(path) for path in paths]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_renamed_stores_are_one_case_task_and_one_entry(tmp_path, rng,
+                                                         jobs):
     from repro.core.lab import Lab
-
-    prog = _random_program(rng, nthreads=2, max_len=800)
-    p1 = tmp_path / "a" / "trace.rtrc"
-    p2 = tmp_path / "b" / "renamed.rtrc"
-    prog.to_file(p1)
-    prog.to_file(p2)
-    lab = Lab(spec=SMALL_SPEC, disk_cache=None)
-    res = lab.simulate_store(p1)
-    assert lab.cache_size() == 1
-    # A renamed copy with identical bytes is the same cache entry.
-    assert lab.simulate_store(p2) is res
-    assert lab.cache_size() == 1
-    # And the drive off the memmap agrees with a plain in-memory run,
-    # also when the store is driven in small windows.
-    direct = lab.machine.run(prog, chunk=lab.chunk)
-    assert res.counts == direct.counts
-    assert res.cycles_per_core == direct.cycles_per_core
-    windowed = _windowed(monkeypatch, 64, lab.machine.run,
-                         open_program(p1), chunk=lab.chunk)
-    assert windowed.counts == res.counts
-
-
-def test_engine_simulate_stores_reports_worker_rss(tmp_path, rng):
-    from repro.coherence.timing import DEFAULT_LATENCY
+    from repro.experiments.context import PipelineContext
     from repro.parallel import ExecutionEngine
 
-    prog = _random_program(rng, nthreads=2, max_len=800)
-    path = tmp_path / "p.rtrc"
-    prog.to_file(path)
-    engine = ExecutionEngine(jobs=1)  # serial: same code path, no forks
-    pairs = engine.simulate_stores([path, path], SMALL_SPEC,
-                                   latency=DEFAULT_LATENCY)
-    assert len(pairs) == 2
-    direct = MulticoreMachine(SMALL_SPEC, fast=True).run(prog)
-    for result, rss_kib in pairs:
-        assert result.counts == direct.counts
-        assert isinstance(rss_kib, int) and rss_kib > 0
+    prog, cases = _renamed_copies(tmp_path, rng)
+    lab = Lab(spec=SMALL_SPEC, disk_cache=None)
+    ctx = PipelineContext(lab=lab, engine=ExecutionEngine(jobs))
+    pairs = [(STORED, case) for case in cases]
+    assert ctx.engine.prefetch(lab, pairs, shadowed=pairs,
+                               shadow_cache=ctx.shadow_cache,
+                               oracle=ctx.shadow) == 1
+    assert len(lab.sim_cache) == len(ctx.shadow_cache) == 1
+    assert lab.simulation_key(*pairs[0]) == (
+        "store", STORE_VERSION, cases[0].digest, lab.chunk)
+    # Both copies read the one entry, which agrees with in-memory runs.
+    res = lab.simulate(*pairs[0])
+    assert lab.simulate(*pairs[1]) is res
+    direct = lab.machine.run(prog, chunk=lab.chunk)
+    assert (res.counts, res.cycles_per_core, res.hitm_samples) == (
+        direct.counts, direct.cycles_per_core, direct.hitm_samples)
+    reports = ctx.shadow_reports(pairs)
+    assert reports[0] is reports[1]
+    oracle = ctx.shadow.run(prog)
+    assert reports[0].counts == oracle.counts
+    assert reports[0].per_line == oracle.per_line
+    assert len(lab.sim_cache) == len(ctx.shadow_cache) == 1
 
 
-def test_shadow_run_store_matches_in_memory(tmp_path, rng, monkeypatch):
+def test_stored_case_measures_like_any_case(tmp_path, rng):
+    from repro.core.lab import Lab
+
+    _, cases = _renamed_copies(tmp_path, rng)
+    lab = Lab(spec=SMALL_SPEC, disk_cache=None)
+    a, b = (lab.measure(STORED, case) for case in cases)
+    assert a.meta["run_id"] == f"store-{cases[0].digest}"
+    assert a.values == b.values
+
+
+def test_changed_store_is_a_trace_error(tmp_path, rng):
+    prog, (case, _) = _renamed_copies(tmp_path, rng)
+    save_program(ProgramTrace(prog.threads[:2]), case.path)
+    with pytest.raises(TraceError, match="digest"):
+        STORED.trace(case)
+
+
+def test_shadow_run_of_a_store_matches_in_memory(tmp_path, rng,
+                                                 monkeypatch):
     from repro.baselines import shadow
     from repro.baselines.shadow import ShadowMemoryDetector
 
     prog = _random_program(rng, nthreads=3, max_len=800)
     path = tmp_path / "p.rtrc"
-    prog.to_file(path)
+    save_program(prog, path)
     det = ShadowMemoryDetector()
     mem = det.run(prog)
-    st = det.run_store(path)
+    st = det.run(open_program(path))
     assert st.counts == mem.counts
     assert st.per_line == mem.per_line
     # A 64-row window streams the store in dozens of windows, same report.
     monkeypatch.setattr(shadow, "DEFAULT_SEGMENT", 64)
-    small = det.run_store(path)
+    small = det.run(open_program(path))
     assert small.counts == mem.counts
     assert small.per_line == mem.per_line
 
 
-def test_context_shadow_report_store_caches_by_digest(tmp_path, rng):
-    from repro.core.lab import Lab
-    from repro.experiments.context import PipelineContext
+def test_store_worker_task_reports_peak_rss(tmp_path, rng):
+    from repro.coherence.timing import DEFAULT_LATENCY
+    from repro.parallel import ExecutionEngine
+    from repro.telemetry.bench import _store_worker_rss
 
-    prog = _random_program(rng, nthreads=2, max_len=800)
-    p1 = tmp_path / "one.rtrc"
-    p2 = tmp_path / "two.rtrc"
-    prog.to_file(p1)
-    prog.to_file(p2)
-    ctx = PipelineContext(lab=Lab(spec=SMALL_SPEC, disk_cache=None))
-    rep1 = ctx.shadow_report_store(p1)
-    assert len(ctx.shadow_cache) == 1
-    rep2 = ctx.shadow_report_store(p2)  # identical bytes: cache hit
-    assert len(ctx.shadow_cache) == 1
-    assert (rep1.fs_misses, rep1.ts_misses, rep1.cold_misses,
-            rep1.instructions) == (rep2.fs_misses, rep2.ts_misses,
-                                   rep2.cold_misses, rep2.instructions)
-    assert rep2.nthreads == prog.nthreads
-    direct = ctx.shadow.run(prog)
-    assert rep1.fs_misses == direct.fs_misses
-    assert rep1.instructions == direct.instructions
+    prog, (case, _) = _renamed_copies(tmp_path, rng)
+    task = (STORED.name, case, DEFAULT_CHUNK,
+            (SMALL_SPEC, DEFAULT_LATENCY, True), None)
+    rss = ExecutionEngine(jobs=1).map(_store_worker_rss, [task, task])
+    assert len(rss) == 2
+    assert all(isinstance(r, int) and r > 0 for r in rss)
 
 
 @pytest.mark.skipif(not os.environ.get("REPRO_BIG_TRACE"),
@@ -421,9 +466,9 @@ def test_two_gigabyte_trace_streams_end_to_end(tmp_path):
         threads.append(ThreadTrace(addrs, writes))
     prog = ProgramTrace(threads, name="big")
     path = tmp_path / "big.rtrc"
-    prog.to_file(path)
+    save_program(prog, path)
     assert path.stat().st_size > 2 * (1 << 30)
     del prog, threads, addrs, writes
-    mapped = ProgramTrace.open_mmap(path)
+    mapped = open_program(path)
     res = MulticoreMachine(SMALL_SPEC, fast=True).run(mapped)
     assert res.counts["INST_RETIRED.ANY"] > 0
