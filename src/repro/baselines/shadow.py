@@ -20,7 +20,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import BaselineError
+from repro.coherence import native
+from repro.errors import BaselineError, TraceError
 from repro.trace.access import ProgramTrace
 from repro.trace.streams import (DEFAULT_CHUNK, DEFAULT_SEGMENT,
                                  interleave_stream)
@@ -81,35 +82,34 @@ class ShadowReport:
 class ShadowMemoryDetector:
     """Word-granular (4-byte slot) sharing analysis over a program trace.
 
-    ``fast=True`` (the default) pre-filters the trace with numpy before the
-    scalar state machine runs, using two exact reductions:
+    :meth:`_walk_ref` is the spec: one Python iteration per access of the
+    chunked round-robin order, over
+    :func:`~repro.trace.streams.interleave_stream` windows of
+    ``DEFAULT_SEGMENT`` rows, with the shadow state carried over each
+    window edge.  ``fast=False`` runs it on the whole trace.
 
-    * **private lines** — shadow state is per cache line, so a line touched
-      by a single thread can never see an invalidation: its whole access
-      stream contributes exactly one cold miss and is dropped (the miss is
-      added back arithmetically).  Streaming workloads are dominated by
-      thread-private data, so this removes most of the trace.
-    * **repeated words** — an access is a shadow-state no-op when its
-      predecessor in the filtered stream is the *same thread* touching the
-      *same 4-byte word* and the access is a read or follows a write: the
-      thread already holds the line, the slot bit is already set, and a
-      repeated write finds no other holders left to invalidate.  Dropped
-      private-line accesses cannot hide an intervening invalidation, since
-      they never touch a shared line's state.
-
-    Every miss-classification decision therefore survives unchanged, so the
-    filtered run is bit-identical to the reference one.
-
-    Both paths walk :func:`~repro.trace.streams.interleave_stream` windows
-    of ``DEFAULT_SEGMENT`` rows; shadow state and the repeated-word
-    filter's predecessor carry over each window edge, so the report does
-    not depend on the window size.
+    ``fast=True`` (the default) first drops the **private lines** with
+    numpy: shadow state is per cache line, so a line touched by a single
+    thread can never see an invalidation, and its whole access stream
+    contributes exactly one cold miss (added back arithmetically).  Each
+    thread's accesses are mapped to a dense shared-line index (-1 for a
+    private line), and ``shadow.c``, built and loaded by
+    :mod:`repro.coherence.native` with the compiled drive, walks the same
+    round-robin order over the per-thread columns with the spec's state
+    machine on the shared lines.  A private line's accesses never touch a
+    shared line's state, so every miss decision is the spec's and the
+    report is bit-identical.  Without a C compiler ``fast=True`` runs the
+    spec, as :class:`~repro.coherence.machine.MulticoreMachine` does.
     """
 
     def __init__(self, fast: bool = True) -> None:
         if not isinstance(fast, bool):
             raise BaselineError(f"fast must be a bool, got {fast!r}")
         self.fast = fast
+        #: Which loop the most recent :meth:`run` took: ``'native'`` (the
+        #: compiled walk) or ``'ref'`` (the Python spec, also when
+        #: ``fast=True`` found no C compiler); ``None`` before the first.
+        self.path: Optional[str] = None
 
     def run(
         self, program: ProgramTrace, chunk: int = DEFAULT_CHUNK
@@ -120,23 +120,62 @@ class ShadowMemoryDetector:
                 f"shadow tool handles at most {MAX_THREADS} threads; "
                 f"program has {nt} (same limitation as [33])"
             )
-        shared: Optional[np.ndarray] = None
-        cold = 0
-        if self.fast:
-            # Drop every access to a line only one thread ever touches: it
-            # yields exactly one cold miss and cannot affect shared lines.
-            # Per-thread line sets decide this without merging the threads
-            # (sorted, since a bare np.unique hashes, several times slower).
-            sorted_lines = (np.sort(t.addrs >> 6) for t in program.threads)
-            lines, n_threads = np.unique(np.concatenate(
-                [s[np.diff(s, prepend=s[:1] - 1) != 0] for s in sorted_lines]),
-                return_counts=True)
-            shared = lines[n_threads > 1]
-            cold = int(lines.size - shared.size)
-        # The previous private-filtered (core, word, is_write), carried
-        # across window edges for the repeated-word filter.
-        last: Optional[Tuple[int, int, bool]] = None
+        if chunk <= 0:
+            raise TraceError("chunk must be positive")
+        lib = native.load() if self.fast else None
+        self.path = "ref" if lib is None else "native"
+        if lib is None:
+            cold, per_line = self._walk_ref(program, chunk)
+        else:
+            cold, per_line = self._walk_native(lib, program, chunk)
+        return ShadowReport(
+            fs_misses=sum(fs for fs, _ in per_line.values()),
+            ts_misses=sum(ts for _, ts in per_line.values()),
+            cold_misses=cold,
+            instructions=program.total_instructions,
+            nthreads=nt,
+            per_line=per_line,
+        )
 
+    @staticmethod
+    def _walk_native(lib, program: ProgramTrace,
+                     chunk: int) -> Tuple[int, Dict[int, tuple]]:
+        """The cold misses and ``per_line``: private lines by numpy, the
+        shared ones by ``shadow.c``."""
+        threads = program.threads
+        lines = [t.addrs >> 6 for t in threads]
+        # Per-thread line sets decide which lines are shared without
+        # merging the threads (sorted, since a bare np.unique hashes,
+        # several times slower).
+        sorted_lines = (np.sort(ln) for ln in lines)
+        seen, n_threads = np.unique(np.concatenate(
+            [s[np.diff(s, prepend=s[:1] - 1) != 0] for s in sorted_lines]),
+            return_counts=True)
+        shared = seen[n_threads > 1]
+        cold = int(seen.size - shared.size)
+        if not shared.size:
+            return cold, {}
+        index = []
+        for ln in lines:
+            k = np.searchsorted(shared, ln)
+            k[k == shared.size] = 0
+            index.append(np.where(shared[k] == ln, k, -1).astype(np.int32))
+        longest = max(t.n_accesses for t in threads)
+        shared_cold, fs, ts = native.shadow(
+            lib, min(chunk, longest), [t.addrs for t in threads],
+            [t.is_write for t in threads], index, shared.size)
+        hit = np.flatnonzero(fs | ts)
+        per_line = dict(zip(shared[hit].tolist(),
+                            zip(fs[hit].tolist(), ts[hit].tolist())))
+        return cold + shared_cold, per_line
+
+    @staticmethod
+    def _walk_ref(program: ProgramTrace,
+                  chunk: int) -> Tuple[int, Dict[int, tuple]]:
+        """The spec: the cold misses and ``per_line``, one access at a
+        time."""
+        nt = program.nthreads
+        cold = 0
         holders: Dict[int, int] = {}       # line -> bitmask of holding threads
         tmasks: Dict[int, list] = {}       # line -> per-thread touched-slot mask
         # line -> per-thread invalidator slots, then the line's fs and ts
@@ -149,35 +188,8 @@ class ShadowMemoryDetector:
 
         for window in interleave_stream(program, chunk=chunk,
                                         max_accesses=DEFAULT_SEGMENT):
-            cores_a = window.core
-            addrs_a = window.addr
-            writes_a = window.is_write
-            if shared is not None:
-                keep = np.isin(addrs_a >> 6, shared)
-                cores_a = cores_a[keep]
-                addrs_a = addrs_a[keep]
-                writes_a = writes_a[keep]
-                if not cores_a.size:
-                    continue
-                # Drop repeated same-thread same-word touches (reads, or
-                # writes directly after a write).
-                words = addrs_a >> 2
-                skip = np.empty(cores_a.size, dtype=bool)
-                skip[0] = last is not None and (
-                    last[0] == cores_a[0] and last[1] == words[0]
-                    and (last[2] or not writes_a[0]))
-                skip[1:] = (
-                    (cores_a[1:] == cores_a[:-1])
-                    & (words[1:] == words[:-1])
-                    & (~writes_a[1:] | writes_a[:-1])
-                )
-                last = (int(cores_a[-1]), int(words[-1]), bool(writes_a[-1]))
-                keep = ~skip
-                cores_a = cores_a[keep]
-                addrs_a = addrs_a[keep]
-                writes_a = writes_a[keep]
-            for t, addr, w in zip(cores_a.tolist(), addrs_a.tolist(),
-                                  writes_a.tolist()):
+            for t, addr, w in zip(window.core.tolist(), window.addr.tolist(),
+                                  window.is_write.tolist()):
                 line = addr >> 6
                 slot = 1 << ((addr >> 2) & 15)
                 bit = 1 << t
@@ -217,11 +229,4 @@ class ShadowMemoryDetector:
         per_line = {line: (inv[fs_slot], inv[ts_slot])
                     for line, inv in invalmask.items()
                     if inv[fs_slot] or inv[ts_slot]}
-        return ShadowReport(
-            fs_misses=sum(fs for fs, _ in per_line.values()),
-            ts_misses=sum(ts for _, ts in per_line.values()),
-            cold_misses=cold,
-            instructions=program.total_instructions,
-            nthreads=nt,
-            per_line=per_line,
-        )
+        return cold, per_line

@@ -1,19 +1,22 @@
-"""The compiled drive loop: build ``drive.c`` once, load it with ``ctypes``.
+"""The compiled loops: build ``drive.c`` and ``shadow.c`` once, load them
+with ``ctypes``.
 
 ``drive.c`` transliterates :meth:`MulticoreMachine._drive_ref` (the spec)
-operation for operation, so its tallies are bit-identical (DESIGN §6).
-:func:`load` builds it on the first native drive call, never at import,
-with the system ``cc`` and the fixed :data:`FLAGS`, into the user cache
-directory under a name that hashes the source, the flags and the platform;
-a write goes through a temp file and ``os.replace``, so concurrent engine
-workers never load a half-written library.  A cached library whose file or
-directory another user owns or can write is never loaded: the library is
-then built in a fresh private directory instead.  Without a C compiler,
-:func:`load` warns once and returns None, and the machine drives with the
-Python loop.
+operation for operation, so its tallies are bit-identical (DESIGN §6);
+``shadow.c`` transliterates the shadow oracle's spec loop the same way.
+Both go into one library.  :func:`load` builds it on the first native
+call, never at import, with the system ``cc`` and the fixed :data:`FLAGS`,
+into the user cache directory under a name that hashes the sources, the
+flags and the platform; a write goes through a temp file and
+``os.replace``, so concurrent engine workers never load a half-written
+library.  A cached library whose file or directory another user owns or
+can write is never loaded: the library is then built in a fresh private
+directory instead.  Without a C compiler, :func:`load` warns once and
+returns None, and the simulator and the oracle run their Python loops.
 
 :class:`NativeRun` holds one run's machine state in numpy arrays and checks
-every trace-derived value the C code indexes with before each call.
+every trace-derived value the C code indexes with before each call;
+:func:`shadow` does the same for one oracle walk.
 """
 
 from __future__ import annotations
@@ -35,11 +38,20 @@ from typing import List, Optional
 import numpy as np
 
 from repro.cache import _untrusted, default_path
-from repro.errors import SimulationError
+from repro.errors import BaselineError, SimulationError
 
 log = logging.getLogger(__name__)
 
-SOURCE = Path(__file__).with_name("drive.c")
+#: The library's C sources, compiled together.
+SOURCES = tuple(Path(__file__).with_name(name)
+                for name in ("drive.c", "shadow.c"))
+
+#: ``shadow.c``'s thread limit: one holder byte per line.
+SHADOW_THREADS = 8
+
+#: What runs when the library cannot be loaded.
+_FALLBACK = ("the simulator and the shadow oracle run their "
+             "Python reference loops")
 
 #: No reassociation and no fused multiply-add: the C sums round exactly
 #: as Python's.
@@ -96,10 +108,12 @@ class _Machine(ctypes.Structure):
 
 
 def _library_name() -> str:
-    h = hashlib.sha256(SOURCE.read_bytes())
+    h = hashlib.sha256()
+    for source in SOURCES:
+        h.update(source.read_bytes())
     h.update(" ".join(FLAGS).encode())
     h.update(f"{sys.platform}-{platform.machine()}".encode())
-    return f"drive-{h.hexdigest()[:16]}.so"
+    return f"native-{h.hexdigest()[:16]}.so"
 
 
 def _compile(cc: str, dest: Path) -> None:
@@ -108,8 +122,9 @@ def _compile(cc: str, dest: Path) -> None:
                                suffix=".tmp")
     os.close(fd)
     try:
-        subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE)], check=True,
-                       capture_output=True, text=True, timeout=300)
+        subprocess.run([cc, *FLAGS, "-o", tmp, *map(str, SOURCES)],
+                       check=True, capture_output=True, text=True,
+                       timeout=300)
         os.chmod(tmp, 0o700)
         os.replace(tmp, dest)
     except BaseException:
@@ -121,12 +136,14 @@ def _bind(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     lib.drive.argtypes = [ctypes.POINTER(_Machine), _p, _p, _p, _i]
     lib.drive.restype = _i
+    lib.shadow.argtypes = [_i, _i] + [_p] * 9
+    lib.shadow.restype = _i
     return lib
 
 
 @functools.lru_cache(maxsize=None)
 def load() -> Optional[ctypes.CDLL]:
-    """The compiled drive library, built on first use; None without ``cc``."""
+    """The compiled library, built on first use; None without ``cc``."""
     path = default_path(_library_name())
     if path.is_file() and _untrusted(path) is None:
         try:
@@ -135,8 +152,7 @@ def load() -> Optional[ctypes.CDLL]:
             log.warning("cannot load %s (%s); rebuilding it", path, exc)
     cc = shutil.which("cc")
     if cc is None:
-        log.warning("no C compiler (cc) on PATH: the simulator drives with "
-                    "the Python reference loop")
+        log.warning("no C compiler (cc) on PATH: %s", _FALLBACK)
         return None
     try:
         path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -147,16 +163,17 @@ def load() -> Optional[ctypes.CDLL]:
         if untrusted is None:
             _compile(cc, path)
             return _bind(path)
-        log.warning("%s: building the drive library in a private directory",
-                    untrusted)
+        log.warning("%s: building the compiled library in a private "
+                    "directory", untrusted)
         with tempfile.TemporaryDirectory() as private:
             # The loaded mapping outlives the file.
             _compile(cc, Path(private) / path.name)
             return _bind(Path(private) / path.name)
     except (OSError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", "") or exc
-        log.warning("building %s failed: %s; the simulator drives with the "
-                    "Python reference loop", SOURCE.name, detail)
+        log.warning("building %s failed: %s; %s",
+                    " ".join(source.name for source in SOURCES), detail,
+                    _FALLBACK)
         return None
 
 
@@ -303,3 +320,49 @@ class NativeRun:
             for line, words in zip(self.cont_line[:self.m.cont_n].tolist(),
                                    self.cont_mask[:self.m.cont_n].tolist())}
         machine._hitm_seen = self.m.hitm_seen
+
+
+def shadow(lib: ctypes.CDLL, chunk: int, addrs, writes, index,
+           nlines: int):
+    """Walk the shadow oracle over per-thread columns in ``shadow.c``.
+
+    ``addrs``, ``writes`` and ``index`` hold one column per thread: byte
+    addresses, store flags, and each access's shared-line index in
+    ``[0, nlines)`` or -1 for a private line.  Returns the cold misses on
+    shared lines and the per-line false and true sharing miss counts.
+    """
+    nt = len(addrs)
+    if not 0 < nt <= SHADOW_THREADS or len(writes) != nt or len(index) != nt:
+        raise BaselineError(f"the compiled oracle takes 1..{SHADOW_THREADS} "
+                            f"threads, each with three columns")
+    cols = []
+    for t, (a, w, k) in enumerate(zip(addrs, writes, index)):
+        a, w, k = np.asarray(a), np.asarray(w), np.asarray(k)
+        if not (a.ndim == w.ndim == k.ndim == 1 and len(a) == len(w)
+                == len(k)):
+            raise BaselineError(f"thread {t}: oracle columns must be 1-D "
+                                f"and of equal length")
+        if a.dtype.kind not in "iu" or w.dtype != np.bool_ \
+                or k.dtype != np.int32:
+            raise BaselineError(f"thread {t}: oracle columns must be integer "
+                                f"addresses, bool stores and int32 indices")
+        if len(k) and (int(k.min()) < -1 or int(k.max()) >= nlines):
+            raise BaselineError(f"thread {t}: line indices must lie in "
+                                f"[-1, {nlines})")
+        cols.append((np.ascontiguousarray(a, dtype=np.int64),
+                     np.ascontiguousarray(w).view(np.uint8),
+                     np.ascontiguousarray(k)))
+
+    def ptrs(j):
+        return (_p * nt)(*(c[j].ctypes.data for c in cols))
+
+    lens = np.array([len(c[0]) for c in cols], np.int64)
+    holders = np.zeros(nlines, np.uint8)
+    tmask = np.zeros((nlines, SHADOW_THREADS), np.uint16)
+    inval = np.zeros((nlines, SHADOW_THREADS), np.uint16)
+    fs = np.zeros(nlines, np.int64)
+    ts = np.zeros(nlines, np.int64)
+    cold = lib.shadow(nt, chunk, ptrs(0), ptrs(1), ptrs(2), lens.ctypes.data,
+                      holders.ctypes.data, tmask.ctypes.data,
+                      inval.ctypes.data, fs.ctypes.data, ts.ctypes.data)
+    return cold, fs, ts

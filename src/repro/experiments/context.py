@@ -168,9 +168,11 @@ class PipelineContext:
         :data:`repro.trace.store.STORED` (cached)."""
         def run() -> ShadowReport:
             with TELEMETRY.span("shadow.run", program=program.name,
-                                case=case.run_id()):
-                return self.shadow.run(program.trace(case),
-                                       chunk=self.lab.chunk)
+                                case=case.run_id()) as sp:
+                report = self.shadow.run(program.trace(case),
+                                         chunk=self.lab.chunk)
+                sp.set(path=self.shadow.path)
+                return report
 
         return self.shadow_cache.get_or_compute(shadow_key(program, case),
                                                 run)

@@ -118,9 +118,11 @@ def case_task(task: Tuple) -> Tuple[object, object]:
         result = MulticoreMachine(spec, latency, fast=fast).run(trace,
                                                                 chunk=chunk)
     if oracle_fast is not None:
-        with TELEMETRY.span("shadow.run", program=name, case=case.run_id()):
-            report = ShadowMemoryDetector(fast=oracle_fast).run(trace,
-                                                                chunk=chunk)
+        oracle = ShadowMemoryDetector(fast=oracle_fast)
+        with TELEMETRY.span("shadow.run", program=name,
+                            case=case.run_id()) as sp:
+            report = oracle.run(trace, chunk=chunk)
+            sp.set(path=oracle.path)
     return result, report
 
 

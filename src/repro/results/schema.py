@@ -10,11 +10,12 @@ Recognized payload kinds (each a JSON document some part of the repo
 already emits — the store ingests them as-is, no new wire format):
 
 * ``bench`` — ``repro-bench`` / ``BENCH_simulator.json``: per-trace drive
-  throughput + speedups (with their hard ``speedup_floor``), store-worker
-  provenance, optional e2e wall time.  The payload
-  shape is checked at ingest (:data:`KNOWN_SECTIONS`, a non-empty
-  ``drive`` table whose rows all carry a positive throughput), so a
-  drifted document never enters any history;
+  and shadow-oracle throughput + speedups (with their hard
+  ``speedup_floor``), store-worker provenance, optional e2e wall time.
+  The payload shape is checked at ingest (:data:`KNOWN_SECTIONS`, a
+  non-empty ``drive`` table, and every ``drive`` and ``oracle`` row
+  carrying a positive throughput), so a drifted document never enters
+  any history;
 * ``serve`` — ``repro-serve bench`` / ``BENCH_serve.json``: for each
   rung of the serving ladder its throughput, per-line latency
   percentiles and shed/error counts (hard ceilings), plus offline
@@ -76,7 +77,7 @@ _SERVE_PERCENTILES = ("p50", "p95", "p99")
 #: baseline pass.
 KNOWN_SECTIONS = frozenset({
     "bench", "mode", "cpus", "jobs", "repeats",
-    "drive", "store_workers", "e2e",
+    "drive", "oracle", "store_workers", "e2e",
 })
 
 #: Top-level sections a ``serve`` payload may carry (the same contract as
@@ -168,21 +169,27 @@ def _bench_metrics(doc: Dict[str, Any]) -> List[Metric]:
             "refusing to ingest a run with nothing to gate — regenerate "
             "the payload with repro-bench")
     out: List[Metric] = []
-    for label, row in sorted(drive.items()):
-        if not isinstance(row, dict):
-            raise ResultsError(f"bench drive row {label!r} is not an object")
-        fast = _num(row.get("fast_accesses_per_s"))
-        if fast is None or fast <= 0:
-            raise ResultsError(
-                f"bench drive row {label!r} has no positive "
-                "fast_accesses_per_s — the gate keys on it; regenerate "
-                "the payload")
-        out.append(Metric(f"drive.{label}.fast_accesses_per_s", fast,
-                          "acc/s", "higher"))
-        speed = _num(row.get("speedup"))
-        if speed is not None:
-            out.append(Metric(f"drive.{label}.speedup", speed, "x",
-                              "higher", bound=_num(row.get("speedup_floor"))))
+    for section in ("drive", "oracle"):
+        rows = doc.get(section) or {}
+        if not isinstance(rows, dict):
+            raise ResultsError(f"bench {section} section is not an object")
+        for label, row in sorted(rows.items()):
+            if not isinstance(row, dict):
+                raise ResultsError(
+                    f"bench {section} row {label!r} is not an object")
+            fast = _num(row.get("fast_accesses_per_s"))
+            if fast is None or fast <= 0:
+                raise ResultsError(
+                    f"bench {section} row {label!r} has no positive "
+                    "fast_accesses_per_s — the gate keys on it; regenerate "
+                    "the payload")
+            out.append(Metric(f"{section}.{label}.fast_accesses_per_s", fast,
+                              "acc/s", "higher"))
+            speed = _num(row.get("speedup"))
+            if speed is not None:
+                out.append(Metric(f"{section}.{label}.speedup", speed, "x",
+                                  "higher",
+                                  bound=_num(row.get("speedup_floor"))))
     e2e = _num((doc.get("e2e") or {}).get("parallel_fast_s"))
     if e2e is not None:
         out.append(Metric("e2e.parallel_fast_s", e2e, "s", "lower"))

@@ -9,7 +9,8 @@ enabled, and emits:
   (``--manifest``) pinning git SHA, seeds, versions and the wall-time tree;
 * optionally a Chrome-trace of the run (``--chrome-trace``) and a
   speedup table (``--speedup-table``, the CI artifact that tracks how the
-  compiled drive compares with the Python spec loop per trace).
+  compiled drive and the compiled shadow oracle compare with their Python
+  spec loops per trace).
 
 ``repro-bench`` only measures: it passes no verdict.  ``--results-store``
 ingests the payload into a ``repro-results`` store, whose ingest rejects
@@ -18,10 +19,10 @@ CI ``bench`` job compares against the committed baseline by ingesting
 ``BENCH_simulator.json`` and the fresh result into a two-run store and
 gating that (``--max-regression 0.30``).
 
-``--smoke`` runs the drive-throughput grid only (seconds); the full mode
-adds the end-to-end ``classify_all + verify_all`` pipeline timing
-(minutes).  ``--input`` reuses an existing result file (for the tables or
-an ingest) without re-running anything.
+``--smoke`` runs the drive- and oracle-throughput grids only (seconds);
+the full mode adds the end-to-end ``classify_all + verify_all`` pipeline
+timing (minutes).  ``--input`` reuses an existing result file (for the
+tables or an ingest) without re-running anything.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.telemetry.manifest import RunManifest
 __all__ = [
     "drive_traces",
     "measure_drive",
+    "measure_oracle",
     "measure_store_workers",
     "render_speedup_table",
     "run_bench",
@@ -52,10 +54,11 @@ __all__ = [
     "SPEEDUP_FLOOR",
 ]
 
-#: Hard speedup floor of the shipping ``fast=True`` drive over the Python
-#: spec loop, recorded on every pinned trace's row as ``speedup_floor``,
-#: which ``repro-results gate`` enforces as a hard bound — unlike
-#: throughput, a floored speedup is not softened by ``--max-regression``.
+#: Hard speedup floor of the shipping ``fast=True`` drive and oracle over
+#: their Python spec loops, recorded on every pinned trace's row as
+#: ``speedup_floor``, which ``repro-results gate`` enforces as a hard
+#: bound — unlike throughput, a floored speedup is not softened by
+#: ``--max-regression``.
 #: Without a C compiler both sides run the spec loop (~1.0x), so the floor
 #: also fails a run in which the compiled loop did not load.
 SPEEDUP_FLOOR = 1.3
@@ -128,38 +131,57 @@ def _best_of(fns: Dict[str, Callable[[], Any]],
     return best
 
 
-def measure_drive(repeats: int = 3) -> Dict[str, Dict[str, Any]]:
-    """Drive throughput of the spec loop and the shipping drive per trace.
+def _measure(section: str, make: Callable[[bool], Any],
+             repeats: int) -> Dict[str, Dict[str, Any]]:
+    """One row per pinned trace: the spec loop against the shipping path.
 
-    ``ref_accesses_per_s`` times ``fast=False`` (the Python spec loop),
-    ``fast_accesses_per_s`` the shipping ``fast=True`` drive, whose path
-    (``native``, or ``ref`` without a C compiler) ``strategy`` records
-    from :attr:`MulticoreMachine.path`.  Every row carries
+    ``make(fast)`` builds the runner (a simulator or an oracle, each with
+    ``run(program)`` and the ``path`` it took).  ``ref_accesses_per_s``
+    times ``fast=False`` (the Python spec loop), ``fast_accesses_per_s``
+    the shipping ``fast=True`` path, whose loop (``native``, or ``ref``
+    without a C compiler) ``strategy`` records.  Every row carries
     :data:`SPEEDUP_FLOOR` as ``speedup_floor``.
     """
     from repro.coherence import native
-    from repro.coherence.machine import MulticoreMachine, SCALED_WESTMERE
 
-    # Build or load the compiled loop before any timing: a cold ``cc``
+    # Build or load the compiled library before any timing: a cold ``cc``
     # build inside the first timed call would sink that trace's speedup.
     native.load()
     out: Dict[str, Dict[str, Any]] = {}
     for label, prog in drive_traces():
-        with TELEMETRY.span("bench.drive", trace=label):
+        with TELEMETRY.span(f"bench.{section}", trace=label):
             n = int(prog.total_accesses)
-            machines = {"ref": MulticoreMachine(SCALED_WESTMERE, fast=False),
-                        "fast": MulticoreMachine(SCALED_WESTMERE)}
-            times = _best_of({name: functools.partial(m.run, prog)
-                              for name, m in machines.items()}, repeats)
+            runners = {"ref": make(False), "fast": make(True)}
+            times = _best_of({name: functools.partial(r.run, prog)
+                              for name, r in runners.items()}, repeats)
         out[label] = {
             "accesses": n,
             "ref_accesses_per_s": round(n / times["ref"]),
             "fast_accesses_per_s": round(n / times["fast"]),
-            "strategy": machines["fast"].path,
+            "strategy": runners["fast"].path,
             "speedup": round(times["ref"] / times["fast"], 3),
             "speedup_floor": SPEEDUP_FLOOR,
         }
     return out
+
+
+def measure_drive(repeats: int = 3) -> Dict[str, Dict[str, Any]]:
+    """Drive throughput of the spec loop and the shipping drive per trace
+    (:attr:`MulticoreMachine.path` is the row's ``strategy``)."""
+    from repro.coherence.machine import MulticoreMachine, SCALED_WESTMERE
+
+    return _measure("drive", lambda fast: MulticoreMachine(SCALED_WESTMERE,
+                                                           fast=fast),
+                    repeats)
+
+
+def measure_oracle(repeats: int = 3) -> Dict[str, Dict[str, Any]]:
+    """Shadow-oracle throughput of the spec loop and the shipping walk per
+    trace (:attr:`ShadowMemoryDetector.path` is the row's ``strategy``)."""
+    from repro.baselines.shadow import ShadowMemoryDetector
+
+    return _measure("oracle", lambda fast: ShadowMemoryDetector(fast=fast),
+                    repeats)
 
 
 def _store_worker_rss(task: Tuple) -> int:
@@ -217,26 +239,28 @@ def measure_store_workers(tmp_dir: Optional[Path] = None) -> Dict[str, Any]:
 
 
 def render_speedup_table(payload: Dict[str, Any]) -> str:
-    """The drive speedup table (the CI bench job's artifact)."""
+    """The drive and oracle speedup table (the CI bench job's artifact)."""
     from repro.utils.tables import render_table
 
     rows = []
-    for label, row in sorted((payload.get("drive") or {}).items()):
-        rows.append([
-            label,
-            f"{row.get('accesses', 0):,}",
-            f"{row.get('ref_accesses_per_s', 0):,}",
-            f"{row.get('fast_accesses_per_s', 0):,}",
-            str(row.get("strategy", "-")),
-            f"{row.get('speedup', 0):.2f}x",
-            (f"{row['speedup_floor']:.2f}x"
-             if row.get("speedup_floor") else "-"),
-        ])
+    for section in ("drive", "oracle"):
+        for label, row in sorted((payload.get(section) or {}).items()):
+            rows.append([
+                f"{section} {label}",
+                f"{row.get('accesses', 0):,}",
+                f"{row.get('ref_accesses_per_s', 0):,}",
+                f"{row.get('fast_accesses_per_s', 0):,}",
+                str(row.get("strategy", "-")),
+                f"{row.get('speedup', 0):.2f}x",
+                (f"{row['speedup_floor']:.2f}x"
+                 if row.get("speedup_floor") else "-"),
+            ])
     return render_table(
         ["case", "accesses", "ref acc/s", "fast acc/s", "fast path",
          "speedup", "floor"],
         rows,
-        title="drive throughput (fast=True speedup vs the spec loop)",
+        title="drive and oracle throughput (fast=True speedup vs the spec "
+              "loop)",
     )
 
 
@@ -289,6 +313,7 @@ def run_bench(
                 "jobs": jobs or 1,
                 "repeats": repeats,
                 "drive": measure_drive(repeats=repeats),
+                "oracle": measure_oracle(repeats=repeats),
                 "store_workers": measure_store_workers(),
                 "e2e": {},
             }
@@ -375,9 +400,11 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
                 export_chrome_trace(TELEMETRY, args.chrome_trace)
             print(f"result:   {out_path}")
             print(f"manifest: {manifest_path}")
-            for label, row in payload["drive"].items():
-                print(f"  {label:24s} fast {row['fast_accesses_per_s']:>11,} "
-                      f"acc/s  (speedup {row['speedup']:.2f}x)")
+            for section in ("drive", "oracle"):
+                for label, row in payload[section].items():
+                    print(f"  {section:6s} {label:24s} fast "
+                          f"{row['fast_accesses_per_s']:>11,} acc/s  "
+                          f"(speedup {row['speedup']:.2f}x)")
             sw = payload.get("store_workers") or {}
             if sw:
                 rss = ", ".join(f"{r:,} KiB"

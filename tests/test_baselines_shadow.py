@@ -1,5 +1,7 @@
 """Tests for the shadow-memory (Zhao et al. [33]) oracle."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,18 @@ from repro.baselines.shadow import (
     ShadowMemoryDetector,
     ShadowReport,
 )
+from repro.coherence import native
 from repro.errors import BaselineError
 from repro.trace.access import ProgramTrace, make_thread
+
+_HAVE_CC = shutil.which("cc") is not None
+
+
+class _NoC:
+    """A stand-in library: any call into it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"reached the compiled {name}()")
 
 
 def rmw_thread(addr, n, ipa=3.0):
@@ -103,6 +115,50 @@ class TestLimitations:
         rep = ShadowMemoryDetector().run(ProgramTrace(threads))
         assert rep.nthreads == 8
 
+    def test_nine_threads_refused_before_any_c_call(self, monkeypatch):
+        monkeypatch.setattr(native, "load", lambda: _NoC())
+        threads = [rmw_thread(4096 + 8 * i, 10) for i in range(9)]
+        with pytest.raises(BaselineError, match="at most 8 threads"):
+            ShadowMemoryDetector().run(ProgramTrace(threads))
+        with pytest.raises(BaselineError, match="1..8 threads"):
+            native.shadow(_NoC(), 4, [t.addrs for t in threads],
+                          [t.is_write for t in threads],
+                          [np.zeros(t.n_accesses, np.int32)
+                           for t in threads], 1)
+
+    @pytest.mark.parametrize("bad", ["length", "2-d", "float-addrs",
+                                     "int-writes", "int64-index",
+                                     "index-range", "missing-column"])
+    def test_mismatched_column_never_reaches_c(self, bad):
+        addrs = [np.arange(8, dtype=np.int64) * 4 + 4096 for _ in range(2)]
+        writes = [np.ones(8, bool) for _ in range(2)]
+        index = [np.zeros(8, np.int32) for _ in range(2)]
+        if bad == "length":
+            writes[1] = writes[1][:7]
+        elif bad == "2-d":
+            index[0] = index[0].reshape(2, 4)
+        elif bad == "float-addrs":
+            addrs[1] = addrs[1].astype(float)
+        elif bad == "int-writes":
+            writes[0] = writes[0].astype(np.int64)
+        elif bad == "int64-index":
+            index[1] = index[1].astype(np.int64)
+        elif bad == "index-range":
+            index[1][3] = 1
+        else:
+            index.pop()
+        with pytest.raises(BaselineError):
+            native.shadow(_NoC(), 4, addrs, writes, index, 1)
+
+    def test_run_checks_columns_before_c(self, monkeypatch):
+        # A thread whose columns were changed after construction is
+        # refused by the column checks, not read out of bounds in C.
+        monkeypatch.setattr(native, "load", lambda: _NoC())
+        prog = ProgramTrace([rmw_thread(4096, 10), rmw_thread(4100, 10)])
+        prog.threads[1].is_write = prog.threads[1].is_write[:5]
+        with pytest.raises(BaselineError, match="equal length"):
+            ShadowMemoryDetector().run(prog)
+
 
 class TestOnWorkloads:
     def test_mini_program_fs_gap(self, mini_lab):
@@ -170,11 +226,16 @@ class TestPerLineAttribution:
 
 
 class TestFastPrefilter:
-    """The numpy prefilter must be invisible: identical counts everywhere."""
+    """The private-line prefilter and the compiled walk must be invisible:
+    identical counts and attribution everywhere.  With ``cc`` on PATH the
+    fast run must really take the compiled walk."""
 
     def _both(self, prog):
         ref = ShadowMemoryDetector(fast=False).run(prog)
-        fast = ShadowMemoryDetector(fast=True).run(prog)
+        oracle = ShadowMemoryDetector(fast=True)
+        fast = oracle.run(prog)
+        if _HAVE_CC:
+            assert oracle.path == "native"
         return fast, ref
 
     def _assert_same(self, fast, ref):
@@ -213,6 +274,19 @@ class TestFastPrefilter:
 
     def test_fast_default_on(self):
         assert ShadowMemoryDetector().fast is True
+
+    def test_path_describes_the_most_recent_run(self, monkeypatch):
+        prog = ProgramTrace([rmw_thread(4096, 50), rmw_thread(4104, 50)])
+        oracle = ShadowMemoryDetector()
+        assert oracle.path is None
+        oracle.run(prog)
+        assert oracle.path == ("native" if _HAVE_CC else "ref")
+        monkeypatch.setattr(native, "load", lambda: None)
+        oracle.run(prog)
+        assert oracle.path == "ref"
+        spec = ShadowMemoryDetector(fast=False)
+        spec.run(prog)
+        assert spec.path == "ref"
 
     @pytest.mark.parametrize("fast", ["fsat", "ref", "auto", 1, None])
     def test_fast_must_be_a_bool(self, fast):

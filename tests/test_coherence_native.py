@@ -22,6 +22,7 @@ import shutil
 
 import pytest
 
+from repro.baselines.shadow import ShadowMemoryDetector
 from repro.coherence import native
 from repro.coherence.machine import (
     MulticoreMachine,
@@ -302,24 +303,49 @@ def test_native_kernel_loads_when_cc_is_on_path(fresh_loader):
     assert m.path == "native"
 
 
+def test_library_name_hashes_every_source(tmp_path, monkeypatch):
+    # One build and one cache key for both compiled loops: editing either
+    # source names a new library.
+    copies = []
+    for source in native.SOURCES:
+        copy = tmp_path / source.name
+        copy.write_bytes(source.read_bytes())
+        copies.append(copy)
+    monkeypatch.setattr(native, "SOURCES", tuple(copies))
+    names = {native._library_name()}
+    for copy in copies:
+        copy.write_bytes(copy.read_bytes() + b"\n")
+        names.add(native._library_name())
+    assert len(names) == 1 + len(copies)
+
+
 def test_compilerless_fallback_is_the_reference_loop(fresh_loader, tmp_path,
                                                      monkeypatch, caplog):
+    # One warning covers both compiled loops: the simulator and the shadow
+    # oracle each fall back to their spec with the same results.
     prog = _contended_trace(get_workload("psums").train_sizes[0])
     compiled = MulticoreMachine(SMALL_SPEC, hitm_sample_period=3)
     expected = compiled.run(prog)
     _assert_native(compiled)
+    spec_report = ShadowMemoryDetector(fast=False).run(prog)
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "empty"))
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
     native.load.cache_clear()
     m = MulticoreMachine(SMALL_SPEC, hitm_sample_period=3)
+    oracle = ShadowMemoryDetector()
     with caplog.at_level(logging.WARNING, logger=native.__name__):
         res = m.run(prog)
         m.run(prog)
-    assert m.path == "ref"
+        report = oracle.run(prog)
+    assert native.load() is None
+    assert m.path == oracle.path == "ref"
     _assert_identical(res, expected)
+    assert report.counts == spec_report.counts
+    assert report.per_line == spec_report.per_line
     warnings = [r for r in caplog.records if "no C compiler" in r.message]
     assert len(warnings) == 1
+    assert "shadow oracle" in warnings[0].message
 
 
 @needs_cc

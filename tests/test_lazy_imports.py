@@ -43,9 +43,10 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_importing_the_simulator_builds_no_library():
-    # The compiled drive loop is built and loaded on the first native
-    # drive call, never on import.
-    code = ("import repro.coherence; from repro.coherence import native; "
+    # The compiled library (drive loop and oracle walk) is built and
+    # loaded on the first native call, never on import.
+    code = ("import repro.coherence, repro.baselines.shadow; "
+            "from repro.coherence import native; "
             "print(native.load.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,

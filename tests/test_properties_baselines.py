@@ -1,5 +1,7 @@
 """Property-based tests for the baseline detectors."""
 
+import shutil
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,8 @@ from repro.baselines import shadow
 from repro.baselines.shadow import ShadowMemoryDetector
 from repro.baselines.sheriff import SheriffDetector
 from repro.trace.access import ProgramTrace, make_thread
+
+from tests.test_properties_machine import program_traces
 
 
 @st.composite
@@ -22,6 +26,32 @@ def shared_region_programs(draw, max_threads=4, max_len=200, n_words=256):
         threads.append(make_thread(
             (np.array(addrs, dtype=np.int64) * 4) + 4096,
             np.array(writes, dtype=bool)))
+    return ProgramTrace(threads)
+
+
+@st.composite
+def oracle_programs(draw):
+    """1-8 threads of unequal length from either strategy, as drawn, with
+    a zero-length thread, or folded into an all-private layout (no line
+    shared) or an all-shared one (every thread on one line)."""
+    prog = draw(st.one_of(shared_region_programs(max_threads=8),
+                          program_traces(max_threads=8)))
+    threads = list(prog.threads)
+    layout = draw(st.sampled_from(
+        ["as-drawn", "zero-length", "all-private", "all-shared"]))
+    if layout == "zero-length":
+        empty = make_thread(np.zeros(0, np.int64))
+        at = draw(st.integers(0, len(threads) - 1))
+        if len(threads) < 8:
+            threads.insert(at, empty)
+        else:
+            threads[at] = empty
+    elif layout == "all-private":
+        threads = [make_thread(t.addrs + (i << 20), t.is_write)
+                   for i, t in enumerate(threads)]
+    elif layout == "all-shared":
+        threads = [make_thread(4096 + t.addrs % 64, t.is_write)
+                   for t in threads]
     return ProgramTrace(threads)
 
 
@@ -105,15 +135,29 @@ class TestSheriffProperties:
             assert sheriff.interleaved_writes > 0
 
 
+class TestCompiledOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_programs(), st.integers(1, 8))
+    def test_compiled_walk_equals_spec(self, prog, chunk):
+        """``shadow.c``'s round-robin walk over per-thread columns gives
+        the spec's counts and attribution."""
+        oracle = ShadowMemoryDetector()
+        got = oracle.run(prog, chunk=chunk)
+        want = ShadowMemoryDetector(fast=False).run(prog, chunk=chunk)
+        assert oracle.path == ("native" if shutil.which("cc") else "ref")
+        assert got.counts == want.counts
+        assert got.per_line == want.per_line
+
+
 class TestShadowWindowInvariance:
     @settings(max_examples=60, deadline=None)
     @given(shared_region_programs(n_words=40), st.sampled_from([1, 7, 64]),
            st.booleans(), st.integers(1, 8))
     def test_report_independent_of_window_size(
             self, prog, window, fast, chunk):
-        """The oracle walks ``interleave_stream`` windows; state and the
-        repeated-word filter's predecessor carry over each window edge, so
-        no window size changes a count or a line's attribution."""
+        """The spec walks ``interleave_stream`` windows and its state
+        carries over each window edge, so no window size changes a count
+        or a line's attribution (the compiled walk has no windows)."""
         det = ShadowMemoryDetector(fast=fast)
         whole = det.run(prog, chunk=chunk)
         saved = shadow.DEFAULT_SEGMENT

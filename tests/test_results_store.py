@@ -91,13 +91,17 @@ def test_extract_bench_metrics_carry_floors():
         == "higher"
 
 
-def test_extract_committed_bench_metrics_are_drive_and_e2e_only():
+def test_extract_committed_bench_metrics_are_drive_oracle_and_e2e():
     sim = json.loads((REPO / "BENCH_simulator.json").read_text())
     metrics = {m.name: m for m in extract_metrics("bench", sim)}
-    assert {name.split(".")[0] for name in metrics} == {"drive", "e2e"}
-    for label, row in sim["drive"].items():
-        assert metrics[f"drive.{label}.speedup"].bound == row["speedup_floor"]
-        assert metrics[f"drive.{label}.fast_accesses_per_s"].bound is None
+    assert {name.split(".")[0] for name in metrics} == {"drive", "oracle",
+                                                        "e2e"}
+    for section in ("drive", "oracle"):
+        for label, row in sim[section].items():
+            speedup = metrics[f"{section}.{label}.speedup"]
+            assert speedup.bound == row["speedup_floor"]
+            rate = metrics[f"{section}.{label}.fast_accesses_per_s"]
+            assert rate.bound is None
 
 
 def test_extract_serve_metrics_shed_has_zero_ceiling():

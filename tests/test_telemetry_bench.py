@@ -276,6 +276,10 @@ def test_cli_run_mode_writes_result_and_manifest(tmp_path, tiny_bench, capsys):
     row = payload["drive"]["tiny/t1"]
     assert row["accesses"] == 2_000
     assert row["fast_accesses_per_s"] > 0 and row["ref_accesses_per_s"] > 0
+    oracle = payload["oracle"]["tiny/t1"]
+    assert oracle["accesses"] == 2_000
+    assert oracle["fast_accesses_per_s"] > 0
+    assert oracle["ref_accesses_per_s"] > 0
     assert payload["store_workers"]["worker_peak_rss_kib"]
     manifest = json.loads(
         (out.parent / "result-manifest.json").read_text())
@@ -283,8 +287,8 @@ def test_cli_run_mode_writes_result_and_manifest(tmp_path, tiny_bench, capsys):
     assert manifest["config"]["mode"] == "smoke"
     assert "bench" in manifest["wall_time_tree"]
     chrome = json.loads(trace.read_text())
-    assert any(e.get("name") == "bench.drive"
-               for e in chrome["traceEvents"])
+    names = {e.get("name") for e in chrome["traceEvents"]}
+    assert {"bench.drive", "bench.oracle"} <= names
     console = capsys.readouterr().out
     assert "result:" in console and "store workers" in console
     # The run restored the global collector to its disabled default.
@@ -357,10 +361,13 @@ def test_render_speedup_table_lists_every_strategy():
     payload = _payload()
     payload["drive"]["psums/good/t4"].update(strategy="native",
                                              speedup_floor=1.3)
+    payload["oracle"] = {"psums/good/t4": dict(
+        payload["drive"]["psums/good/t4"], speedup=9.5)}
     table = render_speedup_table(payload)
     for col in ("ref acc/s", "fast acc/s", "fast path", "floor"):
         assert col in table
-    assert "psums/good/t4" in table and "native" in table
+    assert "drive psums/good/t4" in table and "native" in table
+    assert "oracle psums/good/t4" in table and "9.50x" in table
     assert "1.30x" in table and "2.00x" in table
 
 
@@ -370,13 +377,15 @@ def test_cli_run_mode_writes_speedup_table(tmp_path, tiny_bench):
     assert bench_main(["--smoke", "--output", str(out),
                        "--speedup-table", str(table)]) == 0
     text = table.read_text()
-    assert "tiny/t1" in text and "fast path" in text
+    assert "drive tiny/t1" in text and "oracle tiny/t1" in text
+    assert "fast path" in text
     payload = json.loads(out.read_text())
-    row = payload["drive"]["tiny/t1"]
-    for path in ("ref", "fast"):
-        assert row[f"{path}_accesses_per_s"] > 0
-    assert row["strategy"] in ("native", "ref")
-    assert row["speedup_floor"] == bench_mod.SPEEDUP_FLOOR
+    for section in ("drive", "oracle"):
+        row = payload[section]["tiny/t1"]
+        for path in ("ref", "fast"):
+            assert row[f"{path}_accesses_per_s"] > 0
+        assert row["strategy"] in ("native", "ref")
+        assert row["speedup_floor"] == bench_mod.SPEEDUP_FLOOR
 
 
 def test_measure_drive_records_the_path_that_ran(tiny_bench, monkeypatch):
@@ -396,11 +405,14 @@ def test_measure_drive_records_the_path_that_ran(tiny_bench, monkeypatch):
 
     monkeypatch.setattr(native, "load", no_compiler)
     monkeypatch.setattr(bench_mod, "_best_of", best_of)
-    row = bench_mod.measure_drive(repeats=3)["tiny/t1"]
-    assert calls[0] == "load" and "time" in calls
-    assert row["strategy"] == "ref"
-    assert row["speedup_floor"] == bench_mod.SPEEDUP_FLOOR
-    assert row["speedup"] < bench_mod.SPEEDUP_FLOOR
+    # The oracle rows go through the same measure loop.
+    for measure in (bench_mod.measure_drive, bench_mod.measure_oracle):
+        calls.clear()
+        row = measure(repeats=3)["tiny/t1"]
+        assert calls[0] == "load" and "time" in calls
+        assert row["strategy"] == "ref"
+        assert row["speedup_floor"] == bench_mod.SPEEDUP_FLOOR
+        assert row["speedup"] < bench_mod.SPEEDUP_FLOOR
 
 
 def test_compare_identical_payloads_dedup_into_one_run(tmp_path):
@@ -462,6 +474,23 @@ def test_compare_rejects_non_object_row(tmp_path):
     assert "not an object" in _refused(tmp_path, base)
 
 
+def test_oracle_rows_are_checked_and_gated_like_drive_rows(tmp_path):
+    base = _payload()
+    base["oracle"] = {"psums/good/t4": {"fast_accesses_per_s": 0}}
+    assert "oracle" in _refused(tmp_path, base)
+    base["oracle"] = [1]
+    assert "oracle section" in _refused(tmp_path, base)
+    base["oracle"] = {"psums/good/t4": dict(
+        _payload()["drive"]["psums/good/t4"], speedup_floor=1.3)}
+    cur = json.loads(json.dumps(base))
+    cur["oracle"]["psums/good/t4"]["speedup"] = 1.1
+    bad = two_run_gate(tmp_path, base, cur)
+    assert ("oracle.psums/good/t4.speedup", "bound") in _regressed(bad)
+    del cur["oracle"]
+    assert "bench:oracle.psums/good/t4.speedup" in two_run_gate(
+        tmp_path, base, cur).missing
+
+
 def test_cli_missing_section_is_exit_2_not_silent_pass(tmp_path, capsys):
     cur = _write(tmp_path / "cur.json", _payload())
     truncated = dict(_payload())
@@ -498,7 +527,8 @@ def test_committed_baseline_rows_are_native_and_floored():
     assert doc["mode"] == "full"
     assert list(doc["drive"]) == [label for label, _ in
                                   bench_mod.drive_traces()]
-    for row in doc["drive"].values():
+    assert list(doc["oracle"]) == list(doc["drive"])
+    for row in [*doc["drive"].values(), *doc["oracle"].values()]:
         assert row["strategy"] == "native"
         assert row["speedup_floor"] == bench_mod.SPEEDUP_FLOOR
         assert row["speedup"] >= row["speedup_floor"]

@@ -290,6 +290,30 @@ def test_shadow_cache_miss_then_hit_counters():
     assert runs[0].attrs["program"] == prog.name
 
 
+@pytest.mark.parametrize("fast,compiler", [(True, True), (True, False),
+                                           (False, True)])
+def test_shadow_run_spans_name_the_oracle_path(fast, compiler, monkeypatch):
+    # Both ``shadow.run`` spans, the engine's case task and the context's
+    # own run, name the loop the oracle took: the compiled walk when a C
+    # compiler is on PATH, the spec without one or with ``fast=False``.
+    if not compiler:
+        monkeypatch.setattr(native, "load", lambda: None)
+    expected = ("native" if fast and compiler and shutil.which("cc")
+                else "ref")
+    prog = _TinyProgram()
+    TELEMETRY.enable(reset=True)
+    engine_ctx = PipelineContext(lab=Lab(disk_cache=None))
+    engine_ctx.shadow = ShadowMemoryDetector(fast=fast)
+    engine_ctx.shadow_reports([(prog, SuiteCase("small", "-O2", 2))])
+    ctx = PipelineContext(lab=Lab(disk_cache=None))
+    ctx.shadow = ShadowMemoryDetector(fast=fast)
+    ctx.shadow_report(prog, SuiteCase("small", "-O2", 2))
+    assert ctx.shadow.path == expected
+    runs = [s for s in TELEMETRY.spans if s.name == "shadow.run"]
+    assert len(runs) == 2
+    assert [s.attrs["path"] for s in runs] == [expected, expected]
+
+
 # ------------------------------------------------------------ experiments
 
 
